@@ -29,7 +29,6 @@ from .geometry import (
     AffineTransform,
     Ellipse,
     Line,
-    apply_affine,
     circularize,
     fit_ellipse_direct,
     line_circle_intersections,

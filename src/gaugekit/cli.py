@@ -34,25 +34,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_config(path) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    return PipelineConfig.from_file(path)
-
-
-def _cmd_read(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read config: {exc}")
+def _cmd_read(args, cfg: PipelineConfig) -> int:
     any_reading_failure = False
     for path in args.paths:
         try:
-            data = Path(path).read_bytes()
+            fixture = parse_fixture(Path(path).read_bytes())
         except OSError as exc:
             return _fail(EXIT_IO, f"{path}: {exc}")
-        try:
-            fixture = parse_fixture(data)
         except (FixtureSyntaxError, SchemaError) as exc:
             return _fail(EXIT_SCHEMA, f"{path}: {exc}")
         report = read_gauge(fixture, cfg)
@@ -72,16 +60,15 @@ def _cmd_read(args) -> int:
     return EXIT_READING_FAILURE if any_reading_failure else EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, cfg: PipelineConfig) -> int:
+    manifest_path = Path(args.manifest)
     try:
-        cfg = _load_config(args.config)
-        manifest_path = Path(args.manifest)
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read inputs: {exc}")
-    except json.JSONDecodeError as exc:
+        return _fail(EXIT_IO, f"cannot read manifest: {exc}")
+    except ValueError as exc:  # malformed JSON or UTF-8
         return _fail(EXIT_SCHEMA, f"{args.manifest}: invalid JSON: {exc}")
-    paths = doc.get("fixtures")
+    paths = doc.get("fixtures") if isinstance(doc, dict) else None
     if not isinstance(paths, list):
         return _fail(EXIT_SCHEMA, f"{args.manifest}: expected a 'fixtures' array")
 
@@ -197,11 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "read":
-            return _cmd_read(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        return _cmd_generate(args)
+        if args.command == "generate":
+            return _cmd_generate(args)
+        try:
+            cfg = PipelineConfig() if args.config is None else PipelineConfig.from_file(args.config)
+        except OSError as exc:
+            return _fail(EXIT_IO, f"cannot read config: {exc}")
+        except SchemaError as exc:
+            return _fail(EXIT_SCHEMA, f"{args.config}: {exc}")
+        return (_cmd_read if args.command == "read" else _cmd_eval)(args, cfg)
     except GaugeKitError as exc:  # pragma: no cover - safety net
         return _fail(EXIT_SCHEMA, str(exc))
 

@@ -3,7 +3,9 @@
 A fixture bundles everything the reading pipeline needs for one cropped
 gauge: notch keypoints, sampled needle-mask pixels, OCR text boxes, and
 optional ground truth. All coordinates live in the crop frame (origin
-top-left, y down) and must fall inside [0, crop_size) per axis.
+top-left, y down) and must fall inside [0, crop_size) per axis. The
+dataclasses enforce every value rule on construction, so a fixture built in
+code obeys the same rules as a parsed one; parse_fixture checks only shape.
 
 Documents carry a top-level "schema": 1 field. Unknown fields are ignored
 so fixtures written by newer producers still parse.
@@ -31,9 +33,12 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        x, y = float(self.x), float(self.y)
+        try:
+            x, y = float(self.x), float(self.y)
+        except OverflowError:  # an int beyond the float range
+            x = y = math.inf
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("coordinates must be finite")
+            raise ValueError("x and y must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -63,12 +68,15 @@ class Rect:
     height: float
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in (self.x, self.y, self.width, self.height))
-        if not all(math.isfinite(v) for v in vals):
+        try:
+            x, y, w, h = float(self.x), float(self.y), float(self.width), float(self.height)
+        except OverflowError:
+            x = y = w = h = math.inf
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
             raise ValueError("box values must be finite")
-        if vals[2] <= 0 or vals[3] <= 0:
-            raise ValueError("box extents must be positive")
-        for name, v in zip(("x", "y", "width", "height"), vals):
+        if w <= 0 or h <= 0:
+            raise ValueError("box width and height must be positive")
+        for name, v in zip(("x", "y", "width", "height"), (x, y, w, h)):
             object.__setattr__(self, name, v)
 
     @property
@@ -83,7 +91,12 @@ class OcrItem:
     confidence: float = 1.0
 
     def __post_init__(self):
-        conf = float(self.confidence)
+        if not isinstance(self.text, str):
+            raise ValueError("text must be a string")
+        try:
+            conf = float(self.confidence)
+        except OverflowError:
+            conf = math.inf
         if not (0.0 <= conf <= 1.0):
             raise ValueError("confidence must lie in [0, 1]")
         object.__setattr__(self, "confidence", conf)
@@ -97,8 +110,18 @@ class GroundTruth:
     unit: str = ""
 
     def __post_init__(self):
-        if not float(self.range_max) > float(self.range_min):
+        for name in ("reading", "range_min", "range_max"):
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+        if not self.range_max > self.range_min:
             raise ValueError("range_max must exceed range_min")
+        if not isinstance(self.unit, str):
+            raise ValueError("unit must be a string")
 
 
 @dataclass(frozen=True)
@@ -110,38 +133,38 @@ class GaugeFixture:
     ground_truth: Optional[GroundTruth] = None
 
     def __post_init__(self):
-        w, h = self.crop_size
-        if w <= 0 or h <= 0:
-            raise SchemaError("crop_size", "crop dimensions must be positive")
+        try:
+            w, h = map(float, self.crop_size)
+        except OverflowError:
+            w = h = math.inf
+        # is_integer() is False for inf and nan, so this also checks finiteness.
+        if not (w > 0 and h > 0 and w.is_integer() and h.is_integer()):
+            raise SchemaError("crop_size", "width and height must be positive integers")
         object.__setattr__(self, "crop_size", (int(w), int(h)))
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
         object.__setattr__(self, "needle_points", tuple(self.needle_points))
         object.__setattr__(self, "ocr_items", tuple(self.ocr_items))
         for i, kp in enumerate(self.keypoints):
-            self._check_bounds(kp.position, f"keypoints[{i}]")
+            self._check_bounds(kp.position.x, kp.position.y, f"keypoints[{i}]")
         for i, p in enumerate(self.needle_points):
-            self._check_bounds(p, f"needle_points[{i}]")
+            self._check_bounds(p.x, p.y, f"needle_points[{i}]")
         for i, item in enumerate(self.ocr_items):
-            self._check_bounds(Point2(item.box.x, item.box.y), f"ocr[{i}].box")
+            self._check_bounds(item.box.x, item.box.y, f"ocr[{i}].box")
         for kind in (KeypointClass.START, KeypointClass.END):
             if sum(1 for kp in self.keypoints if kp.kind is kind) > 1:
                 raise SchemaError("keypoints", f"more than one {kind.value} keypoint")
 
-    def _check_bounds(self, p: Point2, path: str):
+    def _check_bounds(self, x: float, y: float, path: str):
         w, h = self.crop_size
-        if not (0.0 <= p.x < w and 0.0 <= p.y < h):
-            raise SchemaError(path, f"coordinate ({p.x}, {p.y}) outside [0, {w}) x [0, {h})")
+        if not (0.0 <= x < w and 0.0 <= y < h):
+            raise SchemaError(path, f"coordinate ({x}, {y}) outside [0, {w}) x [0, {h})")
 
     def keypoint_array(self) -> np.ndarray:
         """Keypoint positions as an (N, 2) array."""
-        if not self.keypoints:
-            return np.empty((0, 2))
-        return np.array([[kp.position.x, kp.position.y] for kp in self.keypoints])
+        return np.array([[kp.position.x, kp.position.y] for kp in self.keypoints]).reshape(-1, 2)
 
     def needle_array(self) -> np.ndarray:
-        if not self.needle_points:
-            return np.empty((0, 2))
-        return np.array([[p.x, p.y] for p in self.needle_points])
+        return np.array([[p.x, p.y] for p in self.needle_points]).reshape(-1, 2)
 
     def keypoint_of(self, kind: KeypointClass) -> Optional[Keypoint]:
         for kp in self.keypoints:
@@ -159,7 +182,6 @@ class Stage(enum.Enum):
     ELLIPSE = "ellipse"
     NEEDLE = "needle"
     OCR = "ocr"
-    READING = "reading"
 
 
 # The only failure reasons a report may carry.
@@ -180,7 +202,8 @@ FAILURE_REASONS = frozenset(
 # degrades to a fallback wrap-around point.
 FATAL_STAGES = (Stage.ELLIPSE, Stage.NEEDLE, Stage.OCR)
 
-_REPORT_STAGE_ORDER = (Stage.NOTCHES, Stage.ELLIPSE, Stage.NEEDLE, Stage.OCR)
+# Order of the stages in serialized reports and evaluation summaries.
+REPORT_STAGES = (Stage.NOTCHES, Stage.ELLIPSE, Stage.NEEDLE, Stage.OCR)
 
 
 @dataclass(frozen=True)
@@ -191,9 +214,8 @@ class StageStatus:
     def __post_init__(self):
         if self.ok and self.reason is not None:
             raise ValueError("ok status carries no reason")
-        if not self.ok:
-            if self.reason not in FAILURE_REASONS:
-                raise ValueError(f"unknown failure reason {self.reason!r}")
+        if not self.ok and self.reason not in FAILURE_REASONS:
+            raise ValueError(f"unknown failure reason {self.reason!r}")
 
     @classmethod
     def passed(cls) -> "StageStatus":
@@ -285,10 +307,7 @@ class GaugeReadingReport:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise SchemaError(path, "number must be finite")
-    return v
+    return value
 
 
 def _as_list(value: Any, path: str) -> list:
@@ -307,7 +326,7 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
     """Parse a UTF-8 JSON fixture document.
 
     Raises FixtureSyntaxError for malformed JSON and SchemaError (naming the
-    offending path) for documents violating the data model.
+    offending path) for a wrong shape or a value the data model rejects.
     """
     if isinstance(data, bytes):
         try:
@@ -323,16 +342,10 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
     if root.get("schema") != SCHEMA_VERSION:
         raise SchemaError("schema", f"expected schema version {SCHEMA_VERSION}")
 
-    crop = root.get("crop_size", [448, 448])
-    crop_list = _as_list(crop, "crop_size")
-    if len(crop_list) != 2:
+    crop = _as_list(root.get("crop_size", [448, 448]), "crop_size")
+    if len(crop) != 2:
         raise SchemaError("crop_size", "expected [width, height]")
-    dims = []
-    for i, v in enumerate(crop_list):
-        num = _as_number(v, f"crop_size[{i}]")
-        if num != int(num) or num <= 0:
-            raise SchemaError(f"crop_size[{i}]", "expected a positive integer")
-        dims.append(int(num))
+    crop_size = (_as_number(crop[0], "crop_size[0]"), _as_number(crop[1], "crop_size[1]"))
 
     keypoints = []
     for i, entry in enumerate(_as_list(root.get("keypoints", []), "keypoints")):
@@ -349,19 +362,22 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
                 f"keypoints[{i}].class",
                 f"expected one of start/intermediate/end, got {raw_kind!r}",
             ) from None
-        keypoints.append(Keypoint(Point2(x, y), kind))
+        try:
+            keypoints.append(Keypoint(Point2(x, y), kind))
+        except ValueError as exc:
+            raise SchemaError(f"keypoints[{i}]", str(exc)) from None
 
     needle_points = []
     for i, entry in enumerate(_as_list(root.get("needle_points", []), "needle_points")):
         pair = _as_list(entry, f"needle_points[{i}]")
         if len(pair) != 2:
             raise SchemaError(f"needle_points[{i}]", "expected [x, y]")
-        needle_points.append(
-            Point2(
-                _as_number(pair[0], f"needle_points[{i}][0]"),
-                _as_number(pair[1], f"needle_points[{i}][1]"),
-            )
-        )
+        x = _as_number(pair[0], f"needle_points[{i}][0]")
+        y = _as_number(pair[1], f"needle_points[{i}][1]")
+        try:
+            needle_points.append(Point2(x, y))
+        except ValueError as exc:
+            raise SchemaError(f"needle_points[{i}]", str(exc)) from None
 
     ocr_items = []
     for i, entry in enumerate(_as_list(root.get("ocr", []), "ocr")):
@@ -370,35 +386,27 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
         if len(box) != 4:
             raise SchemaError(f"ocr[{i}].box", "expected [x, y, width, height]")
         bx, by, bw, bh = (_as_number(v, f"ocr[{i}].box[{j}]") for j, v in enumerate(box))
-        if bw <= 0 or bh <= 0:
-            raise SchemaError(f"ocr[{i}].box", "width and height must be positive")
-        text = obj.get("text", "")
-        if not isinstance(text, str):
-            raise SchemaError(f"ocr[{i}].text", "expected a string")
         conf = _as_number(obj.get("confidence", 1.0), f"ocr[{i}].confidence")
-        if not (0.0 <= conf <= 1.0):
-            raise SchemaError(f"ocr[{i}].confidence", "must lie in [0, 1]")
-        ocr_items.append(OcrItem(Rect(bx, by, bw, bh), text, conf))
+        try:
+            ocr_items.append(OcrItem(Rect(bx, by, bw, bh), obj.get("text", ""), conf))
+        except ValueError as exc:
+            raise SchemaError(f"ocr[{i}]", str(exc)) from None
 
     ground_truth = None
     if root.get("ground_truth") is not None:
         obj = _as_object(root["ground_truth"], "ground_truth")
+        values = []
         for key in ("reading", "range_min", "range_max"):
             if key not in obj:
                 raise SchemaError(f"ground_truth.{key}", "missing required field")
-        rmin = _as_number(obj["range_min"], "ground_truth.range_min")
-        rmax = _as_number(obj["range_max"], "ground_truth.range_max")
-        if not rmax > rmin:
-            raise SchemaError("ground_truth", "range_max must exceed range_min")
-        unit = obj.get("unit", "")
-        if not isinstance(unit, str):
-            raise SchemaError("ground_truth.unit", "expected a string")
-        ground_truth = GroundTruth(
-            _as_number(obj["reading"], "ground_truth.reading"), rmin, rmax, unit
-        )
+            values.append(_as_number(obj[key], f"ground_truth.{key}"))
+        try:
+            ground_truth = GroundTruth(*values, obj.get("unit", ""))
+        except ValueError as exc:
+            raise SchemaError("ground_truth", str(exc)) from None
 
     return GaugeFixture(
-        crop_size=(dims[0], dims[1]),
+        crop_size=crop_size,
         keypoints=tuple(keypoints),
         needle_points=tuple(needle_points),
         ocr_items=tuple(ocr_items),
@@ -444,13 +452,9 @@ def serialize_fixture(fixture: GaugeFixture) -> bytes:
     return json.dumps(_fixture_jsonable(fixture), ensure_ascii=False).encode("utf-8")
 
 
-def _round_sig(value: float, digits: int = 9) -> float:
-    return float(format(value, f".{digits}g"))
-
-
 def _round_tree(obj: Any) -> Any:
     if isinstance(obj, float):
-        return _round_sig(obj)
+        return float(format(obj, ".9g"))
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -458,8 +462,9 @@ def _round_tree(obj: Any) -> Any:
     return obj
 
 
-def _transform_jsonable(t: AffineTransform) -> dict:
-    return {"linear": t.linear.tolist(), "translation": t.translation.tolist()}
+def rounded_json(doc: Any) -> bytes:
+    """UTF-8 JSON of `doc` with every real rounded to 9 significant digits."""
+    return json.dumps(_round_tree(doc), ensure_ascii=False).encode("utf-8")
 
 
 def serialize_report(report: GaugeReadingReport) -> bytes:
@@ -469,16 +474,16 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
     digits, so identical reports serialize to identical bytes.
     """
     statuses = {}
-    for stage in _REPORT_STAGE_ORDER:
+    for stage in REPORT_STAGES:
         status = report.stage_statuses.get(stage)
         if status is None:
             continue
-        entry: dict[str, Any] = {"status": "ok" if status.ok else "failed"}
-        if not status.ok:
-            entry["reason"] = status.reason
-        statuses[stage.value] = entry
+        statuses[stage.value] = (
+            {"status": "ok"} if status.ok else {"status": "failed", "reason": status.reason}
+        )
 
     e = report.fitted_ellipse
+    t = report.upright_rotation
     doc = {
         "schema": SCHEMA_VERSION,
         "stage_statuses": statuses,
@@ -494,8 +499,8 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
         "wrap_angle": report.wrap_angle,
         "needle_relative_angle": report.needle_relative_angle,
         "upright_rotation": None
-        if report.upright_rotation is None
-        else _transform_jsonable(report.upright_rotation),
+        if t is None
+        else {"linear": t.linear.tolist(), "translation": t.translation.tolist()},
         "markers": [
             {
                 "scale": m.scale.value,
@@ -509,4 +514,4 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
         "readings": [{"scale": r.scale.value, "value": r.value} for r in report.readings],
         "unit": report.unit,
     }
-    return json.dumps(_round_tree(doc), ensure_ascii=False).encode("utf-8")
+    return rounded_json(doc)

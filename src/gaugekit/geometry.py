@@ -282,11 +282,6 @@ def circularize(ellipse: Ellipse) -> AffineTransform:
     return AffineTransform(linear, -linear @ ellipse.center)
 
 
-def apply_affine(transform: AffineTransform, point) -> np.ndarray:
-    """Apply `transform` to a point or an (N, 2) array of points."""
-    return transform.apply(point)
-
-
 def odr_fit_line(points) -> Line:
     """Orthogonal-distance (total least squares) line fit.
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,9 +27,11 @@ from .errors import (
     MissingGroundTruth,
     NoConsensus,
     NoIntersection,
+    SchemaError,
     ZeroVector,
 )
 from .fixtures import (
+    REPORT_STAGES,
     GaugeFixture,
     GaugeReadingReport,
     KeypointClass,
@@ -37,9 +40,21 @@ from .fixtures import (
     ScaleSide,
     Stage,
     StageStatus,
+    rounded_json,
 )
 
 MIN_NOTCHES = 5
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _present_fields(cls, doc, path: str) -> dict:
+    """The entries of JSON object `doc` that name an init field of `cls`."""
+    if not isinstance(doc, dict):
+        raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
+    return {f.name: doc[f.name] for f in fields(cls) if f.init and f.name in doc}
 
 
 @dataclass(frozen=True)
@@ -49,47 +64,63 @@ class RansacSettings:
     seed: int = 0
     enabled: bool = True  # False switches to the plain least-squares baseline
 
-
-@dataclass(frozen=True)
-class MeanShiftSettings:
-    bandwidth_fraction: float = 0.05
+    def __post_init__(self):
+        if not (type(self.iterations) is int and self.iterations >= 1):
+            raise ValueError("iterations must be an integer >= 1")
+        if not (_is_number(self.threshold_fraction) and 0 < self.threshold_fraction < math.inf):
+            raise ValueError("threshold_fraction must be a finite number > 0")
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
+        if not isinstance(self.enabled, bool):
+            raise ValueError("enabled must be true or false")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     ransac: RansacSettings = field(default_factory=RansacSettings)
-    meanshift: MeanShiftSettings = field(default_factory=MeanShiftSettings)
     unit_lexicon_path: Optional[str] = None
     failure_error_threshold_percent: float = 10.0
+    # Read from unit_lexicon_path once, when the config is built.
+    unit_lexicon: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        threshold = self.failure_error_threshold_percent
+        if not (_is_number(threshold) and 0 <= threshold < math.inf):
+            raise ValueError("failure_error_threshold_percent must be a finite number >= 0")
+        if self.unit_lexicon_path is None:
+            lexicon = scale_model.DEFAULT_UNIT_LEXICON
+        elif isinstance(self.unit_lexicon_path, (str, os.PathLike)):
+            lexicon = scale_model.load_unit_lexicon(self.unit_lexicon_path)
+        else:
+            raise ValueError("unit_lexicon_path must be a string or null")
+        object.__setattr__(self, "unit_lexicon", lexicon)
 
     @classmethod
-    def from_json(cls, doc: dict) -> "PipelineConfig":
-        ransac = doc.get("ransac", {})
-        meanshift = doc.get("meanshift", {})
-        return cls(
-            ransac=RansacSettings(
-                iterations=int(ransac.get("iterations", 200)),
-                threshold_fraction=float(ransac.get("threshold_fraction", 0.02)),
-                seed=int(ransac.get("seed", 0)),
-                enabled=bool(ransac.get("enabled", True)),
-            ),
-            meanshift=MeanShiftSettings(
-                bandwidth_fraction=float(meanshift.get("bandwidth_fraction", 0.05))
-            ),
-            unit_lexicon_path=doc.get("unit_lexicon_path"),
-            failure_error_threshold_percent=float(
-                doc.get("failure_error_threshold_percent", 10.0)
-            ),
-        )
+    def from_json(cls, doc) -> "PipelineConfig":
+        """Config from a decoded JSON object; absent keys keep the defaults and
+        unknown keys are ignored. SchemaError on a bad value, OSError on an
+        unreadable unit lexicon."""
+        kwargs = _present_fields(cls, doc, "config")
+        if "ransac" in kwargs:
+            try:
+                kwargs["ransac"] = RansacSettings(
+                    **_present_fields(RansacSettings, kwargs["ransac"], "ransac")
+                )
+            except ValueError as exc:
+                raise SchemaError("ransac", str(exc)) from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise SchemaError("config", str(exc)) from None
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def unit_lexicon(self) -> Sequence[str]:
-        if self.unit_lexicon_path is None:
-            return scale_model.DEFAULT_UNIT_LEXICON
-        return scale_model.load_unit_lexicon(self.unit_lexicon_path)
+        """Config from a UTF-8 JSON file; see from_json for the errors."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # malformed JSON or UTF-8; OSError passes
+            raise SchemaError("config", f"not valid JSON: {exc}") from None
+        return cls.from_json(doc)
 
 
 def _needle_segment(line: geometry.Line, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,11 +221,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
             **kwargs,
         )
 
-    needle = fixture.needle_array()
-    if len(needle) < 2:
-        statuses[Stage.NEEDLE] = StageStatus.failed("insufficient_needle_points")
-        return finish()
-    needle_c = transform.apply(needle)
+    needle_c = transform.apply(fixture.needle_array())
     try:
         needle_line = geometry.odr_fit_line(needle_c)
     except (InsufficientPoints, DegeneratePoints):
@@ -234,59 +261,47 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
                 source_text=item.text,
             )
         )
-    unit = scale_model.extract_unit(fixture.ocr_items, cfg.unit_lexicon())
+    unit = scale_model.extract_unit(fixture.ocr_items, cfg.unit_lexicon)
 
     outer, inner = scale_model.split_inner_outer(markers)
     readings: list[Reading] = []
     marker_uses: list[MarkerUse] = []
     no_consensus = False
     for side, group in ((ScaleSide.OUTER, outer), (ScaleSide.INNER, inner)):
-        if not group:
-            continue
         rel_angles = [scale_model.relative_angle(m.angle, wrap) for m in group]
-        if len(group) < 2:
-            marker_uses.extend(
-                MarkerUse(side, a, m.value, False, m.source_text)
-                for a, m in zip(rel_angles, group)
+        inliers: set[int] = set()
+        if len(group) >= 2:
+            pairs = list(zip(rel_angles, (m.value for m in group)))
+            threshold = scale_model.default_inlier_threshold(
+                [m.value for m in group], cfg.ransac.threshold_fraction
             )
-            continue
-        pairs = list(zip(rel_angles, (m.value for m in group)))
-        threshold = scale_model.default_inlier_threshold(
-            [m.value for m in group], cfg.ransac.threshold_fraction
-        )
-        try:
-            if cfg.ransac.enabled:
-                model = scale_model.ransac_fit_linear(
-                    pairs,
-                    threshold,
-                    iterations=cfg.ransac.iterations,
-                    seed=cfg.ransac.seed,
-                    wrap_angle=wrap,
-                )
+            try:
+                if cfg.ransac.enabled:
+                    model = scale_model.ransac_fit_linear(
+                        pairs,
+                        threshold,
+                        iterations=cfg.ransac.iterations,
+                        seed=cfg.ransac.seed,
+                        wrap_angle=wrap,
+                    )
+                else:
+                    model = scale_model.least_squares_fit_linear(pairs, wrap_angle=wrap)
+            except NoConsensus:
+                no_consensus = True
             else:
-                model = scale_model.least_squares_fit_linear(pairs, wrap_angle=wrap)
-        except NoConsensus:
-            no_consensus = True
-            marker_uses.extend(
-                MarkerUse(side, a, m.value, False, m.source_text)
-                for a, m in zip(rel_angles, group)
-            )
-            continue
-        inlier_set = set(model.inliers)
+                inliers = set(model.inliers)
+                readings.append(Reading(side, model.value_at(needle_rel)))
         marker_uses.extend(
-            MarkerUse(side, a, m.value, k in inlier_set, m.source_text)
+            MarkerUse(side, a, m.value, k in inliers, m.source_text)
             for k, (a, m) in enumerate(zip(rel_angles, group))
         )
-        readings.append(Reading(side, model.value_at(needle_rel)))
 
-    if readings:
-        statuses[Stage.OCR] = StageStatus.passed()
-    elif max(len(outer), len(inner)) < 2:
-        statuses[Stage.OCR] = StageStatus.failed("insufficient_markers")
-    elif no_consensus:
-        statuses[Stage.OCR] = StageStatus.failed("no_consensus")
-    else:  # unreachable defensively: a fit either succeeds or lacks consensus
-        statuses[Stage.OCR] = StageStatus.failed("insufficient_markers")
+    # A side with two or more markers either yields a reading or lacks consensus.
+    statuses[Stage.OCR] = (
+        StageStatus.passed()
+        if readings
+        else StageStatus.failed("no_consensus" if no_consensus else "insufficient_markers")
+    )
 
     return finish(
         needle_line=needle_img,
@@ -318,11 +333,10 @@ def matched_reading(report: GaugeReadingReport, gt) -> Optional[float]:
     span = gt.range_max - gt.range_min
 
     def mismatch(reading: Reading) -> float:
+        # A report guarantees every reading at least two inlier markers.
         values = [
             m.value for m in report.markers_used if m.scale is reading.scale and m.inlier
         ]
-        if not values:
-            return math.inf
         return (
             abs(min(values) - gt.range_min) + abs(max(values) - gt.range_max)
         ) / span
@@ -368,9 +382,6 @@ class EvalSummary:
         return "\n".join(lines)
 
 
-_RATE_STAGES = (Stage.NOTCHES, Stage.ELLIPSE, Stage.NEEDLE, Stage.OCR)
-
-
 def evaluate_batch(
     fixtures: Sequence[GaugeFixture], config: Optional[PipelineConfig] = None
 ) -> EvalSummary:
@@ -389,11 +400,11 @@ def evaluate_batch(
 
     n = len(fixtures)
     if n == 0:
-        return EvalSummary(0, 0, 0.0, None, None, {s.value: 0.0 for s in _RATE_STAGES})
+        return EvalSummary(0, 0, 0.0, None, None, {s.value: 0.0 for s in REPORT_STAGES})
 
     full_errors: list[float] = []
     ocr_success_errors: list[float] = []
-    stage_failures = {s: 0 for s in _RATE_STAGES}
+    stage_failures = {s: 0 for s in REPORT_STAGES}
     n_readings = 0
 
     for f in fixtures:
@@ -408,7 +419,7 @@ def evaluate_batch(
             ocr = report.stage_statuses.get(Stage.OCR)
             if ocr is not None and ocr.ok:
                 ocr_success_errors.append(error)
-        for stage in _RATE_STAGES:
+        for stage in REPORT_STAGES:
             status = report.stage_statuses.get(stage)
             if status is None or status.ok:
                 continue
@@ -421,12 +432,10 @@ def evaluate_batch(
         reading_failure_share=(n - n_readings) / n,
         full_re_mean=float(np.mean(full_errors)) if full_errors else None,
         ocr_success_re_mean=float(np.mean(ocr_success_errors)) if ocr_success_errors else None,
-        stage_failure_rates={s.value: stage_failures[s] / n for s in _RATE_STAGES},
+        stage_failure_rates={s.value: stage_failures[s] / n for s in REPORT_STAGES},
     )
 
 
 def serialize_summary(summary: EvalSummary) -> bytes:
     """Deterministic JSON for an evaluation summary (9 significant digits)."""
-    from .fixtures import _round_tree
-
-    return json.dumps(_round_tree(summary.to_jsonable()), ensure_ascii=False).encode("utf-8")
+    return rounded_json(summary.to_jsonable())

@@ -249,25 +249,23 @@ def perturb_scene(
         total = maps[0]
         for m in maps[1:]:
             total = m.compose(total)
-        keypoints = total.apply(keypoints) if keypoints.size else keypoints
-        needle = total.apply(needle) if needle.size else needle
-        centers = total.apply(centers) if centers.size else centers
+        keypoints = total.apply(keypoints)
+        needle = total.apply(needle)
+        centers = total.apply(centers)
         fit = _fit_to_frame(
             [keypoints, needle, centers - halves, centers + halves], fixture.crop_size
         )
         if fit is not None:
-            keypoints = fit.apply(keypoints) if keypoints.size else keypoints
-            needle = fit.apply(needle) if needle.size else needle
-            centers = fit.apply(centers) if centers.size else centers
+            keypoints = fit.apply(keypoints)
+            needle = fit.apply(needle)
+            centers = fit.apply(centers)
 
     if spec.keypoint_noise_sigma > 0 and keypoints.size:
         keypoints = keypoints + rng.normal(0.0, spec.keypoint_noise_sigma, keypoints.shape)
 
     limit = np.array([w, h]) - 1e-6
-    if keypoints.size:
-        keypoints = np.clip(keypoints, 0.0, limit)
-    if needle.size:
-        needle = np.clip(needle, 0.0, limit)
+    keypoints = np.clip(keypoints, 0.0, limit)
+    needle = np.clip(needle, 0.0, limit)
 
     new_keypoints = tuple(
         Keypoint(Point2(p[0], p[1]), kp.kind) for p, kp in zip(keypoints, fixture.keypoints)

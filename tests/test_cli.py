@@ -74,6 +74,40 @@ def test_read_malformed_fixture_exit_three(tmp_path):
     assert run_cli("read", str(path)).returncode == 3
     path.write_text('{"schema": 2}', encoding="utf-8")
     assert run_cli("read", str(path)).returncode == 3
+    path.write_text('{"schema": 1, "crop_size": [1%s, 448]}' % ("0" * 400), encoding="utf-8")
+    proc = run_cli("read", str(path))
+    assert proc.returncode == 3
+    assert b"crop_size" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ("{not json", 3),
+        ("[1]", 3),
+        ('{"ransac": {"enabled": "false"}}', 3),
+        ('{"ransac": {"iterations": 0}}', 3),
+        ('{"unit_lexicon_path": "%s"}', 2),  # %s becomes a path with no file behind it
+        (None, 2),  # the config file itself is missing
+    ],
+)
+@pytest.mark.parametrize("command", ["read", "eval"])
+def test_bad_config_exits_before_any_input(tmp_path, scene_file, command, config, code):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config.replace("%s", (tmp_path / "units.txt").as_posix()), encoding="utf-8")
+    proc = run_cli(command, str(scene_file), "--config", str(cfg))
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert b"config" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_old_config_with_meanshift_key_still_loads(tmp_path, scene_file):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"meanshift": {"bandwidth_fraction": 0.05}}', encoding="utf-8")
+    proc = run_cli("read", str(scene_file), "--config", str(cfg))
+    assert proc.returncode == 0
+    assert proc.stdout == serialize_report(read_gauge(parse_fixture(scene_file.read_bytes()))) + b"\n"
 
 
 def _write_generation_manifest(tmp_path, n=4, perturb=True):
@@ -178,6 +212,9 @@ def test_eval_missing_ground_truth_exit_three(tmp_path):
     (tmp_path / "man.json").write_text(json.dumps({"schema": 1, "fixtures": ["fx.json"]}))
     proc = run_cli("eval", str(tmp_path / "man.json"))
     assert proc.returncode == 3
+    (tmp_path / "man.json").write_text("[1]")  # not an object
+    proc = run_cli("eval", str(tmp_path / "man.json"))
+    assert proc.returncode == 3 and b"Traceback" not in proc.stderr
 
 
 def test_eval_is_deterministic(tmp_path):

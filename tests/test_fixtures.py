@@ -87,6 +87,14 @@ def test_parse_rejects_out_of_range_coordinate():
         (lambda d: d.update(ground_truth={"reading": 1, "range_min": 5, "range_max": 5}), "ground_truth"),
         (lambda d: d.update(ground_truth={"reading": 1, "range_min": 0}), "range_max"),
         (lambda d: d.update(needle_points=[[1, float("nan")]]), "needle_points"),
+        (lambda d: d["keypoints"][0].update(x=10**400), "keypoints[0]: x"),
+        (lambda d: d.update(needle_points=[[1, 10**400]]), "needle_points[0]: x"),
+        (lambda d: d.update(crop_size=[10**400, 448]), "crop_size"),
+        (lambda d: d.update(ground_truth={"reading": 10**400, "range_min": 0, "range_max": 5}), "ground_truth: reading"),
+        (lambda d: d.update(ground_truth={"reading": 1, "range_min": 0, "range_max": float("inf")}), "ground_truth: range_max"),
+        (lambda d: d.update(ground_truth={"reading": 1, "range_min": 0, "range_max": 5, "unit": 3}), "ground_truth: unit"),
+        (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5], "text": 5}]), "ocr[0]: text"),
+        (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5], "text": "x", "confidence": -0.5}]), "ocr[0]: confidence"),
     ],
 )
 def test_parse_schema_errors_name_the_offending_path(mutate, path_part):
@@ -260,3 +268,22 @@ def test_fixture_invariants_reject_bad_direct_construction():
         OcrItem(Rect(0, 0, 1, 1), "x", 1.2)
     with pytest.raises(ValueError):
         GroundTruth(1.0, 5.0, 5.0)
+    # Direct construction enforces every rule parse_fixture enforces.
+    with pytest.raises(ValueError):
+        GroundTruth(math.nan, 0.0, 5.0)
+    with pytest.raises(ValueError):
+        GroundTruth(1.0, 0.0, math.inf)
+    with pytest.raises(ValueError):
+        GroundTruth(1.0, 0.0, 5.0, unit=3)
+    with pytest.raises(ValueError):
+        OcrItem(Rect(0, 0, 1, 1), 5)
+    with pytest.raises(ValueError):
+        Point2(10**400, 0.0)
+    with pytest.raises(ValueError):
+        Rect(0, 0, 10**400, 5)
+    with pytest.raises(SchemaError):
+        GaugeFixture(crop_size=(447.5, 448))
+    with pytest.raises(SchemaError):
+        GaugeFixture(crop_size=(math.inf, 448))
+    with pytest.raises(SchemaError):
+        GaugeFixture(crop_size=(10**400, 448))

@@ -19,7 +19,6 @@ from gaugekit.geometry import (
     AffineTransform,
     Ellipse,
     Line,
-    apply_affine,
     circularize,
     fit_ellipse_direct,
     line_circle_intersections,
@@ -150,9 +149,9 @@ def test_circularize_maps_ellipse_to_unit_circle():
 
 
 def test_apply_affine_identity_and_inverse():
-    assert np.allclose(apply_affine(AffineTransform.identity(), [3.0, 4.0]), [3.0, 4.0])
+    assert np.allclose(AffineTransform.identity().apply([3.0, 4.0]), [3.0, 4.0])
     unit = circularize(Ellipse(0, 0, 1, 1, 0))
-    assert np.allclose(apply_affine(unit, [0.0, -1.0]), [0.0, -1.0], atol=1e-12)
+    assert np.allclose(unit.apply([0.0, -1.0]), [0.0, -1.0], atol=1e-12)
 
     rng = np.random.default_rng(11)
     t = AffineTransform(rng.normal(size=(2, 2)) + 2 * np.eye(2), rng.normal(size=2))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import make_scene_spec, random_fixture
-from gaugekit.errors import InvalidRange, MissingGroundTruth
+from gaugekit import scale_model
+from gaugekit.errors import InvalidRange, MissingGroundTruth, SchemaError
 from gaugekit.fixtures import (
     FAILURE_REASONS,
     GaugeFixture,
@@ -308,7 +309,6 @@ def test_config_round_trip_and_defaults(tmp_path):
     )
     assert cfg.ransac.iterations == 50
     assert cfg.ransac.enabled is True
-    assert cfg.meanshift.bandwidth_fraction == 0.1
 
     path = tmp_path / "cfg.json"
     path.write_text('{"ransac": {"enabled": false}}', encoding="utf-8")
@@ -316,14 +316,52 @@ def test_config_round_trip_and_defaults(tmp_path):
     assert PipelineConfig().failure_error_threshold_percent == 10.0
 
 
-def test_custom_unit_lexicon_file(tmp_path):
+@pytest.mark.parametrize(
+    "doc, path_part",
+    [
+        ([1], "config"),
+        ({"ransac": [1]}, "ransac"),
+        ({"ransac": {"enabled": "false"}}, "ransac: enabled"),
+        ({"ransac": {"iterations": 0}}, "ransac: iterations"),
+        ({"ransac": {"iterations": 2.5}}, "ransac: iterations"),
+        ({"ransac": {"seed": -1}}, "ransac: seed"),
+        ({"ransac": {"threshold_fraction": float("nan")}}, "ransac: threshold_fraction"),
+        ({"failure_error_threshold_percent": "5"}, "config: failure_error_threshold_percent"),
+        ({"unit_lexicon_path": 5}, "config: unit_lexicon_path"),
+    ],
+)
+def test_config_rejects_bad_values(doc, path_part):
+    with pytest.raises(SchemaError) as err:
+        PipelineConfig.from_json(doc)
+    assert path_part in str(err.value)
+
+
+def test_config_file_errors(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(SchemaError):
+        PipelineConfig.from_file(path)
+    with pytest.raises(OSError):
+        PipelineConfig.from_file(tmp_path / "missing.json")
+    with pytest.raises(OSError):
+        PipelineConfig(unit_lexicon_path=str(tmp_path / "missing.txt"))
+
+
+def test_custom_unit_lexicon_file(tmp_path, monkeypatch):
     spec = make_scene_spec(unit="kn")  # knots: not in the built-in lexicon
     fixture, _ = generate_scene(spec)
     assert read_gauge(fixture).unit is None
     lexicon = tmp_path / "units.txt"
     lexicon.write_text("# marine units\nkn\n", encoding="utf-8")
+    loads = []
+    real_load = scale_model.load_unit_lexicon
+    monkeypatch.setattr(
+        scale_model, "load_unit_lexicon", lambda path: loads.append(path) or real_load(path)
+    )
     cfg = PipelineConfig(unit_lexicon_path=str(lexicon))
     assert read_gauge(fixture, cfg).unit == "kn"
+    assert evaluate_batch([fixture] * 3, cfg).n_readings == 3
+    assert loads == [str(lexicon)]  # read once per config, not once per fixture
 
 
 def test_least_squares_config_still_reads_clean_scene():
