@@ -4,7 +4,8 @@ Robust angle-to-value calibration
 
 Projected scale markers give (relative angle, value) pairs. OCR also hands
 over junk: misread digits and serial numbers. A plain least-squares line
-gets dragged far off by a single such outlier; the seeded RANSAC loop
+gets dragged far off by a single such outlier; RANSAC, which tries the line
+through every pair of markers and keeps the one most markers agree with,
 ignores it. If matplotlib is installed, the comparison is saved as a PNG.
 """
 
@@ -24,7 +25,7 @@ pairs = [(relative_angle(a, wrap), v) for a, v in zip(marker_angles, values)]
 pairs.append((relative_angle(np.radians(300.0), wrap), 50234.0))  # serial number
 
 threshold = 0.02 * 16.0
-robust = ransac_fit_linear(pairs, threshold=threshold, iterations=200, seed=0)
+robust = ransac_fit_linear(pairs, threshold=threshold)
 plain = least_squares_fit_linear(pairs)
 
 needle_rel = relative_angle(np.radians(270.0), wrap)  # needle at mid-scale

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -104,6 +105,9 @@ def _scene_pairs(doc) -> list[tuple[dict, dict | None]]:
         entries = doc["scenes"]
         if not isinstance(entries, list):
             raise SpecError("'scenes' must be an array")
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise SpecError(f"scenes[{k}] must be an object, got {type(entry).__name__}")
         return [
             (entry.get("spec", entry), entry.get("perturbation")) for entry in entries
         ]
@@ -135,9 +139,7 @@ def _cmd_generate(args) -> int:
             if pert_doc is not None:
                 pert = parse_perturbation_spec(pert_doc)
                 if args.seed is not None:
-                    pert = parse_perturbation_spec(
-                        {**pert_doc, "seed": args.seed + index}
-                    )
+                    pert = replace(pert, seed=args.seed + index)
                 fixture = perturb_scene(fixture, truth, pert)
             name = f"scene_{index:03d}.json"
             (out_dir / name).write_bytes(serialize_fixture(fixture) + b"\n")

@@ -27,6 +27,27 @@ from .geometry import AffineTransform, Ellipse, Line
 SCHEMA_VERSION = 1
 
 
+def is_number(value: Any, integer: bool = False) -> bool:
+    """True for an int, or for a float unless `integer`; never for a bool."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
+def positive_int_size(size) -> tuple[int, int]:
+    """(width, height) as ints; ValueError unless both are positive integers.
+
+    Whole floats such as 448.0 pass; fractions, infinities and ints beyond
+    the float range do not.
+    """
+    try:
+        w, h = map(float, size)
+    except OverflowError:  # an int beyond the float range
+        w = h = math.inf
+    # is_integer() is False for inf and nan, so this also checks finiteness.
+    if not (w > 0 and h > 0 and w.is_integer() and h.is_integer()):
+        raise ValueError("width and height must be positive integers")
+    return int(w), int(h)
+
+
 @dataclass(frozen=True)
 class Point2:
     x: float
@@ -134,13 +155,9 @@ class GaugeFixture:
 
     def __post_init__(self):
         try:
-            w, h = map(float, self.crop_size)
-        except OverflowError:
-            w = h = math.inf
-        # is_integer() is False for inf and nan, so this also checks finiteness.
-        if not (w > 0 and h > 0 and w.is_integer() and h.is_integer()):
-            raise SchemaError("crop_size", "width and height must be positive integers")
-        object.__setattr__(self, "crop_size", (int(w), int(h)))
+            object.__setattr__(self, "crop_size", positive_int_size(self.crop_size))
+        except ValueError as exc:
+            raise SchemaError("crop_size", str(exc)) from None
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
         object.__setattr__(self, "needle_points", tuple(self.needle_points))
         object.__setattr__(self, "ocr_items", tuple(self.ocr_items))
@@ -305,7 +322,7 @@ class GaugeReadingReport:
 # ---------------------------------------------------------------------------
 
 def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
     return value
 

@@ -40,14 +40,11 @@ from .fixtures import (
     ScaleSide,
     Stage,
     StageStatus,
+    is_number,
     rounded_json,
 )
 
 MIN_NOTCHES = 5
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _present_fields(cls, doc, path: str) -> dict:
@@ -59,18 +56,12 @@ def _present_fields(cls, doc, path: str) -> dict:
 
 @dataclass(frozen=True)
 class RansacSettings:
-    iterations: int = 200
     threshold_fraction: float = 0.02
-    seed: int = 0
     enabled: bool = True  # False switches to the plain least-squares baseline
 
     def __post_init__(self):
-        if not (type(self.iterations) is int and self.iterations >= 1):
-            raise ValueError("iterations must be an integer >= 1")
-        if not (_is_number(self.threshold_fraction) and 0 < self.threshold_fraction < math.inf):
+        if not (is_number(self.threshold_fraction) and 0 < self.threshold_fraction < math.inf):
             raise ValueError("threshold_fraction must be a finite number > 0")
-        if not (type(self.seed) is int and self.seed >= 0):
-            raise ValueError("seed must be an integer >= 0")
         if not isinstance(self.enabled, bool):
             raise ValueError("enabled must be true or false")
 
@@ -85,7 +76,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         threshold = self.failure_error_threshold_percent
-        if not (_is_number(threshold) and 0 <= threshold < math.inf):
+        if not (is_number(threshold) and 0 <= threshold < math.inf):
             raise ValueError("failure_error_threshold_percent must be a finite number >= 0")
         if self.unit_lexicon_path is None:
             lexicon = scale_model.DEFAULT_UNIT_LEXICON
@@ -277,15 +268,9 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
             )
             try:
                 if cfg.ransac.enabled:
-                    model = scale_model.ransac_fit_linear(
-                        pairs,
-                        threshold,
-                        iterations=cfg.ransac.iterations,
-                        seed=cfg.ransac.seed,
-                        wrap_angle=wrap,
-                    )
+                    model = scale_model.ransac_fit_linear(pairs, threshold)
                 else:
-                    model = scale_model.least_squares_fit_linear(pairs, wrap_angle=wrap)
+                    model = scale_model.least_squares_fit_linear(pairs)
             except NoConsensus:
                 no_consensus = True
             else:

@@ -3,8 +3,8 @@
 Markers projected onto the circularized scale become (angle, value) pairs;
 a wrap-around point between the start and end notches anchors the angular
 origin outside the scale so the pairs are free of 2*pi discontinuities, and
-a seeded RANSAC loop fits the linear map while discarding misread or
-unrelated numbers.
+a RANSAC-style hypothesise-and-verify loop over the marker pairs fits the
+linear map while discarding misread or unrelated numbers.
 """
 
 from __future__ import annotations
@@ -189,14 +189,19 @@ def wrap_from_gaps(angles: Sequence[float]) -> float:
     return best_mid
 
 
-def relative_angle(angle: float, wrap_angle: float) -> float:
-    """Angle measured from the wrap-around point, in [0, 2*pi)."""
-    return normalize_angle(angle - wrap_angle)
+def relative_angle(angle: float, wrap: float) -> float:
+    """Angle measured from the wrap-around point `wrap`, in [0, 2*pi)."""
+    return normalize_angle(angle - wrap)
 
 
 # ---------------------------------------------------------------------------
 # Linear scale model
 # ---------------------------------------------------------------------------
+
+# Most two-point models one fit scores. A side with up to 20 markers has at
+# most 190 pairs and scores them all; larger sets are thinned evenly.
+MAX_PAIRS = 200
+
 
 @dataclass(frozen=True)
 class LinearScaleModel:
@@ -205,7 +210,6 @@ class LinearScaleModel:
     slope: float
     intercept: float
     inliers: tuple[int, ...]
-    wrap_angle: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "inliers", tuple(self.inliers))
@@ -239,7 +243,7 @@ def _ols(angles: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def least_squares_fit_linear(pairs, wrap_angle: float = 0.0) -> LinearScaleModel:
+def least_squares_fit_linear(pairs) -> LinearScaleModel:
     """Plain least-squares line through all pairs; no outlier handling.
 
     Exists as the non-robust baseline; every pair counts as an inlier
@@ -249,27 +253,36 @@ def least_squares_fit_linear(pairs, wrap_angle: float = 0.0) -> LinearScaleModel
     if len(arr) < 2:
         raise InsufficientMarkers(f"need at least 2 pairs, got {len(arr)}")
     slope, intercept = _ols(arr[:, 0], arr[:, 1])
-    return LinearScaleModel(slope, intercept, tuple(range(len(arr))), wrap_angle)
+    return LinearScaleModel(slope, intercept, tuple(range(len(arr))))
 
 
-def ransac_fit_linear(
-    pairs,
-    threshold: float,
-    iterations: int = 200,
-    seed: int = 0,
-    wrap_angle: float = 0.0,
-) -> LinearScaleModel:
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j in row-major order, thinned evenly to MAX_PAIRS.
+
+    Pair k of the n(n-1)/2 lies in the last row whose start is <= k, so only
+    the n-1 row starts and the chosen pairs are ever built.
+    """
+    total = n * (n - 1) // 2
+    count = min(total, MAX_PAIRS)
+    k = np.arange(count, dtype=np.int64) * total // count
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
+
+
+def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
     """Robust linear fit of (relative angle, value) pairs.
 
-    Draws two-point minimal models for `iterations` rounds from a seeded
-    generator, keeps the largest consensus (first found on ties), then
-    refits by least squares on that consensus. Inliers are the pairs within
-    `threshold` of the refit line; should the refit drop below two
-    supporters, the minimal model and its consensus stand.
+    Scores the two-point model of every pair i < j (thinned evenly to
+    MAX_PAIRS if there are more), keeps the largest consensus (the first
+    pair in row-major order on ties), then refits by least squares on that
+    consensus. Inliers are the pairs within `threshold` of the refit line;
+    should the refit drop below two supporters, the minimal model and its
+    consensus stand.
 
     Raises InsufficientMarkers (<2 pairs) or NoConsensus (no model reaches
-    two supporters, e.g. all pairs at one angle). Deterministic given the
-    seed.
+    two supporters, e.g. all pairs at one angle).
     """
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     n = len(arr)
@@ -280,11 +293,9 @@ def ransac_fit_linear(
     angles = arr[:, 0]
     values = arr[:, 1]
 
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, n, size=(int(iterations), 2))
-    i, j = draws[:, 0], draws[:, 1]
+    i, j = _pair_indices(n)
     dx = angles[j] - angles[i]
-    valid = (i != j) & (dx != 0.0)
+    valid = dx != 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slopes = np.where(valid, (values[j] - values[i]) / np.where(dx == 0.0, 1.0, dx), 0.0)
         intercepts = values[i] - slopes * angles[i]
@@ -293,7 +304,7 @@ def ransac_fit_linear(
         )
     support = residuals <= threshold
     counts = np.where(valid, support.sum(axis=1), -1)
-    best = int(np.argmax(counts))  # argmax keeps the first of tied rounds
+    best = int(np.argmax(counts))  # argmax keeps the first of tied pairs
     if counts[best] < 2:
         raise NoConsensus("no two-point model reached a consensus of two pairs")
 
@@ -305,4 +316,4 @@ def ransac_fit_linear(
     else:
         slope, intercept = float(slopes[best]), float(intercepts[best])
         inliers = np.nonzero(consensus)[0]
-    return LinearScaleModel(slope, intercept, tuple(int(k) for k in inliers), wrap_angle)
+    return LinearScaleModel(slope, intercept, tuple(int(k) for k in inliers))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -26,6 +26,8 @@ from .fixtures import (
     OcrItem,
     Point2,
     Rect,
+    is_number,
+    positive_int_size,
 )
 from .geometry import TAU, AffineTransform, Ellipse, normalize_angle
 from .scale_model import DEFAULT_UNIT_LEXICON
@@ -78,8 +80,10 @@ class SceneSpec:
             raise SpecError("marker_radius_factor must be positive")
         if self.n_needle_points < 2:
             raise SpecError("need at least 2 needle points")
-        if self.crop_size[0] <= 0 or self.crop_size[1] <= 0:
-            raise SpecError("crop_size must be positive")
+        try:
+            object.__setattr__(self, "crop_size", positive_int_size(self.crop_size))
+        except ValueError as exc:
+            raise SpecError(f"crop_size: {exc}") from None
         span = self.arc_span
         if not (MIN_ARC_SPAN <= span <= MAX_ARC_SPAN):
             raise SpecError(
@@ -181,8 +185,8 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.keypoint_noise_sigma < 0:
-            raise SpecError("keypoint_noise_sigma must be non-negative")
+        if not 0 <= self.keypoint_noise_sigma < math.inf:
+            raise SpecError("keypoint_noise_sigma must be a finite number >= 0")
         for name in ("ocr_dropout_rate", "digit_corruption_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -191,6 +195,8 @@ class PerturbationSpec:
             raise SpecError("n_outlier_ocr must be non-negative")
         if not math.isfinite(self.rotation):
             raise SpecError("rotation must be finite")
+        if not (is_number(self.seed, integer=True) and self.seed >= 0):
+            raise SpecError("seed must be an integer >= 0")
 
 
 def _fit_to_frame(groups: list[np.ndarray], crop: tuple[int, int]) -> Optional[AffineTransform]:
@@ -339,13 +345,26 @@ def _require(doc: dict, key: str) -> Any:
     return doc[key]
 
 
+def _number(value: Any, name: str, integer: bool = False):
+    """`value` if it is a JSON integer (when `integer`), else a JSON number as
+    a float; SpecError naming the field for anything else, bools and numeric
+    strings included."""
+    if not is_number(value, integer):
+        raise SpecError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value if integer else float(value)
+
+
 def parse_scene_spec(doc) -> SceneSpec:
     """SceneSpec from a JSON document (object, bytes, or str)."""
     doc = _load_doc(doc)
     try:
         e = _require(doc, "ellipse")
         ellipse = Ellipse(
-            e["center"][0], e["center"][1], e["a"], e["b"], e.get("theta", 0.0)
+            _number(e["center"][0], "ellipse.center[0]"),
+            _number(e["center"][1], "ellipse.center[1]"),
+            _number(e["a"], "ellipse.a"),
+            _number(e["b"], "ellipse.b"),
+            _number(e.get("theta", 0.0), "ellipse.theta"),
         )
         arc = _require(doc, "scale_arc")
         rng_doc = _require(doc, "range")
@@ -353,24 +372,33 @@ def parse_scene_spec(doc) -> SceneSpec:
         if doc.get("second_scale") is not None:
             s = doc["second_scale"]
             second = SecondScale(
-                s["range"]["min"], s["range"]["max"], s["radius_factor"]
+                _number(s["range"]["min"], "second_scale.range.min"),
+                _number(s["range"]["max"], "second_scale.range.max"),
+                _number(s["radius_factor"], "second_scale.radius_factor"),
             )
+        crop = doc.get("crop_size", [448, 448])
         return SceneSpec(
             ellipse=ellipse,
-            arc_start=float(arc["start_angle"]),
-            arc_end=float(arc["end_angle"]),
-            direction=int(arc["direction"]),
-            range_min=float(rng_doc["min"]),
-            range_max=float(rng_doc["max"]),
+            arc_start=_number(arc["start_angle"], "scale_arc.start_angle"),
+            arc_end=_number(arc["end_angle"], "scale_arc.end_angle"),
+            direction=_number(arc["direction"], "scale_arc.direction", integer=True),
+            range_min=_number(rng_doc["min"], "range.min"),
+            range_max=_number(rng_doc["max"], "range.max"),
             unit=str(rng_doc.get("unit", "")),
-            n_major_notches=int(_require(doc, "n_major_notches")),
-            needle_value=float(_require(doc, "needle_value")),
-            crop_size=tuple(doc.get("crop_size", (448, 448))),
-            marker_radius_factor=float(doc.get("marker_radius_factor", 0.85)),
+            n_major_notches=_number(
+                _require(doc, "n_major_notches"), "n_major_notches", integer=True
+            ),
+            needle_value=_number(_require(doc, "needle_value"), "needle_value"),
+            crop_size=tuple(_number(v, f"crop_size[{k}]") for k, v in enumerate(crop)),
+            marker_radius_factor=_number(
+                doc.get("marker_radius_factor", 0.85), "marker_radius_factor"
+            ),
             second_scale=second,
-            n_needle_points=int(doc.get("n_needle_points", 60)),
+            n_needle_points=_number(
+                doc.get("n_needle_points", 60), "n_needle_points", integer=True
+            ),
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed scene spec: {exc!r}") from None
 
 
@@ -406,23 +434,21 @@ def scene_spec_to_jsonable(spec: SceneSpec) -> dict:
 
 
 def parse_perturbation_spec(doc) -> PerturbationSpec:
-    """PerturbationSpec from a JSON document; every field has a default."""
+    """PerturbationSpec from a JSON document; absent fields keep their
+    defaults. Fields declared int take only JSON integers and the other
+    numeric fields only JSON numbers."""
     doc = _load_doc(doc)
     try:
-        affine = None
+        kwargs = {
+            f.name: _number(doc[f.name], f.name, integer=f.type == "int")
+            for f in fields(PerturbationSpec)
+            if f.name != "affine" and f.name in doc
+        }
         if doc.get("affine") is not None:
             a = doc["affine"]
-            affine = AffineTransform(a["linear"], a.get("translation", [0.0, 0.0]))
-        return PerturbationSpec(
-            keypoint_noise_sigma=float(doc.get("keypoint_noise_sigma", 0.0)),
-            ocr_dropout_rate=float(doc.get("ocr_dropout_rate", 0.0)),
-            n_outlier_ocr=int(doc.get("n_outlier_ocr", 0)),
-            digit_corruption_rate=float(doc.get("digit_corruption_rate", 0.0)),
-            affine=affine,
-            rotation=float(doc.get("rotation", 0.0)),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+            kwargs["affine"] = AffineTransform(a["linear"], a.get("translation", [0.0, 0.0]))
+        return PerturbationSpec(**kwargs)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed perturbation spec: {exc!r}") from None
 
 

@@ -86,7 +86,7 @@ def test_read_malformed_fixture_exit_three(tmp_path):
         ("{not json", 3),
         ("[1]", 3),
         ('{"ransac": {"enabled": "false"}}', 3),
-        ('{"ransac": {"iterations": 0}}', 3),
+        ('{"ransac": {"threshold_fraction": 0}}', 3),
         ('{"unit_lexicon_path": "%s"}', 2),  # %s becomes a path with no file behind it
         (None, 2),  # the config file itself is missing
     ],
@@ -175,6 +175,27 @@ def test_generate_bad_spec_exit_three(tmp_path):
     path = tmp_path / "bad_spec.json"
     path.write_text(json.dumps(spec))
     assert run_cli("generate", str(path), "--out-dir", str(tmp_path / "x")).returncode == 3
+
+
+_SPEC = scene_spec_to_jsonable(make_scene_spec())
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"scenes": [1]}, b"scenes[0]"),
+        ({"scenes": [{"spec": _SPEC}, "x"]}, b"scenes[1]"),
+        ({"spec": _SPEC, "perturbation": {"seed": -1}}, b"seed"),
+        ({"spec": _SPEC, "perturbation": {"seed": 2.7}}, b"seed"),
+        ({**_SPEC, "crop_size": [447.5, 448]}, b"crop_size"),
+    ],
+)
+def test_generate_bad_document_exit_three_without_traceback(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("generate", str(path), "--out-dir", str(tmp_path / "x"))
+    assert proc.returncode == 3
+    assert message in proc.stderr and b"Traceback" not in proc.stderr
 
 
 def test_eval_manifest_matches_library(tmp_path):

@@ -300,6 +300,8 @@ def test_totality_on_random_valid_fixtures():
 
 
 def test_config_round_trip_and_defaults(tmp_path):
+    # Old configs carry the since-removed ransac iterations/seed and meanshift
+    # keys; they still load and the known values are read.
     cfg = PipelineConfig.from_json(
         {
             "ransac": {"iterations": 50, "threshold_fraction": 0.05, "seed": 9},
@@ -307,8 +309,9 @@ def test_config_round_trip_and_defaults(tmp_path):
             "failure_error_threshold_percent": 5.0,
         }
     )
-    assert cfg.ransac.iterations == 50
+    assert cfg.ransac.threshold_fraction == 0.05
     assert cfg.ransac.enabled is True
+    assert cfg.failure_error_threshold_percent == 5.0
 
     path = tmp_path / "cfg.json"
     path.write_text('{"ransac": {"enabled": false}}', encoding="utf-8")
@@ -322,9 +325,9 @@ def test_config_round_trip_and_defaults(tmp_path):
         ([1], "config"),
         ({"ransac": [1]}, "ransac"),
         ({"ransac": {"enabled": "false"}}, "ransac: enabled"),
-        ({"ransac": {"iterations": 0}}, "ransac: iterations"),
-        ({"ransac": {"iterations": 2.5}}, "ransac: iterations"),
-        ({"ransac": {"seed": -1}}, "ransac: seed"),
+        ({"ransac": {"threshold_fraction": 0}}, "ransac: threshold_fraction"),
+        ({"ransac": {"threshold_fraction": "0.02"}}, "ransac: threshold_fraction"),
+        ({"ransac": {"enabled": 1}}, "ransac: enabled"),
         ({"ransac": {"threshold_fraction": float("nan")}}, "ransac: threshold_fraction"),
         ({"failure_error_threshold_percent": "5"}, "config: failure_error_threshold_percent"),
         ({"unit_lexicon_path": 5}, "config: unit_lexicon_path"),

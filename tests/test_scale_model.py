@@ -192,16 +192,38 @@ def brute_force_consensus(pairs, threshold):
 def test_ransac_rejects_outlier_confirmed_by_brute_force():
     pairs = [(1.0, 0.0), (2.0, 10.0), (3.0, 20.0), (4.0, 30.0), (2.5, 500.0)]
     oracle_mask = brute_force_consensus(pairs, 1.0)
-    model = ransac_fit_linear(pairs, threshold=1.0, iterations=200, seed=0)
+    model = ransac_fit_linear(pairs, threshold=1.0)
     assert set(model.inliers) == set(np.nonzero(oracle_mask)[0])
     assert model.slope == pytest.approx(10.0)
     assert model.intercept == pytest.approx(-10.0)
     assert 4 not in model.inliers
 
 
+def test_ransac_two_of_three_tie_keeps_first_pair():
+    # Every pair fits exactly its own two points; the first pair (0, 1) wins.
+    model = ransac_fit_linear([(0.0, 0.0), (1.0, 1.0), (2.0, 50.0)], threshold=0.5)
+    assert model.inliers == (0, 1)
+    assert model.slope == pytest.approx(1.0)
+    assert model.intercept == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ransac_thins_large_pair_sets():
+    # Scoring all ~4.5e6 two-point models against 3000 pairs would need over
+    # 100 GB of residuals; the fit scores MAX_PAIRS of them and finds the line.
+    rng = np.random.default_rng(7)
+    angles = rng.uniform(0.0, 5.0, 3000)
+    values = 4.0 * angles - 2.0
+    outliers = rng.random(3000) < 0.1
+    values[outliers] += rng.uniform(10.0, 100.0, int(outliers.sum()))
+    model = ransac_fit_linear(list(zip(angles, values)), threshold=0.1)
+    assert model.slope == pytest.approx(4.0)
+    assert model.intercept == pytest.approx(-2.0)
+    assert set(model.inliers) == set(np.nonzero(~outliers)[0])
+
+
 def test_ransac_collinear_equals_ols():
     pairs = [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0), (3.0, 7.0)]
-    model = ransac_fit_linear(pairs, threshold=0.5, seed=3)
+    model = ransac_fit_linear(pairs, threshold=0.5)
     ols = least_squares_fit_linear(pairs)
     assert model.inliers == (0, 1, 2, 3)
     assert model.slope == pytest.approx(ols.slope, abs=1e-12)
@@ -217,7 +239,7 @@ def test_ransac_insufficient_markers():
 
 def test_ransac_no_consensus_when_all_angles_equal():
     with pytest.raises(NoConsensus):
-        ransac_fit_linear([(1.0, 0.0), (1.0, 5.0), (1.0, 9.0)], threshold=0.1, seed=0)
+        ransac_fit_linear([(1.0, 0.0), (1.0, 5.0), (1.0, 9.0)], threshold=0.1)
 
 
 def test_ransac_outlier_robustness_invariant():
@@ -234,7 +256,7 @@ def test_ransac_outlier_robustness_invariant():
         for _ in range(max(1, n_out)):
             a = rng.uniform(0.5, 5.5)
             pairs.append((a, slope * a + icept + 20 * threshold * rng.choice([-1, 1])))
-        model = ransac_fit_linear(pairs, threshold=threshold, iterations=200, seed=trial)
+        model = ransac_fit_linear(pairs, threshold=threshold)
         assert abs(model.slope - slope) <= 0.01 * abs(slope) + 1e-9
 
 
@@ -245,8 +267,8 @@ def test_ransac_angle_shift_equivariance():
     pairs = list(zip(angles, values))
     delta = 0.37
     shifted = [(a + delta, v) for a, v in pairs]
-    m0 = ransac_fit_linear(pairs, threshold=0.3, seed=5)
-    m1 = ransac_fit_linear(shifted, threshold=0.3, seed=5)
+    m0 = ransac_fit_linear(pairs, threshold=0.3)
+    m1 = ransac_fit_linear(shifted, threshold=0.3)
     assert m1.slope == pytest.approx(m0.slope, abs=1e-9)
     assert m1.intercept == pytest.approx(m0.intercept - m0.slope * delta, abs=1e-9)
     assert m1.inliers == m0.inliers
@@ -256,8 +278,8 @@ def test_ransac_is_deterministic():
     rng = np.random.default_rng(2)
     pairs = [(a, 3 * a + rng.normal(0, 0.1)) for a in rng.uniform(0, 5, 15)]
     pairs.append((2.0, 500.0))
-    a = ransac_fit_linear(pairs, threshold=0.5, seed=11)
-    b = ransac_fit_linear(pairs, threshold=0.5, seed=11)
+    a = ransac_fit_linear(pairs, threshold=0.5)
+    b = ransac_fit_linear(pairs, threshold=0.5)
     assert (a.slope, a.intercept, a.inliers) == (b.slope, b.intercept, b.inliers)
 
 
@@ -273,7 +295,7 @@ def test_ransac_inliers_within_threshold_of_model():
     values = -4.0 * angles + 3.0 + rng.normal(0, 0.02, 20)
     values[3] += 50.0
     threshold = 0.1
-    model = ransac_fit_linear(list(zip(angles, values)), threshold=threshold, seed=1)
+    model = ransac_fit_linear(list(zip(angles, values)), threshold=threshold)
     for idx in model.inliers:
         assert abs(values[idx] - model.value_at(angles[idx])) <= threshold + 1e-12
 

@@ -218,6 +218,36 @@ def test_spec_parsing_errors():
         parse_scene_spec(b"{bad json")
     with pytest.raises(SpecError):
         parse_perturbation_spec({"ocr_dropout_rate": 2.0})
+    # Integer fields take only JSON integers, number fields only JSON numbers.
+    for doc, name in [
+        ({"seed": 2.7}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"n_outlier_ocr": 1.9}, "n_outlier_ocr"),
+        ({"keypoint_noise_sigma": "1.5"}, "keypoint_noise_sigma"),
+        ({"keypoint_noise_sigma": float("nan")}, "keypoint_noise_sigma"),
+        ({"rotation": False}, "rotation"),
+    ]:
+        with pytest.raises(SpecError, match=name):
+            parse_perturbation_spec(doc)
+    with pytest.raises(SpecError, match="seed"):
+        PerturbationSpec(seed=-1)
+    good = scene_spec_to_jsonable(make_scene_spec())
+    for change, name in [
+        ({"n_major_notches": 7.9}, "n_major_notches"),
+        ({"n_major_notches": True}, "n_major_notches"),
+        ({"n_needle_points": 60.0}, "n_needle_points"),
+        ({"scale_arc": {**good["scale_arc"], "direction": 1.0}}, "scale_arc.direction"),
+        ({"needle_value": "5"}, "needle_value"),
+        ({"ellipse": {**good["ellipse"], "a": "150"}}, "ellipse.a"),
+        ({"crop_size": [447.5, 448]}, "crop_size"),
+        ({"crop_size": [448, "448"]}, "crop_size"),
+    ]:
+        with pytest.raises(SpecError, match=name):
+            parse_scene_spec({**good, **change})
+    with pytest.raises(SpecError, match="crop_size"):
+        make_scene_spec(crop_size=(0, 448))
+    assert parse_scene_spec({**good, "crop_size": [448.0, 448]}).crop_size == (448, 448)
 
 
 def test_sampled_scenes_are_diverse_and_valid():
