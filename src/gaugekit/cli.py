@@ -100,7 +100,8 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _scene_pairs(doc) -> list[tuple[dict, dict | None]]:
+def _scene_pairs(doc) -> list[tuple[str, dict, dict | None]]:
+    """(error prefix, spec, perturbation or None) for each scene of `doc`."""
     if "scenes" in doc:
         entries = doc["scenes"]
         if not isinstance(entries, list):
@@ -109,11 +110,12 @@ def _scene_pairs(doc) -> list[tuple[dict, dict | None]]:
             if not isinstance(entry, dict):
                 raise SpecError(f"scenes[{k}] must be an object, got {type(entry).__name__}")
         return [
-            (entry.get("spec", entry), entry.get("perturbation")) for entry in entries
+            (f"scenes[{k}]: ", entry.get("spec", entry), entry.get("perturbation"))
+            for k, entry in enumerate(entries)
         ]
     if "spec" in doc:
-        return [(doc["spec"], doc.get("perturbation"))]
-    return [(doc, None)]
+        return [("", doc["spec"], doc.get("perturbation"))]
+    return [("", doc, None)]
 
 
 def _cmd_generate(args) -> int:
@@ -124,23 +126,33 @@ def _cmd_generate(args) -> int:
     except json.JSONDecodeError as exc:
         return _fail(EXIT_SCHEMA, f"{args.source}: invalid JSON: {exc}")
 
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot create {out_dir}: {exc}")
-
+    # Build every fixture before writing any file, so a bad entry leaves
+    # no partial output behind.
     try:
         pairs = _scene_pairs(doc if isinstance(doc, dict) else {})
-        names = []
-        for index, (spec_doc, pert_doc) in enumerate(pairs):
-            spec = parse_scene_spec(spec_doc)
-            fixture, truth = generate_scene(spec)
+    except SpecError as exc:
+        return _fail(EXIT_SCHEMA, str(exc))
+    fixtures = []
+    for index, (where, spec_doc, pert_doc) in enumerate(pairs):
+        try:
+            fixture, truth = generate_scene(parse_scene_spec(spec_doc))
             if pert_doc is not None:
                 pert = parse_perturbation_spec(pert_doc)
                 if args.seed is not None:
                     pert = replace(pert, seed=args.seed + index)
                 fixture = perturb_scene(fixture, truth, pert)
+        except SpecError as exc:
+            return _fail(EXIT_SCHEMA, f"{where}{exc}")
+        fixtures.append(fixture)
+
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot create {out_dir}: {exc}")
+    try:
+        names = []
+        for index, fixture in enumerate(fixtures):
             name = f"scene_{index:03d}.json"
             (out_dir / name).write_bytes(serialize_fixture(fixture) + b"\n")
             names.append(name)
@@ -149,8 +161,6 @@ def _cmd_generate(args) -> int:
         (out_dir / "manifest.json").write_bytes(
             json.dumps(manifest, ensure_ascii=False).encode("utf-8") + b"\n"
         )
-    except SpecError as exc:
-        return _fail(EXIT_SCHEMA, str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
     return EXIT_OK

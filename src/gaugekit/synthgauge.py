@@ -191,8 +191,8 @@ class PerturbationSpec:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise SpecError(f"{name} must lie in [0, 1]")
-        if self.n_outlier_ocr < 0:
-            raise SpecError("n_outlier_ocr must be non-negative")
+        if not (is_number(self.n_outlier_ocr, integer=True) and self.n_outlier_ocr >= 0):
+            raise SpecError("n_outlier_ocr must be an integer >= 0")
         if not math.isfinite(self.rotation):
             raise SpecError("rotation must be finite")
         if not (is_number(self.seed, integer=True) and self.seed >= 0):

@@ -198,6 +198,18 @@ def test_generate_bad_document_exit_three_without_traceback(tmp_path, doc, messa
     assert message in proc.stderr and b"Traceback" not in proc.stderr
 
 
+def test_generate_bad_later_entry_writes_nothing(tmp_path):
+    bad = dict(_SPEC, n_major_notches=3)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"scenes": [{"spec": _SPEC}, {"spec": bad}]}))
+    out_dir = tmp_path / "x"
+    proc = run_cli("generate", str(path), "--out-dir", str(out_dir))
+    assert proc.returncode == 3
+    assert b"scenes[1]: a scale needs at least 5 major notches" in proc.stderr
+    assert not (out_dir / "scene_000.json").exists()
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_eval_manifest_matches_library(tmp_path):
     manifest = _write_generation_manifest(tmp_path, n=4, perturb=False)
     out_dir = tmp_path / "fixtures"

@@ -232,6 +232,9 @@ def test_spec_parsing_errors():
             parse_perturbation_spec(doc)
     with pytest.raises(SpecError, match="seed"):
         PerturbationSpec(seed=-1)
+    for count in (1.5, True, -1):
+        with pytest.raises(SpecError, match="n_outlier_ocr"):
+            PerturbationSpec(n_outlier_ocr=count)
     good = scene_spec_to_jsonable(make_scene_spec())
     for change, name in [
         ({"n_major_notches": 7.9}, "n_major_notches"),
