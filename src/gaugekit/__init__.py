@@ -57,7 +57,6 @@ from .pipeline import (
 from .scale_model import (
     DEFAULT_UNIT_LEXICON,
     LinearScaleModel,
-    ScaleMarker,
     default_inlier_threshold,
     extract_unit,
     least_squares_fit_linear,
@@ -65,7 +64,6 @@ from .scale_model import (
     parse_numeric_token,
     ransac_fit_linear,
     relative_angle,
-    split_inner_outer,
     wrap_around_angle,
     wrap_from_gaps,
 )

@@ -32,19 +32,30 @@ def is_number(value: Any, integer: bool = False) -> bool:
     return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
 
 
+def _finite_float(value, message: str) -> float:
+    """`value` as a float; ValueError(message) unless it is finite.
+
+    An int beyond the float range counts as infinite.
+    """
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(message) from None
+    if not math.isfinite(value):
+        raise ValueError(message)
+    return value
+
+
 def positive_int_size(size) -> tuple[int, int]:
     """(width, height) as ints; ValueError unless both are positive integers.
 
     Whole floats such as 448.0 pass; fractions, infinities and ints beyond
     the float range do not.
     """
-    try:
-        w, h = map(float, size)
-    except OverflowError:  # an int beyond the float range
-        w = h = math.inf
-    # is_integer() is False for inf and nan, so this also checks finiteness.
+    message = "width and height must be positive integers"
+    w, h = [_finite_float(v, message) for v in size]
     if not (w > 0 and h > 0 and w.is_integer() and h.is_integer()):
-        raise ValueError("width and height must be positive integers")
+        raise ValueError(message)
     return int(w), int(h)
 
 
@@ -54,17 +65,9 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        try:
-            x, y = float(self.x), float(self.y)
-        except OverflowError:  # an int beyond the float range
-            x = y = math.inf
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("x and y must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+        message = "x and y must be finite"
+        object.__setattr__(self, "x", _finite_float(self.x, message))
+        object.__setattr__(self, "y", _finite_float(self.y, message))
 
 
 class KeypointClass(enum.Enum):
@@ -89,12 +92,8 @@ class Rect:
     height: float
 
     def __post_init__(self):
-        try:
-            x, y, w, h = float(self.x), float(self.y), float(self.width), float(self.height)
-        except OverflowError:
-            x = y = w = h = math.inf
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
-            raise ValueError("box values must be finite")
+        message = "box values must be finite"
+        x, y, w, h = [_finite_float(v, message) for v in (self.x, self.y, self.width, self.height)]
         if w <= 0 or h <= 0:
             raise ValueError("box width and height must be positive")
         for name, v in zip(("x", "y", "width", "height"), (x, y, w, h)):
@@ -114,12 +113,10 @@ class OcrItem:
     def __post_init__(self):
         if not isinstance(self.text, str):
             raise ValueError("text must be a string")
-        try:
-            conf = float(self.confidence)
-        except OverflowError:
-            conf = math.inf
+        message = "confidence must lie in [0, 1]"
+        conf = _finite_float(self.confidence, message)
         if not (0.0 <= conf <= 1.0):
-            raise ValueError("confidence must lie in [0, 1]")
+            raise ValueError(message)
         object.__setattr__(self, "confidence", conf)
 
 
@@ -132,12 +129,7 @@ class GroundTruth:
 
     def __post_init__(self):
         for name in ("reading", "range_min", "range_max"):
-            try:
-                value = float(getattr(self, name))
-            except OverflowError:
-                value = math.inf
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+            value = _finite_float(getattr(self, name), f"{name} must be finite")
             object.__setattr__(self, name, value)
         if not self.range_max > self.range_min:
             raise ValueError("range_max must exceed range_min")
@@ -182,12 +174,6 @@ class GaugeFixture:
 
     def needle_array(self) -> np.ndarray:
         return np.array([[p.x, p.y] for p in self.needle_points]).reshape(-1, 2)
-
-    def keypoint_of(self, kind: KeypointClass) -> Optional[Keypoint]:
-        for kp in self.keypoints:
-            if kp.kind is kind:
-                return kp
-        return None
 
 
 # ---------------------------------------------------------------------------

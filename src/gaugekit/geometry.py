@@ -32,10 +32,13 @@ TANGENCY_EPS = 1e-12
 SEGMENT_SLACK = 1e-9
 
 
-def normalize_angle(angle: float) -> float:
-    """Map an angle to [0, 2*pi). Guards the float-mod edge where x % tau == tau."""
-    a = angle % TAU
-    return a - TAU if a >= TAU else a
+def normalize_angle(angle):
+    """Map an angle, or an array of them, to [0, 2*pi).
+
+    A tiny negative x % tau rounds up to tau itself; the second % folds that
+    back to 0 and leaves every other result as it is.
+    """
+    return angle % TAU % TAU
 
 
 @dataclass(frozen=True)
@@ -329,25 +332,28 @@ def line_circle_intersections(line: Line) -> list[np.ndarray]:
     return [p + (-b - root) * d, p + (-b + root) * d]
 
 
-def parametric_angle(point) -> float:
-    """Polar angle of a point in [0, 2*pi), y-down convention."""
+def parametric_angle(point):
+    """Polar angle in [0, 2*pi), y-down convention, of a point or of each
+    row of an (N, 2) array. Raises ZeroVector if any point is the origin."""
     p = np.asarray(point, dtype=float)
-    if float(np.hypot(p[0], p[1])) == 0.0:
+    radius = np.hypot(p[..., 0], p[..., 1])
+    if np.count_nonzero(radius) < radius.size:
         raise ZeroVector("angle of the zero vector is undefined")
-    return normalize_angle(math.atan2(p[1], p[0]))
+    return normalize_angle(np.arctan2(p[..., 1], p[..., 0]))
 
 
-def radial_project_to_circle(point) -> tuple[np.ndarray, float]:
-    """Project a point radially onto the unit circle; also return its radius.
+def radial_project_to_circle(point) -> tuple[np.ndarray, np.ndarray]:
+    """Project a point, or each row of an (N, 2) array, radially onto the
+    unit circle; also return the radius (a scalar, or one per row).
 
-    The radius classifies the point as inside (<1) or outside (>=1) the
-    fitted scale downstream.
+    The radius classifies a point as inside (<1) or outside (>=1) the
+    fitted scale downstream. Raises ZeroVector if any point is the origin.
     """
     p = np.asarray(point, dtype=float)
-    radius = float(np.hypot(p[0], p[1]))
-    if radius == 0.0:
+    radius = np.hypot(p[..., 0], p[..., 1])
+    if np.count_nonzero(radius) < radius.size:
         raise ZeroVector("cannot project the origin onto the circle")
-    return p / radius, radius
+    return p / radius[..., None], radius
 
 
 def pick_needle_intersection(candidates, needle_segment) -> np.ndarray:

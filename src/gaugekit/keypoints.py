@@ -55,6 +55,8 @@ def render_gaussian_heatmap(size: tuple[int, int], centers, sigma: float) -> Hea
     sum keeps overlapping blobs within [0, 1]. `size` is (width, height) in
     positive integers (whole floats pass); centers must lie inside the grid.
     """
+    if isinstance(sigma, (bool, np.bool_)):
+        raise InvalidSigma("sigma must be a number, not a bool")
     if sigma <= 0 or not np.isfinite(sigma):
         raise InvalidSigma(f"sigma must be positive, got {sigma}")
     w, h = positive_int_size(size)

@@ -28,7 +28,6 @@ from .errors import (
     NoConsensus,
     NoIntersection,
     SchemaError,
-    ZeroVector,
 )
 from .fixtures import (
     REPORT_STAGES,
@@ -124,36 +123,29 @@ def _needle_segment(line: geometry.Line, points: np.ndarray) -> tuple[np.ndarray
 
 
 def _wrap_and_notch_status(
-    fixture: GaugeFixture, transform: geometry.AffineTransform
+    fixture: GaugeFixture, keypoints: np.ndarray, transform: geometry.AffineTransform
 ) -> tuple[float, StageStatus]:
-    angles = {}
-    for kp in fixture.keypoints:
-        try:
-            angles[kp] = geometry.parametric_angle(transform.apply(kp.position.as_array()))
-        except ZeroVector:
-            continue  # a notch at the ellipse center carries no direction
-    start = fixture.keypoint_of(KeypointClass.START)
-    end = fixture.keypoint_of(KeypointClass.END)
+    # One vote per distinct keypoint: an exact repeat is the same notch.
+    distinct = {kp: i for i, kp in enumerate(fixture.keypoints)}
+    points = transform.apply(keypoints[list(distinct.values())])
+    directed = points.any(axis=1)  # a notch at the ellipse center has no direction
+    angles = geometry.parametric_angle(points[directed]).tolist()
+    kinds = [kp.kind for kp, keep in zip(distinct, directed) if keep]
+    by_kind = {kind: [a for a, k in zip(angles, kinds) if k is kind] for kind in KeypointClass}
 
-    if start in angles and end in angles:
-        intermediates = [
-            a for kp, a in angles.items() if kp.kind is KeypointClass.INTERMEDIATE
-        ]
+    start, end = by_kind[KeypointClass.START], by_kind[KeypointClass.END]
+    if start and end:
+        intermediates = by_kind[KeypointClass.INTERMEDIATE]
         try:
             return (
-                scale_model.wrap_around_angle(angles[start], angles[end], intermediates),
+                scale_model.wrap_around_angle(start[0], end[0], intermediates),
                 StageStatus.passed(),
             )
         except AmbiguousOrientation as exc:
             return exc.fallback_angle, StageStatus.failed("ambiguous_orientation")
 
     # Start or end missing: place the wrap in the largest notch gap.
-    if not angles:  # unreachable after a successful fit, kept for totality
-        return 0.0, StageStatus.failed("ambiguous_orientation")
-    return (
-        scale_model.wrap_from_gaps(list(angles.values())),
-        StageStatus.failed("ambiguous_orientation"),
-    )
+    return scale_model.wrap_from_gaps(angles), StageStatus.failed("ambiguous_orientation")
 
 
 def _back_map_line(line: geometry.Line, inverse: geometry.AffineTransform) -> geometry.Line:
@@ -199,7 +191,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     transform = geometry.circularize(ellipse)
     inverse = transform.inverse()
 
-    wrap, notch_status = _wrap_and_notch_status(fixture, transform)
+    wrap, notch_status = _wrap_and_notch_status(fixture, keypoints, transform)
     statuses[Stage.NOTCHES] = notch_status
     upright = _upright_rotation(ellipse, inverse, wrap)
 
@@ -234,37 +226,35 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
 
     # Project numeric OCR detections onto the circle; the rest are unit
     # candidates and need no geometry.
-    markers: list[scale_model.ScaleMarker] = []
-    for item in fixture.ocr_items:
-        value = scale_model.parse_numeric_token(item.text)
-        if value is None:
-            continue
-        center = transform.apply(item.box.center.as_array())
-        try:
-            on_circle, radius = geometry.radial_project_to_circle(center)
-        except ZeroVector:
-            continue
-        markers.append(
-            scale_model.ScaleMarker(
-                angle=geometry.parametric_angle(on_circle),
-                value=value,
-                radius=radius,
-                source_text=item.text,
-            )
-        )
+    numeric = [
+        (item, value)
+        for item in fixture.ocr_items
+        if (value := scale_model.parse_numeric_token(item.text)) is not None
+    ]
+    centers = transform.apply(
+        np.array(
+            [[it.box.x + it.box.width / 2.0, it.box.y + it.box.height / 2.0] for it, _ in numeric]
+        ).reshape(-1, 2)
+    )
+    directed = centers.any(axis=1)  # a marker at the ellipse center has no direction
+    markers = [(item.text, value) for (item, value), keep in zip(numeric, directed) if keep]
+    on_circle, radius = geometry.radial_project_to_circle(centers[directed])
+    rel_angles = scale_model.relative_angle(geometry.parametric_angle(on_circle), wrap)
     unit = scale_model.extract_unit(fixture.ocr_items, cfg.unit_lexicon)
 
-    outer, inner = scale_model.split_inner_outer(markers)
     readings: list[Reading] = []
     marker_uses: list[MarkerUse] = []
     no_consensus = False
-    for side, group in ((ScaleSide.OUTER, outer), (ScaleSide.INNER, inner)):
-        rel_angles = [scale_model.relative_angle(m.angle, wrap) for m in group]
+    outer = radius >= 1.0
+    for side, on_side in ((ScaleSide.OUTER, outer), (ScaleSide.INNER, ~outer)):
+        group = [m for m, keep in zip(markers, on_side) if keep]
+        angles = rel_angles[on_side]
+        values = [value for _, value in group]
         inliers: set[int] = set()
         if len(group) >= 2:
-            pairs = list(zip(rel_angles, (m.value for m in group)))
+            pairs = np.column_stack([angles, values])
             threshold = scale_model.default_inlier_threshold(
-                [m.value for m in group], cfg.ransac.threshold_fraction
+                values, cfg.ransac.threshold_fraction
             )
             try:
                 if cfg.ransac.enabled:
@@ -277,8 +267,8 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
                 inliers = set(model.inliers)
                 readings.append(Reading(side, model.value_at(needle_rel)))
         marker_uses.extend(
-            MarkerUse(side, a, m.value, k in inliers, m.source_text)
-            for k, (a, m) in enumerate(zip(rel_angles, group))
+            MarkerUse(side, a, value, k in inliers, text)
+            for k, (a, (text, value)) in enumerate(zip(angles.tolist(), group))
         )
 
     # A side with two or more markers either yields a reading or lacks consensus.

@@ -85,30 +85,6 @@ def extract_unit(ocr_items, lexicon: Sequence[str] = DEFAULT_UNIT_LEXICON) -> Op
     return best
 
 
-@dataclass(frozen=True)
-class ScaleMarker:
-    """A numeric OCR detection anchored to the circularized scale."""
-
-    angle: float  # parametric angle in [0, 2*pi)
-    value: float
-    radius: float  # distance from circle center; >= 1 means outside the scale
-    source_text: str = ""
-
-    def __post_init__(self):
-        if not (0.0 <= self.angle < TAU):
-            raise ValueError("marker angle must lie in [0, 2*pi)")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("marker radius must be positive and finite")
-
-
-def split_inner_outer(markers: Iterable[ScaleMarker]) -> tuple[list[ScaleMarker], list[ScaleMarker]]:
-    """Partition markers by side of the fitted scale: (outer, inner)."""
-    outer, inner = [], []
-    for m in markers:
-        (outer if m.radius >= 1.0 else inner).append(m)
-    return outer, inner
-
-
 # ---------------------------------------------------------------------------
 # Wrap-around point
 # ---------------------------------------------------------------------------
@@ -189,8 +165,9 @@ def wrap_from_gaps(angles: Sequence[float]) -> float:
     return best_mid
 
 
-def relative_angle(angle: float, wrap: float) -> float:
-    """Angle measured from the wrap-around point `wrap`, in [0, 2*pi)."""
+def relative_angle(angle, wrap: float):
+    """Angle (or array of angles) measured from the wrap-around point `wrap`,
+    in [0, 2*pi)."""
     return normalize_angle(angle - wrap)
 
 

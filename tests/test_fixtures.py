@@ -46,7 +46,7 @@ def test_parse_minimal_document():
     assert len(f.keypoints) == 5
     assert f.ocr_items == ()
     assert f.ground_truth is None
-    assert f.keypoint_of(KeypointClass.START).position == Point2(100, 100)
+    assert f.keypoints[0] == Keypoint(Point2(100, 100), KeypointClass.START)
 
 
 def test_parse_defaults_confidence_and_ignores_unknown_fields():

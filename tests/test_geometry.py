@@ -350,6 +350,45 @@ def test_radial_projection():
         radial_project_to_circle([0.0, 0.0])
 
 
+def _awkward_points():
+    """Random points at several scales plus axis, signed-zero and tiny rows."""
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(300, 2)) * rng.choice([1e-6, 1.0, 1e4], size=(300, 1))
+    edge = [[1, 0], [-1, 0], [0, 1], [0, -1], [-1, -0.0], [1, -0.0], [-0.0, -1], [1, -1e-300]]
+    return np.vstack([pts, edge])
+
+
+def test_angle_functions_on_arrays_match_row_by_row_bit_for_bit():
+    pts = _awkward_points()
+    rows = np.array([parametric_angle(p) for p in pts])
+    assert parametric_angle(pts).tobytes() == rows.tobytes()
+    assert np.all((rows >= 0.0) & (rows < TAU))
+
+    on, radius = radial_project_to_circle(pts)
+    by_row = [radial_project_to_circle(p) for p in pts]
+    assert on.tobytes() == np.array([o for o, _ in by_row]).tobytes()
+    assert radius.tobytes() == np.array([r for _, r in by_row]).tobytes()
+
+    # -1e-17 % tau rounds up to tau itself; the guard folds it back to 0.
+    angles = np.concatenate([np.linspace(-20.0, 20.0, 401), [-1e-17, TAU, -TAU, 0.0, -0.0]])
+    by_row = np.array([normalize_angle(float(a)) for a in angles])
+    assert normalize_angle(angles).tobytes() == by_row.tobytes()
+    assert np.all((by_row >= 0.0) & (by_row < TAU))
+    assert normalize_angle(-1e-17) == 0.0
+
+
+def test_angle_functions_reject_an_origin_row():
+    pts = np.array([[1.0, 2.0], [0.0, -0.0], [3.0, 4.0]])
+    with pytest.raises(ZeroVector):
+        parametric_angle(pts)
+    with pytest.raises(ZeroVector):
+        radial_project_to_circle(pts)
+    # An empty batch has no origin row.
+    assert parametric_angle(np.empty((0, 2))).shape == (0,)
+    on, radius = radial_project_to_circle(np.empty((0, 2)))
+    assert on.shape == (0, 2) and radius.shape == (0,)
+
+
 def test_orientation_correction():
     assert np.allclose(orientation_correction([0.0, 1.0]).linear, np.eye(2))
     quarter = orientation_correction([1.0, 0.0])

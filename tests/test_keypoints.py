@@ -51,6 +51,9 @@ def test_render_max_composition_stays_within_one():
 def test_render_validates_inputs():
     with pytest.raises(InvalidSigma):
         render_gaussian_heatmap((16, 16), [(4, 4)], sigma=0.0)
+    for flag in (True, False, np.True_):
+        with pytest.raises(InvalidSigma, match="bool"):
+            render_gaussian_heatmap((16, 16), [(4, 4)], sigma=flag)
     with pytest.raises(ValueError):
         render_gaussian_heatmap((16, 16), [(20, 4)], sigma=1.0)
     with pytest.raises(ValueError):

@@ -155,7 +155,7 @@ def test_needle_line_missing_scale_circle():
 def test_markers_at_single_angle_give_no_consensus():
     fixture, _ = generate_scene(make_scene_spec())
     center = np.array([224.0, 224.0])
-    anchor = fixture.keypoints[2].position.as_array()
+    anchor = fixture.keypoint_array()[2]
     items = []
     for factor, text in ((0.7, "1"), (0.8, "2"), (0.9, "3")):
         pos = center + factor * (anchor - center)
@@ -386,3 +386,58 @@ def test_dual_scale_reports_both_readings():
     assert report.reading_for(ScaleSide.INNER) == pytest.approx(2.5, abs=1e-6)
     assert report.reading_for(ScaleSide.OUTER) == pytest.approx(25.0, abs=1e-5)
     assert matched_reading(report, truth) == pytest.approx(2.5, abs=1e-6)
+
+
+def test_marker_at_radius_exactly_one_is_on_the_outer_scale(monkeypatch):
+    from gaugekit import geometry
+    from gaugekit.fixtures import serialize_report
+    from gaugekit.synthgauge import SecondScale
+
+    fixture, _ = generate_scene(
+        make_scene_spec(needle_value=2.5, second_scale=SecondScale(0.0, 100.0, 1.12))
+    )
+    plain = read_gauge(fixture)
+    assert {r.scale for r in plain.readings} == {ScaleSide.OUTER, ScaleSide.INNER}
+    project = geometry.radial_project_to_circle
+    calls = []
+
+    def outside_on_the_circle(points):
+        # Every marker outside the circle is moved onto it, radius exactly 1.
+        on, radius = project(points)
+        calls.append(len(radius))
+        return on, np.where(radius >= 1.0, 1.0, radius)
+
+    monkeypatch.setattr(geometry, "radial_project_to_circle", outside_on_the_circle)
+    report = read_gauge(fixture)
+    assert calls == [len(fixture.ocr_items) - 1]  # one projection; the unit is no marker
+    assert serialize_report(report) == serialize_report(plain)
+
+
+def _circle_notches(degrees_by_kind):
+    keypoints = []
+    for kind, degrees in degrees_by_kind:
+        t = math.radians(degrees)
+        keypoints.append(
+            Keypoint(Point2(224.0 + 100.0 * math.cos(t), 224.0 + 100.0 * math.sin(t)), kind)
+        )
+    return GaugeFixture(keypoints=tuple(keypoints))
+
+
+@pytest.mark.parametrize("repeat, reason", [(60.0, None), (61.0, "ambiguous_orientation")])
+def test_exactly_repeated_notch_votes_once(repeat, reason):
+    # Start 0, end 180: the 0->180 arc holds 60 (and the repeat), the other
+    # arc holds 240 and 300. Counted once, the exact repeat leaves 1 vs 2;
+    # a distinct notch at 61 makes it 2 vs 2, which is ambiguous.
+    fixture = _circle_notches(
+        [
+            (KeypointClass.START, 0.0),
+            (KeypointClass.END, 180.0),
+            (KeypointClass.INTERMEDIATE, 60.0),
+            (KeypointClass.INTERMEDIATE, repeat),
+            (KeypointClass.INTERMEDIATE, 240.0),
+            (KeypointClass.INTERMEDIATE, 300.0),
+        ]
+    )
+    report = read_gauge(fixture)
+    assert report.stage_statuses[Stage.ELLIPSE].ok
+    assert report.stage_statuses[Stage.NOTCHES].reason == reason

@@ -12,7 +12,6 @@ from gaugekit.fixtures import OcrItem, Rect
 from gaugekit.scale_model import (
     DEFAULT_UNIT_LEXICON,
     LinearScaleModel,
-    ScaleMarker,
     default_inlier_threshold,
     extract_unit,
     least_squares_fit_linear,
@@ -21,7 +20,6 @@ from gaugekit.scale_model import (
     ransac_fit_linear,
     relative_angle,
     shorter_arc_midpoint,
-    split_inner_outer,
     wrap_around_angle,
     wrap_from_gaps,
 )
@@ -75,6 +73,13 @@ def test_relative_angle():
     assert relative_angle(1.2 + math.pi / 2, 1.2) == pytest.approx(math.pi / 2)
     assert relative_angle(0.1, 6.0) == pytest.approx((0.1 - 6.0) % TAU)
     assert 0.0 <= relative_angle(-5.0, 7.0) < TAU
+
+
+def test_relative_angle_on_arrays_matches_row_by_row_bit_for_bit():
+    angles = np.linspace(0.0, TAU, 97, endpoint=False)
+    for wrap in (0.0, 1.3, TAU - 1e-12, angles[40]):
+        by_row = np.array([relative_angle(float(a), wrap) for a in angles])
+        assert relative_angle(angles, wrap).tobytes() == by_row.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -137,32 +142,6 @@ def test_load_unit_lexicon(tmp_path):
     path = tmp_path / "units.txt"
     path.write_text("# pressure units\nbar\n  kPa  \n\npsi # common\n", encoding="utf-8")
     assert load_unit_lexicon(path) == ("bar", "kPa", "psi")
-
-
-# ---------------------------------------------------------------------------
-# Marker partitioning
-# ---------------------------------------------------------------------------
-
-
-def _marker(angle, value, radius):
-    return ScaleMarker(angle, value, radius, str(value))
-
-
-def test_split_inner_outer():
-    markers = [_marker(0.1, 0, 1.2), _marker(0.2, 1, 1.3), _marker(0.3, 2, 0.7)]
-    outer, inner = split_inner_outer(markers)
-    assert [m.radius for m in outer] == [1.2, 1.3]
-    assert [m.radius for m in inner] == [0.7]
-
-    outer, inner = split_inner_outer([_marker(0.1, 0, 1.0), _marker(0.2, 1, 2.0)])
-    assert inner == [] and len(outer) == 2
-
-
-def test_marker_validation():
-    with pytest.raises(ValueError):
-        ScaleMarker(TAU, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ScaleMarker(0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
