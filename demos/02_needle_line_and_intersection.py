@@ -5,13 +5,14 @@ Needle line fit and scale intersection
 The needle arrives as a cloud of segmented mask pixels. An orthogonal
 distance regression (total least squares) gives the needle axis even when
 the needle is vertical, and intersecting that axis with the unit circle
-yields the point on the scale that the needle indicates. Of the two
-intersections, the one near the needle tip wins.
+yields the point on the scale that the needle indicates. Both
+intersections and the pixels are placed by their parameter along the line;
+of the two intersections, the one near the needle tip wins.
 """
 
 import numpy as np
 
-from gaugekit import line_circle_intersections, odr_fit_line, parametric_angle, pick_needle_intersection
+from gaugekit import line_circle_intersections, needle_tip, odr_fit_line, parametric_angle
 
 rng = np.random.default_rng(7)
 
@@ -27,16 +28,14 @@ line = odr_fit_line(pixels)
 print("fitted direction:", np.round(line.direction, 6))
 print("true direction  :", np.round(axis, 6), "(sign is arbitrary)")
 
-candidates = line_circle_intersections(line)
-print("circle intersections:", [np.round(c, 4) for c in candidates])
+roots = line_circle_intersections(line)
+print("circle intersections at t =", np.round(roots, 4))
 
-# Segment endpoints = extreme projections of the pixels onto the line.
+# The pixels' extreme projections onto the line bound the needle; the root
+# inside (or nearest an end of) that extent is the tip.
 params = line.project_parameter(pixels)
-segment = (
-    line.point + line.direction * params.min(),
-    line.point + line.direction * params.max(),
-)
-tip = pick_needle_intersection(candidates, segment)
+print(f"needle pixels span t in [{params.min():.4f}, {params.max():.4f}]")
+tip = needle_tip(line, pixels)
 print("chosen tip      :", np.round(tip, 4))
 print(f"needle angle    : {np.degrees(parametric_angle(tip)):.3f} deg (truth {np.degrees(angle) % 360:.3f})")
 

@@ -18,8 +18,8 @@ start, end = np.radians(135.0), np.radians(45.0)
 marker_angles = np.radians(135 + np.linspace(0, 270, 9)) % (2 * np.pi)
 values = np.linspace(0.0, 16.0, 9)
 
-wrap = wrap_around_angle(start, end, marker_angles[1:-1])
-print(f"wrap-around point: {np.degrees(wrap):.1f} deg (outside the scale arc)")
+wrap, certain = wrap_around_angle(start, end, marker_angles[1:-1])
+print(f"wrap-around point: {np.degrees(wrap):.1f} deg (outside the scale arc, certain: {certain})")
 
 pairs = [(relative_angle(a, wrap), v) for a, v in zip(marker_angles, values)]
 pairs.append((relative_angle(np.radians(300.0), wrap), 50234.0))  # serial number

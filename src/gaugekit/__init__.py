@@ -32,16 +32,14 @@ from .geometry import (
     circularize,
     fit_ellipse_direct,
     line_circle_intersections,
+    needle_tip,
     normalize_angle,
     odr_fit_line,
-    orientation_correction,
     parametric_angle,
-    pick_needle_intersection,
     radial_project_to_circle,
 )
 from .keypoints import (
     Heatmap,
-    default_bandwidth,
     extract_keypoints_meanshift,
     render_gaussian_heatmap,
 )
@@ -65,7 +63,6 @@ from .scale_model import (
     ransac_fit_linear,
     relative_angle,
     wrap_around_angle,
-    wrap_from_gaps,
 )
 from .synthgauge import (
     PerturbationSpec,

@@ -66,21 +66,6 @@ class NoConsensus(GaugeKitError):
     """RANSAC found no model supported by at least two pairs."""
 
 
-class AmbiguousOrientation(GaugeKitError):
-    """Intermediate notches split evenly across both candidate arcs.
-
-    Carries the documented fallback (the shorter arc's midpoint) so callers
-    can keep going while flagging the ambiguity.
-    """
-
-    def __init__(self, fallback_angle: float):
-        super().__init__(
-            "intermediate notches split evenly across both arcs; "
-            f"shorter-arc fallback is {fallback_angle:.6f} rad"
-        )
-        self.fallback_angle = fallback_angle
-
-
 class InvalidRange(GaugeKitError):
     """Scale range must satisfy max > min."""
 

@@ -22,7 +22,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from .errors import FixtureSyntaxError, SchemaError
-from .geometry import AffineTransform, Ellipse, Line
+from .geometry import Ellipse, Line
 
 SCHEMA_VERSION = 1
 
@@ -262,7 +262,6 @@ class GaugeReadingReport:
     needle_line: Optional[Line] = None
     wrap_angle: Optional[float] = None
     needle_relative_angle: Optional[float] = None
-    upright_rotation: Optional[AffineTransform] = None
     markers_used: tuple[MarkerUse, ...] = ()
     readings: tuple[Reading, ...] = ()
     unit: Optional[str] = None
@@ -486,7 +485,6 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
         )
 
     e = report.fitted_ellipse
-    t = report.upright_rotation
     doc = {
         "schema": SCHEMA_VERSION,
         "stage_statuses": statuses,
@@ -501,9 +499,6 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
         },
         "wrap_angle": report.wrap_angle,
         "needle_relative_angle": report.needle_relative_angle,
-        "upright_rotation": None
-        if t is None
-        else {"linear": t.linear.tolist(), "translation": t.translation.tolist()},
         "markers": [
             {
                 "scale": m.scale.value,

@@ -28,7 +28,7 @@ TAU = 2.0 * math.pi
 ISOTROPY_RATIO = 0.9
 # Discriminant magnitude below this counts as tangency (unit-circle frame).
 TANGENCY_EPS = 1e-12
-# Slack when testing whether an intersection lies on the needle segment.
+# Slack when testing whether a circle root lies within the needle pixels' extent.
 SEGMENT_SLACK = 1e-9
 
 
@@ -150,10 +150,6 @@ class AffineTransform:
             raise ValueError("affine transform must be invertible")
         self.linear = linear
         self.translation = translation
-
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(np.eye(2), np.zeros(2))
 
     @classmethod
     def rotation(cls, angle: float, about=(0.0, 0.0)) -> "AffineTransform":
@@ -311,13 +307,13 @@ def odr_fit_line(points) -> Line:
     return Line(centroid[0], centroid[1], direction[0], direction[1])
 
 
-def line_circle_intersections(line: Line) -> list[np.ndarray]:
-    """Intersections of a line with the unit circle at the origin.
+def line_circle_intersections(line: Line) -> list[float]:
+    """Parameters t at which a line meets the unit circle at the origin.
 
     Solving |p + t d|^2 = 1 for unit d gives t^2 + 2 t (p.d) + (p.p - 1) = 0.
     A discriminant within TANGENCY_EPS of zero returns the single tangency
-    point; a discriminant below -TANGENCY_EPS raises NoIntersection. Two
-    points are ordered by their parameter along the line.
+    root; a discriminant below -TANGENCY_EPS raises NoIntersection. Two
+    roots come in ascending order.
     """
     p = line.point
     d = line.direction
@@ -327,9 +323,9 @@ def line_circle_intersections(line: Line) -> list[np.ndarray]:
     if disc < -TANGENCY_EPS:
         raise NoIntersection("line misses the unit circle")
     if disc <= TANGENCY_EPS:
-        return [p - b * d]
+        return [-b]
     root = math.sqrt(disc)
-    return [p + (-b - root) * d, p + (-b + root) * d]
+    return [-b - root, -b + root]
 
 
 def parametric_angle(point):
@@ -356,50 +352,23 @@ def radial_project_to_circle(point) -> tuple[np.ndarray, np.ndarray]:
     return p / radius[..., None], radius
 
 
-def pick_needle_intersection(candidates, needle_segment) -> np.ndarray:
-    """Choose the circle intersection the needle is actually pointing at.
+def needle_tip(line: Line, pixels) -> np.ndarray:
+    """Point on the unit circle that the needle, fitted as `line` through
+    `pixels`, is pointing at.
 
-    If exactly one candidate lies within the needle segment (small slack),
-    that one wins. Otherwise the candidate closest to either segment end
-    wins (the needle tip sits near the scale); exact ties go to the smaller
-    parametric angle.
+    The circle roots and the pixels' orthogonal projections [lo, hi] are
+    compared as parameters along the line. If exactly one root lies within
+    [lo, hi] (SEGMENT_SLACK either side), it wins. Otherwise the root
+    nearest an end of that extent wins (the needle tip sits near the
+    scale); an exact tie goes to the smaller parametric angle. Raises
+    NoIntersection when the line misses the circle.
     """
-    cands = [np.asarray(c, dtype=float) for c in candidates]
-    if not cands:
-        raise ValueError("need at least one candidate")
-    e1, e2 = (np.asarray(e, dtype=float) for e in needle_segment)
-    seg = e2 - e1
-    length = float(np.hypot(seg[0], seg[1]))
-
-    if length > 0.0:
-        axis = seg / length
-        inside = [
-            c for c in cands if -SEGMENT_SLACK <= float((c - e1) @ axis) <= length + SEGMENT_SLACK
-        ]
-        if len(inside) == 1:
-            return inside[0]
-
-    def tip_distance(c):
-        return min(float(np.linalg.norm(c - e1)), float(np.linalg.norm(c - e2)))
-
-    scored = [(tip_distance(c), c) for c in cands]
-    best_score = min(s for s, _ in scored)
-    tied = [c for s, c in scored if s - best_score <= 1e-12]
-    if len(tied) == 1:
-        return tied[0]
-    return min(tied, key=parametric_angle)
-
-
-def orientation_correction(wrap_direction) -> AffineTransform:
-    """Pure rotation sending the wrap direction to image-bottom (0, 1).
-
-    For a unit w the rotation [[wy, -wx], [wx, wy]] has determinant 1 and
-    maps w to (0, 1) exactly; it uprights a rotated gauge whose wrap-around
-    point should face the bottom of the crop.
-    """
-    w = np.asarray(wrap_direction, dtype=float)
-    norm = float(np.hypot(w[0], w[1]))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("wrap_direction must be a unit vector")
-    wx, wy = float(w[0]), float(w[1])
-    return AffineTransform(np.array([[wy, -wx], [wx, wy]]), np.zeros(2))
+    params = line.project_parameter(pixels)
+    lo, hi = float(params.min()), float(params.max())
+    roots = line_circle_intersections(line)
+    best = [t for t in roots if lo - SEGMENT_SLACK <= t <= hi + SEGMENT_SLACK]
+    if len(best) != 1:
+        ends = [min(abs(t - lo), abs(t - hi)) for t in roots]
+        best = [t for t, e in zip(roots, ends) if e == min(ends)]
+    tips = [line.point + t * line.direction for t in best]
+    return tips[0] if len(tips) == 1 else min(tips, key=parametric_angle)

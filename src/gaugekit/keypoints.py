@@ -72,11 +72,6 @@ def render_gaussian_heatmap(size: tuple[int, int], centers, sigma: float) -> Hea
     return Heatmap(values)
 
 
-def default_bandwidth(size: tuple[int, int]) -> float:
-    """Window size used when the caller has no better prior: 5% of the short side."""
-    return 0.05 * min(size)
-
-
 def extract_keypoints_meanshift(heatmap: Heatmap, bandwidth: float) -> list[np.ndarray]:
     """Sub-pixel keypoints from a heatmap via flat-kernel mean-shift.
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import geometry, scale_model
 from .errors import (
-    AmbiguousOrientation,
     DegenerateConfiguration,
     DegeneratePoints,
     InsufficientPoints,
@@ -113,15 +112,6 @@ class PipelineConfig:
         return cls.from_json(doc)
 
 
-def _needle_segment(line: geometry.Line, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme orthogonal projections of the needle pixels onto the fitted line."""
-    params = line.project_parameter(points)
-    return (
-        line.point + line.direction * float(params.min()),
-        line.point + line.direction * float(params.max()),
-    )
-
-
 def _wrap_and_notch_status(
     fixture: GaugeFixture, keypoints: np.ndarray, transform: geometry.AffineTransform
 ) -> tuple[float, StageStatus]:
@@ -134,35 +124,16 @@ def _wrap_and_notch_status(
     by_kind = {kind: [a for a, k in zip(angles, kinds) if k is kind] for kind in KeypointClass}
 
     start, end = by_kind[KeypointClass.START], by_kind[KeypointClass.END]
-    if start and end:
-        intermediates = by_kind[KeypointClass.INTERMEDIATE]
-        try:
-            return (
-                scale_model.wrap_around_angle(start[0], end[0], intermediates),
-                StageStatus.passed(),
-            )
-        except AmbiguousOrientation as exc:
-            return exc.fallback_angle, StageStatus.failed("ambiguous_orientation")
-
-    # Start or end missing: place the wrap in the largest notch gap.
-    return scale_model.wrap_from_gaps(angles), StageStatus.failed("ambiguous_orientation")
+    wrap, certain = scale_model.wrap_around_angle(
+        start[0] if start else None, end[0] if end else None, by_kind[KeypointClass.INTERMEDIATE]
+    )
+    return wrap, StageStatus.passed() if certain else StageStatus.failed("ambiguous_orientation")
 
 
 def _back_map_line(line: geometry.Line, inverse: geometry.AffineTransform) -> geometry.Line:
     p = inverse.apply(line.point)
     q = inverse.apply(line.point + line.direction)
     return geometry.Line(p[0], p[1], q[0] - p[0], q[1] - p[1])
-
-
-def _upright_rotation(
-    ellipse: geometry.Ellipse, inverse: geometry.AffineTransform, wrap_angle: float
-) -> Optional[geometry.AffineTransform]:
-    wrap_img = inverse.apply(np.array([math.cos(wrap_angle), math.sin(wrap_angle)]))
-    offset = wrap_img - ellipse.center
-    norm = float(np.linalg.norm(offset))
-    if norm == 0.0:
-        return None
-    return geometry.orientation_correction(offset / norm)
 
 
 def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -> GaugeReadingReport:
@@ -193,14 +164,12 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
 
     wrap, notch_status = _wrap_and_notch_status(fixture, keypoints, transform)
     statuses[Stage.NOTCHES] = notch_status
-    upright = _upright_rotation(ellipse, inverse, wrap)
 
     def finish(**kwargs) -> GaugeReadingReport:
         return GaugeReadingReport(
             stage_statuses=statuses,
             fitted_ellipse=ellipse,
             wrap_angle=wrap,
-            upright_rotation=upright,
             **kwargs,
         )
 
@@ -216,11 +185,10 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     needle_img = _back_map_line(needle_line, inverse)
 
     try:
-        candidates = geometry.line_circle_intersections(needle_line)
+        tip = geometry.needle_tip(needle_line, needle_c)
     except NoIntersection:
         statuses[Stage.NEEDLE] = StageStatus.failed("no_intersection")
         return finish(needle_line=needle_img)
-    tip = geometry.pick_needle_intersection(candidates, _needle_segment(needle_line, needle_c))
     needle_rel = scale_model.relative_angle(geometry.parametric_angle(tip), wrap)
     statuses[Stage.NEEDLE] = StageStatus.passed()
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousOrientation, InsufficientMarkers, NoConsensus
+from .errors import InsufficientMarkers, NoConsensus
 from .geometry import TAU, normalize_angle
 
 DEFAULT_UNIT_LEXICON = (
@@ -110,59 +110,48 @@ def shorter_arc_midpoint(start_angle: float, end_angle: float) -> float:
 
 
 def wrap_around_angle(
-    start_angle: float, end_angle: float, intermediate_angles: Iterable[float]
-) -> float:
-    """Angular origin placed in the notch-free gap between scale end and start.
+    start_angle: Optional[float],
+    end_angle: Optional[float],
+    intermediate_angles: Iterable[float],
+) -> tuple[float, bool]:
+    """Angular origin placed in the notch-free gap between scale end and start,
+    and whether the notches settle it.
 
     Of the two arcs bounded by the start and end notches, the one holding
-    the intermediate notches is the scale; the returned wrap-around point is
-    the midpoint of the other arc, so relative angles measured from it never
-    jump across 2*pi inside the scale. With no intermediates the shorter
-    arc's midpoint is returned; an exact split of intermediates across both
-    arcs raises AmbiguousOrientation carrying that same fallback.
+    more intermediate notches is the scale; the wrap-around point is the
+    midpoint of the other arc, so relative angles measured from it never
+    jump across 2*pi inside the scale. Every other case returns a fallback
+    flagged uncertain: an even split of intermediates gives the shorter
+    arc's midpoint (certain only when there are no intermediates at all),
+    coincident start and end give start + pi/2, and a missing (None) start
+    or end puts the wrap in the middle of the largest gap between the
+    notches given.
     """
+    intermediates = [normalize_angle(a) for a in intermediate_angles]
+    if start_angle is None or end_angle is None:
+        known = [normalize_angle(a) for a in (start_angle, end_angle) if a is not None]
+        ordered = sorted(known + intermediates)
+        if not ordered:
+            raise ValueError("need at least one notch angle")
+        gaps = [(b - a) % TAU for a, b in zip(ordered, ordered[1:] + ordered[:1])]
+        gaps[-1] = gaps[-1] or TAU  # a lone angle (or all equal) faces a full turn
+        k = gaps.index(max(gaps))
+        return normalize_angle(ordered[k] + gaps[k] / 2.0), False
+
     s = normalize_angle(start_angle)
     e = normalize_angle(end_angle)
-    intermediates = [normalize_angle(a) for a in intermediate_angles]
     forward = (e - s) % TAU  # arc A: start -> end, increasing angle
     if forward == 0.0:
-        raise AmbiguousOrientation(normalize_angle(s + math.pi / 2.0))
+        return normalize_angle(s + math.pi / 2.0), False
 
     in_forward = sum(1 for a in intermediates if _arc_contains(s, forward, a))
     in_backward = len(intermediates) - in_forward
     if in_forward == in_backward:
-        fallback = shorter_arc_midpoint(s, e)
-        if not intermediates:
-            return fallback
-        raise AmbiguousOrientation(fallback)
+        return shorter_arc_midpoint(s, e), not intermediates
     if in_forward > in_backward:
         # Scale occupies arc A; wrap in the backward arc end -> start.
-        return normalize_angle(e + (TAU - forward) / 2.0)
-    return normalize_angle(s + forward / 2.0)
-
-
-def wrap_from_gaps(angles: Sequence[float]) -> float:
-    """Fallback wrap-around point: midpoint of the largest gap between notches.
-
-    Used when the start or end notch is missing and the scale boundary must
-    be guessed from notch spacing alone.
-    """
-    normalized = sorted(normalize_angle(a) for a in angles)
-    if not normalized:
-        raise ValueError("need at least one notch angle")
-    if len(normalized) == 1:
-        return normalize_angle(normalized[0] + math.pi)
-    best_gap = -1.0
-    best_mid = 0.0
-    for i, a in enumerate(normalized):
-        nxt = normalized[(i + 1) % len(normalized)]
-        gap = (nxt - a) % TAU
-        if i == len(normalized) - 1 and gap == 0.0:
-            gap = TAU
-        if gap > best_gap:
-            best_gap = gap
-            best_mid = normalize_angle(a + gap / 2.0)
-    return best_mid
+        return normalize_angle(e + (TAU - forward) / 2.0), True
+    return normalize_angle(s + forward / 2.0), True
 
 
 def relative_angle(angle, wrap: float):

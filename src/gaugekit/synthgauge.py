@@ -36,6 +36,10 @@ MIN_ARC_SPAN = math.pi / 2
 MAX_ARC_SPAN = 0.95 * TAU
 MARKER_BOX = (20.0, 10.0)
 FRAME_MARGIN = 12.0
+CROP_SIZE = (448, 448)
+# Overall scale and per-axis translation bounds of sample_affine.
+AFFINE_SCALE_RANGE = (0.85, 1.15)
+AFFINE_MAX_TRANSLATION = 25.0
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,8 @@ class SecondScale:
     radius_factor: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.range_min, self.range_max, self.radius_factor)):
+            raise SpecError("second_scale: range and radius_factor must be finite")
         if not self.range_max > self.range_min:
             raise SpecError("second_scale: range_max must exceed range_min")
         if self.radius_factor <= 0:
@@ -62,12 +68,17 @@ class SceneSpec:
     unit: str
     n_major_notches: int
     needle_value: float
-    crop_size: tuple[int, int] = (448, 448)
+    crop_size: tuple[int, int] = CROP_SIZE
     marker_radius_factor: float = 0.85
     second_scale: Optional[SecondScale] = None
     n_needle_points: int = 60
 
     def __post_init__(self):
+        for name in (
+            "arc_start", "arc_end", "range_min", "range_max", "needle_value", "marker_radius_factor"
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} must be finite")
         if self.direction not in (1, -1):
             raise SpecError("direction must be +1 or -1")
         if self.n_major_notches < 5:
@@ -118,7 +129,18 @@ def generate_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     ellipse center to the rim at the value's angle, and each notch gets an
     OCR box with the exact printed value, pulled toward or away from the
     center by the radius factor. Deterministic: no randomness involved.
+    Raises SpecError when that content leaves the crop frame, overflowing
+    to a non-finite coordinate included.
     """
+    try:
+        # An overflow becomes an inf coordinate, which the data model rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _build_scene(spec)
+    except (SchemaError, ValueError) as exc:
+        raise SpecError(f"scene content leaves the crop frame: {exc}") from None
+
+
+def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     ell = spec.ellipse
     n = spec.n_major_notches
     fractions = np.arange(n) / (n - 1)
@@ -157,16 +179,13 @@ def generate_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
         ocr_items.append(OcrItem(_marker_box(anchor), spec.unit))
 
     truth = GroundTruth(spec.needle_value, spec.range_min, spec.range_max, spec.unit)
-    try:
-        fixture = GaugeFixture(
-            crop_size=spec.crop_size,
-            keypoints=tuple(keypoints),
-            needle_points=tuple(Point2(p[0], p[1]) for p in needle),
-            ocr_items=tuple(ocr_items),
-            ground_truth=truth,
-        )
-    except SchemaError as exc:
-        raise SpecError(f"scene content leaves the crop frame: {exc}") from None
+    fixture = GaugeFixture(
+        crop_size=spec.crop_size,
+        keypoints=tuple(keypoints),
+        needle_points=tuple(Point2(p[0], p[1]) for p in needle),
+        ocr_items=tuple(ocr_items),
+        ground_truth=truth,
+    )
     return fixture, truth
 
 
@@ -195,6 +214,8 @@ class PerturbationSpec:
             raise SpecError("n_outlier_ocr must be an integer >= 0")
         if not math.isfinite(self.rotation):
             raise SpecError("rotation must be finite")
+        if self.affine is not None and not np.isfinite(self.affine.translation).all():
+            raise SpecError("affine translation must be finite")
         if not (is_number(self.seed, integer=True) and self.seed >= 0):
             raise SpecError("seed must be an integer >= 0")
 
@@ -476,12 +497,11 @@ def perturbation_to_jsonable(spec: PerturbationSpec) -> dict:
 def sample_scene_spec(
     rng: np.random.Generator,
     dual_scale_probability: float = 0.2,
-    crop_size: tuple[int, int] = (448, 448),
 ) -> SceneSpec:
-    """Draw a plausible scene: spans 120-340 degrees, value spans covering
-    four decades, a mix of zero-based, negative and offset ranges, and the
-    requested share of dual-scale faces."""
-    w, h = crop_size
+    """Draw a plausible scene in a CROP_SIZE frame: spans 120-340 degrees,
+    value spans covering four decades, a mix of zero-based, negative and
+    offset ranges, and the requested share of dual-scale faces."""
+    w, h = CROP_SIZE
     short = min(w, h)
     a = rng.uniform(0.27, 0.36) * short
     ellipse = Ellipse(
@@ -520,7 +540,6 @@ def sample_scene_spec(
         unit=str(rng.choice(DEFAULT_UNIT_LEXICON)),
         n_major_notches=int(rng.integers(5, 14)),
         needle_value=range_min + value_span * rng.uniform(0.02, 0.98),
-        crop_size=crop_size,
         marker_radius_factor=rng.uniform(0.82, 0.90),
         second_scale=second,
     )
@@ -529,8 +548,6 @@ def sample_scene_spec(
 def sample_affine(
     rng: np.random.Generator,
     max_condition: float = 3.0,
-    scale_range: tuple[float, float] = (0.85, 1.15),
-    max_translation: float = 25.0,
     allow_reflection: bool = False,
 ) -> AffineTransform:
     """Random invertible map with bounded condition number.
@@ -539,7 +556,7 @@ def sample_affine(
     (the condition number) is exactly the drawn value.
     """
     cond = rng.uniform(1.0, max_condition)
-    overall = rng.uniform(*scale_range)
+    overall = rng.uniform(*AFFINE_SCALE_RANGE)
     s = np.array([overall * math.sqrt(cond), overall / math.sqrt(cond)])
     alpha, beta = rng.uniform(0.0, TAU, size=2)
 
@@ -550,5 +567,5 @@ def sample_affine(
     linear = rot(alpha) @ np.diag(s) @ rot(beta)
     if allow_reflection and rng.random() < 0.5:
         linear = np.diag([1.0, -1.0]) @ linear
-    translation = rng.uniform(-max_translation, max_translation, size=2)
+    translation = rng.uniform(-AFFINE_MAX_TRANSLATION, AFFINE_MAX_TRANSLATION, size=2)
     return AffineTransform(linear, translation)

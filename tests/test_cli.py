@@ -2,6 +2,7 @@
 thin shell over the library (outputs diffed against direct library calls)."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -188,6 +189,17 @@ _SPEC = scene_spec_to_jsonable(make_scene_spec())
         ({"spec": _SPEC, "perturbation": {"seed": -1}}, b"seed"),
         ({"spec": _SPEC, "perturbation": {"seed": 2.7}}, b"seed"),
         ({**_SPEC, "crop_size": [447.5, 448]}, b"crop_size"),
+        ({**_SPEC, "range": {"min": 0, "max": math.inf}}, b"range_max must be finite"),
+        ({**_SPEC, "marker_radius_factor": 1e308}, b"box values must be finite"),
+        (
+            {
+                "spec": _SPEC,
+                "perturbation": {
+                    "affine": {"linear": [[1, 0], [0, 1]], "translation": [math.inf, 0]}
+                },
+            },
+            b"affine translation must be finite",
+        ),
     ],
 )
 def test_generate_bad_document_exit_three_without_traceback(tmp_path, doc, message):

@@ -24,9 +24,8 @@ from gaugekit.geometry import (
     line_circle_intersections,
     normalize_angle,
     odr_fit_line,
-    orientation_correction,
+    needle_tip,
     parametric_angle,
-    pick_needle_intersection,
     radial_project_to_circle,
 )
 
@@ -149,7 +148,6 @@ def test_circularize_maps_ellipse_to_unit_circle():
 
 
 def test_apply_affine_identity_and_inverse():
-    assert np.allclose(AffineTransform.identity().apply([3.0, 4.0]), [3.0, 4.0])
     unit = circularize(Ellipse(0, 0, 1, 1, 0))
     assert np.allclose(unit.apply([0.0, -1.0]), [0.0, -1.0], atol=1e-12)
 
@@ -236,15 +234,22 @@ def test_odr_degenerate_and_isotropic():
 # ---------------------------------------------------------------------------
 
 
+def _points_at(line, params):
+    return line.point + np.outer(params, line.direction)
+
+
 def test_intersections_horizontal_diameter():
-    pts = line_circle_intersections(Line(0, 0, 1, 0))
-    assert np.allclose(pts, [[-1, 0], [1, 0]])
+    assert line_circle_intersections(Line(0, 0, 1, 0)) == [-1.0, 1.0]
+    # Roots are parameters from the line's own point, ascending.
+    line = Line(0.5, 0, 1, 0)
+    params = line_circle_intersections(line)
+    assert params == pytest.approx([-1.5, 0.5])
+    assert np.allclose(_points_at(line, params), [[-1, 0], [1, 0]])
 
 
 def test_intersections_tangent_line():
-    pts = line_circle_intersections(Line(0, 1, 1, 0))
-    assert len(pts) == 1
-    assert np.allclose(pts[0], [0, 1], atol=1e-9)
+    assert line_circle_intersections(Line(0, 1, 1, 0)) == [0.0]
+    assert line_circle_intersections(Line(0.25, 1, 1, 0)) == [-0.25]
 
 
 def test_intersections_miss_raises():
@@ -258,7 +263,7 @@ def test_intersections_back_mapped_match_analytic_solution():
     t = circularize(e)
     p0, p1 = t.apply([0.0, 0.0]), t.apply([1.0, 1.0])
     circ_line = Line(p0[0], p0[1], p1[0] - p0[0], p1[1] - p0[1])
-    back = t.inverse().apply(np.array(line_circle_intersections(circ_line)))
+    back = t.inverse().apply(_points_at(circ_line, line_circle_intersections(circ_line)))
     xs = np.sort(back[:, 0])
     assert np.allclose(xs, [-2 / math.sqrt(5), 2 / math.sqrt(5)], atol=1e-9)
     assert np.allclose(back[:, 0], back[:, 1], atol=1e-9)
@@ -279,7 +284,7 @@ def test_intersections_back_mapped_satisfy_conic():
         inner = e.center + rng.uniform(-0.3, 0.3, 2) * e.b
         q0, q1 = t.apply(inner), t.apply(inner + rng.normal(size=2))
         line = Line(q0[0], q0[1], q1[0] - q0[0], q1[1] - q0[1])
-        back = t.inverse().apply(np.array(line_circle_intersections(line)))
+        back = t.inverse().apply(_points_at(line, line_circle_intersections(line)))
         A, B, C, D, E, F = e.conic_coefficients()
         x, y = back[:, 0], back[:, 1]
         residual = A * x * x + B * x * y + C * y * y + D * x + E * y + F
@@ -287,40 +292,44 @@ def test_intersections_back_mapped_satisfy_conic():
 
 
 # ---------------------------------------------------------------------------
-# Intersection picking, angles, projection
+# Needle tip picking, angles, projection
 # ---------------------------------------------------------------------------
 
 
 def test_pick_prefers_candidate_near_segment_end():
-    chosen = pick_needle_intersection(
-        [np.array([1.0, 0.0]), np.array([-1.0, 0.0])],
-        (np.array([0.2, 0.0]), np.array([0.9, 0.0])),
-    )
-    assert np.allclose(chosen, [1, 0])
+    # Roots at x = -1 and x = 1. Pixels span [0.2, 0.9]: neither root is
+    # inside, and x = 1 is nearer an end.
+    line = Line(0, 0, 1, 0)
+    assert np.array_equal(needle_tip(line, [(0.2, 0.0), (0.5, 0.0), (0.9, 0.0)]), [1.0, 0.0])
+    # Pixels span [-1.2, 1.05]: both roots are inside, and x = 1 is nearer an end.
+    assert np.array_equal(needle_tip(line, [(-1.2, 0.0), (1.05, 0.0)]), [1.0, 0.0])
 
 
 def test_pick_symmetric_tie_breaks_by_angle():
-    chosen = pick_needle_intersection(
-        [np.array([1.0, 0.0]), np.array([-1.0, 0.0])],
-        (np.array([-0.5, 0.0]), np.array([0.5, 0.0])),
-    )
-    assert np.allclose(chosen, [1, 0])
+    # Both roots sit 0.5 from an end of [-0.5, 0.5]; angle 0 beats angle pi.
+    pixels = [(-0.5, 0.0), (0.5, 0.0)]
+    assert np.array_equal(needle_tip(Line(0, 0, 1, 0), pixels), [1.0, 0.0])
+    # The same holds on a vertical needle: angle pi/2 beats 3pi/2.
+    pixels = [(0.0, -0.5), (0.0, 0.5)]
+    assert np.allclose(needle_tip(Line(0, 0, 0, 1), pixels), [0.0, 1.0])
 
 
 def test_pick_single_candidate():
-    chosen = pick_needle_intersection(
-        [np.array([0.0, 1.0])], (np.array([0.0, 0.1]), np.array([0.0, 0.8]))
-    )
-    assert np.allclose(chosen, [0, 1])
+    # A line touching the circle at (0, 1) has one root, whatever the pixels.
+    pixels = [(-0.8, 1.0), (-0.3, 1.0)]
+    assert np.array_equal(needle_tip(Line(0, 1, 1, 0), pixels), [0.0, 1.0])
 
 
 def test_pick_membership_wins_over_distance():
-    # One candidate inside the segment, the other closer to an endpoint.
-    chosen = pick_needle_intersection(
-        [np.array([0.5, 0.0]), np.array([1.05, 0.0])],
-        (np.array([0.0, 0.0]), np.array([1.0, 0.0])),
-    )
-    assert np.allclose(chosen, [0.5, 0.0])
+    # Pixels span [-0.98, 1.3]: x = 1 lies inside, x = -1 outside but only
+    # 0.02 from the lower end, nearer than x = 1 is to either end.
+    pixels = [(-0.98, 0.0), (1.3, 0.0)]
+    assert np.array_equal(needle_tip(Line(0, 0, 1, 0), pixels), [1.0, 0.0])
+
+
+def test_pick_miss_raises():
+    with pytest.raises(NoIntersection):
+        needle_tip(Line(0, 2, 1, 0), [(0.0, 2.0), (1.0, 2.0)])
 
 
 def test_parametric_angle_known_values():
@@ -387,23 +396,6 @@ def test_angle_functions_reject_an_origin_row():
     assert parametric_angle(np.empty((0, 2))).shape == (0,)
     on, radius = radial_project_to_circle(np.empty((0, 2)))
     assert on.shape == (0, 2) and radius.shape == (0,)
-
-
-def test_orientation_correction():
-    assert np.allclose(orientation_correction([0.0, 1.0]).linear, np.eye(2))
-    quarter = orientation_correction([1.0, 0.0])
-    assert np.allclose(quarter.apply([1.0, 0.0]), [0.0, 1.0], atol=1e-12)
-
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        t = rng.uniform(0, TAU)
-        w = np.array([math.cos(t), math.sin(t)])
-        rot = orientation_correction(w)
-        assert np.allclose(rot.apply(w), [0.0, 1.0], atol=1e-12)
-        assert np.linalg.det(rot.linear) == pytest.approx(1.0, abs=1e-12)
-        v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        assert np.linalg.norm(rot.apply(v)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ellipse_points_satisfy_conic():

@@ -14,7 +14,6 @@ from gaugekit.keypoints import (
     DETECTION_THRESHOLD,
     MAX_ITERATIONS,
     Heatmap,
-    default_bandwidth,
     extract_keypoints_meanshift,
     render_gaussian_heatmap,
 )
@@ -146,11 +145,6 @@ def test_extract_translation_equivariance():
         assert len(moved) == len(base)
         for p, q in zip(base, moved):
             assert np.abs(q - (p + np.array([dx, dy]))).max() < 1e-6
-
-
-def test_default_bandwidth_scales_with_short_side():
-    assert default_bandwidth((448, 448)) == pytest.approx(22.4)
-    assert default_bandwidth((100, 60)) == pytest.approx(3.0)
 
 
 def all_pairs_meanshift(heatmap: Heatmap, bandwidth: float):

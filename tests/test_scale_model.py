@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gaugekit.errors import AmbiguousOrientation, InsufficientMarkers, NoConsensus
+from gaugekit.errors import InsufficientMarkers, NoConsensus
 from gaugekit.fixtures import OcrItem, Rect
 from gaugekit.scale_model import (
     DEFAULT_UNIT_LEXICON,
@@ -21,7 +21,6 @@ from gaugekit.scale_model import (
     relative_angle,
     shorter_arc_midpoint,
     wrap_around_angle,
-    wrap_from_gaps,
 )
 
 TAU = 2 * math.pi
@@ -35,37 +34,54 @@ TAU = 2 * math.pi
 def test_wrap_midpoint_of_notch_free_arc():
     # Scale runs from 3pi/4 through the bottom (intermediates near 3pi/2) to
     # pi/4; the free arc between end and start has midpoint pi/2.
-    wrap = wrap_around_angle(3 * math.pi / 4, math.pi / 4, [1.4 * math.pi, 1.5 * math.pi])
-    assert wrap == pytest.approx(math.pi / 2)
+    wrap, certain = wrap_around_angle(3 * math.pi / 4, math.pi / 4, [1.4 * math.pi, 1.5 * math.pi])
+    assert wrap == pytest.approx(math.pi / 2) and certain
 
 
 def test_wrap_no_intermediates_falls_back_to_shorter_arc():
-    # Opposite start/end tie-breaks into [0, pi).
-    assert wrap_around_angle(0.0, math.pi, []) == pytest.approx(math.pi / 2)
+    # Opposite start/end tie-breaks into [0, pi); with nothing to outvote it
+    # the fallback counts as certain.
+    assert wrap_around_angle(0.0, math.pi, []) == (pytest.approx(math.pi / 2), True)
     # Genuinely shorter arc.
-    assert wrap_around_angle(0.0, math.pi / 2, []) == pytest.approx(math.pi / 4)
+    assert wrap_around_angle(0.0, math.pi / 2, []) == (pytest.approx(math.pi / 4), True)
 
 
-def test_wrap_even_split_raises_with_fallback():
-    with pytest.raises(AmbiguousOrientation) as err:
-        wrap_around_angle(0.0, math.pi, [math.pi / 2, 3 * math.pi / 2])
-    assert err.value.fallback_angle == pytest.approx(shorter_arc_midpoint(0.0, math.pi))
+def test_wrap_even_split_is_uncertain_with_fallback():
+    wrap, certain = wrap_around_angle(0.0, math.pi, [math.pi / 2, 3 * math.pi / 2])
+    assert wrap == pytest.approx(shorter_arc_midpoint(0.0, math.pi)) and not certain
+
+
+def test_wrap_coincident_start_and_end_is_uncertain():
+    wrap, certain = wrap_around_angle(1.0, 1.0, [2.0, 3.0])
+    assert wrap == pytest.approx(1.0 + math.pi / 2) and not certain
+    # Equal after normalization counts as coincident too.
+    wrap, certain = wrap_around_angle(TAU - 0.5, -0.5, [])
+    assert wrap == pytest.approx(math.pi / 2 - 0.5) and not certain
 
 
 def test_wrap_respects_majority_arc():
     # Three intermediates on the short way, one stray on the long way.
-    wrap = wrap_around_angle(0.0, math.pi, [0.3, 0.5, 2.0, 4.5])
+    wrap, certain = wrap_around_angle(0.0, math.pi, [0.3, 0.5, 2.0, 4.5])
     # Scale is the forward arc 0 -> pi, so the wrap sits at 3pi/2.
-    assert wrap == pytest.approx(3 * math.pi / 2)
+    assert wrap == pytest.approx(3 * math.pi / 2) and certain
 
 
 def test_wrap_from_gaps():
-    angles = [0.0, math.pi / 2, math.pi]
-    # Largest gap runs from pi back around to 0; midpoint 3pi/2.
-    assert wrap_from_gaps(angles) == pytest.approx(3 * math.pi / 2)
-    assert wrap_from_gaps([1.0]) == pytest.approx(1.0 + math.pi)
+    # Largest gap between 0, pi/2 and pi runs from pi back around to 0.
+    for start, end, intermediates in (
+        (None, math.pi, [0.0, math.pi / 2]),
+        (0.0, None, [math.pi / 2, math.pi]),
+        (None, None, [0.0, math.pi / 2, math.pi]),
+    ):
+        wrap, certain = wrap_around_angle(start, end, intermediates)
+        assert wrap == pytest.approx(3 * math.pi / 2) and not certain
+    # A lone notch faces a full turn; repeats of one angle do too.
+    assert wrap_around_angle(None, 1.0, []) == (pytest.approx(1.0 + math.pi), False)
+    assert wrap_around_angle(1.0, None, [1.0]) == (pytest.approx(1.0 + math.pi), False)
+    # The first of equal gaps wins, counted from the smallest angle.
+    assert wrap_around_angle(None, None, [0.0, math.pi]) == (pytest.approx(math.pi / 2), False)
     with pytest.raises(ValueError):
-        wrap_from_gaps([])
+        wrap_around_angle(None, None, [])
 
 
 def test_relative_angle():

@@ -9,7 +9,7 @@ import pytest
 from conftest import make_scene_spec
 from gaugekit.errors import SpecError
 from gaugekit.fixtures import KeypointClass, ScaleSide, Stage, serialize_fixture
-from gaugekit.geometry import TAU, Ellipse
+from gaugekit.geometry import TAU, AffineTransform, Ellipse
 from gaugekit.pipeline import evaluate_batch, matched_reading, read_gauge
 from gaugekit.scale_model import parse_numeric_token, relative_angle
 from gaugekit.synthgauge import (
@@ -77,6 +77,22 @@ def test_spec_validation(overrides):
 def test_scene_outside_crop_raises_spec_error():
     with pytest.raises(SpecError):
         generate_scene(make_scene_spec(ellipse=Ellipse(224.0, 224.0, 260.0, 200.0, 0.0)))
+
+
+def test_non_finite_spec_values_raise_spec_error():
+    for name in ("arc_start", "arc_end", "range_min", "range_max", "needle_value",
+                 "marker_radius_factor"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(SpecError, match=name):
+                make_scene_spec(**{name: bad})
+    for values in ((0.0, math.inf, 1.1), (math.nan, 1.0, 1.1), (0.0, 1.0, math.nan)):
+        with pytest.raises(SpecError, match="second_scale"):
+            SecondScale(*values)
+    with pytest.raises(SpecError, match="affine translation"):
+        PerturbationSpec(affine=AffineTransform(np.eye(2), [math.inf, 0.0]))
+    # A finite factor whose markers overflow to inf is a content error too.
+    with pytest.raises(SpecError, match="box values must be finite"):
+        generate_scene(make_scene_spec(marker_radius_factor=1e308))
 
 
 def test_zero_perturbation_is_byte_identity():
