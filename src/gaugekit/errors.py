@@ -25,15 +25,11 @@ class SchemaError(GaugeKitError):
 
 
 class InsufficientPoints(GaugeKitError):
-    """Too few points for the requested fit."""
+    """Too few points, or too few distinct ones, for the requested fit."""
 
 
 class DegenerateConfiguration(GaugeKitError):
     """Point configuration admits no valid ellipse."""
-
-
-class DegeneratePoints(GaugeKitError):
-    """All points coincide; no line is defined."""
 
 
 class IsotropicScatter(GaugeKitError):
@@ -50,24 +46,8 @@ class NoIntersection(GaugeKitError):
     """Line misses the unit circle."""
 
 
-class ZeroVector(GaugeKitError):
-    """Operation undefined for the zero vector."""
-
-
-class InvalidSigma(GaugeKitError):
-    """Gaussian spread parameter must be positive."""
-
-
-class InsufficientMarkers(GaugeKitError):
-    """Fewer than two (angle, value) pairs; no scale line can be fit."""
-
-
 class NoConsensus(GaugeKitError):
     """RANSAC found no model supported by at least two pairs."""
-
-
-class InvalidRange(GaugeKitError):
-    """Scale range must satisfy max > min."""
 
 
 class MissingGroundTruth(GaugeKitError):

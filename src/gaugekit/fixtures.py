@@ -27,16 +27,23 @@ from .geometry import Ellipse, Line
 SCHEMA_VERSION = 1
 
 
+_REALS = (float, int, np.floating, np.integer)
+
+
 def is_number(value: Any, integer: bool = False) -> bool:
     """True for an int, or for a float unless `integer`; never for a bool."""
     return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
 
 
-def _finite_float(value, message: str) -> float:
-    """`value` as a float; ValueError(message) unless it is finite.
+def finite_float(value, message: str) -> float:
+    """`value` as a float; ValueError(message) unless it is a finite real.
 
-    An int beyond the float range counts as infinite.
+    Python and numpy ints and floats pass; bools, numpy bools, strings and
+    every other type do not. An int beyond the float range counts as
+    infinite.
     """
+    if type(value) is bool or not isinstance(value, _REALS):
+        raise ValueError(message)
     try:
         value = float(value)
     except OverflowError:
@@ -47,13 +54,17 @@ def _finite_float(value, message: str) -> float:
 
 
 def positive_int_size(size) -> tuple[int, int]:
-    """(width, height) as ints; ValueError unless both are positive integers.
+    """(width, height) as ints; ValueError unless `size` is two positive integers.
 
     Whole floats such as 448.0 pass; fractions, infinities and ints beyond
     the float range do not.
     """
     message = "width and height must be positive integers"
-    w, h = [_finite_float(v, message) for v in size]
+    try:
+        w, h = size
+    except (TypeError, ValueError):
+        raise ValueError("expected [width, height]") from None
+    w, h = finite_float(w, message), finite_float(h, message)
     if not (w > 0 and h > 0 and w.is_integer() and h.is_integer()):
         raise ValueError(message)
     return int(w), int(h)
@@ -66,8 +77,8 @@ class Point2:
 
     def __post_init__(self):
         message = "x and y must be finite"
-        object.__setattr__(self, "x", _finite_float(self.x, message))
-        object.__setattr__(self, "y", _finite_float(self.y, message))
+        object.__setattr__(self, "x", finite_float(self.x, message))
+        object.__setattr__(self, "y", finite_float(self.y, message))
 
 
 class KeypointClass(enum.Enum):
@@ -93,15 +104,11 @@ class Rect:
 
     def __post_init__(self):
         message = "box values must be finite"
-        x, y, w, h = [_finite_float(v, message) for v in (self.x, self.y, self.width, self.height)]
+        x, y, w, h = [finite_float(v, message) for v in (self.x, self.y, self.width, self.height)]
         if w <= 0 or h <= 0:
             raise ValueError("box width and height must be positive")
         for name, v in zip(("x", "y", "width", "height"), (x, y, w, h)):
             object.__setattr__(self, name, v)
-
-    @property
-    def center(self) -> Point2:
-        return Point2(self.x + self.width / 2.0, self.y + self.height / 2.0)
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ class OcrItem:
         if not isinstance(self.text, str):
             raise ValueError("text must be a string")
         message = "confidence must lie in [0, 1]"
-        conf = _finite_float(self.confidence, message)
+        conf = finite_float(self.confidence, message)
         if not (0.0 <= conf <= 1.0):
             raise ValueError(message)
         object.__setattr__(self, "confidence", conf)
@@ -129,7 +136,7 @@ class GroundTruth:
 
     def __post_init__(self):
         for name in ("reading", "range_min", "range_max"):
-            value = _finite_float(getattr(self, name), f"{name} must be finite")
+            value = finite_float(getattr(self, name), f"{name} must be finite")
             object.__setattr__(self, name, value)
         if not self.range_max > self.range_min:
             raise ValueError("range_max must exceed range_min")
@@ -306,12 +313,6 @@ class GaugeReadingReport:
 # JSON parsing
 # ---------------------------------------------------------------------------
 
-def _as_number(value: Any, path: str) -> float:
-    if not is_number(value):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    return value
-
-
 def _as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(path, f"expected an array, got {type(value).__name__}")
@@ -322,6 +323,12 @@ def _as_object(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
     return value
+
+
+def present_entries(obj: dict, *keys: str) -> dict:
+    """The entries of `obj` under those of `keys` it has, as keyword
+    arguments, so absent keys keep the defaults of the fields they fill."""
+    return {key: obj[key] for key in keys if key in obj}
 
 
 def parse_fixture(data: bytes | str) -> GaugeFixture:
@@ -344,18 +351,11 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
     if root.get("schema") != SCHEMA_VERSION:
         raise SchemaError("schema", f"expected schema version {SCHEMA_VERSION}")
 
-    crop = _as_list(root.get("crop_size", [448, 448]), "crop_size")
-    if len(crop) != 2:
-        raise SchemaError("crop_size", "expected [width, height]")
-    crop_size = (_as_number(crop[0], "crop_size[0]"), _as_number(crop[1], "crop_size[1]"))
-
     keypoints = []
     for i, entry in enumerate(_as_list(root.get("keypoints", []), "keypoints")):
         obj = _as_object(entry, f"keypoints[{i}]")
         if "x" not in obj or "y" not in obj:
             raise SchemaError(f"keypoints[{i}]", "missing x or y")
-        x = _as_number(obj["x"], f"keypoints[{i}].x")
-        y = _as_number(obj["y"], f"keypoints[{i}].y")
         raw_kind = obj.get("class")
         try:
             kind = KeypointClass(raw_kind)
@@ -365,7 +365,7 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
                 f"expected one of start/intermediate/end, got {raw_kind!r}",
             ) from None
         try:
-            keypoints.append(Keypoint(Point2(x, y), kind))
+            keypoints.append(Keypoint(Point2(obj["x"], obj["y"]), kind))
         except ValueError as exc:
             raise SchemaError(f"keypoints[{i}]", str(exc)) from None
 
@@ -374,10 +374,8 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
         pair = _as_list(entry, f"needle_points[{i}]")
         if len(pair) != 2:
             raise SchemaError(f"needle_points[{i}]", "expected [x, y]")
-        x = _as_number(pair[0], f"needle_points[{i}][0]")
-        y = _as_number(pair[1], f"needle_points[{i}][1]")
         try:
-            needle_points.append(Point2(x, y))
+            needle_points.append(Point2(pair[0], pair[1]))
         except ValueError as exc:
             raise SchemaError(f"needle_points[{i}]", str(exc)) from None
 
@@ -387,32 +385,32 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
         box = _as_list(obj.get("box"), f"ocr[{i}].box")
         if len(box) != 4:
             raise SchemaError(f"ocr[{i}].box", "expected [x, y, width, height]")
-        bx, by, bw, bh = (_as_number(v, f"ocr[{i}].box[{j}]") for j, v in enumerate(box))
-        conf = _as_number(obj.get("confidence", 1.0), f"ocr[{i}].confidence")
         try:
-            ocr_items.append(OcrItem(Rect(bx, by, bw, bh), obj.get("text", ""), conf))
+            ocr_items.append(
+                OcrItem(Rect(*box), obj.get("text", ""), **present_entries(obj, "confidence"))
+            )
         except ValueError as exc:
             raise SchemaError(f"ocr[{i}]", str(exc)) from None
 
     ground_truth = None
     if root.get("ground_truth") is not None:
         obj = _as_object(root["ground_truth"], "ground_truth")
-        values = []
         for key in ("reading", "range_min", "range_max"):
             if key not in obj:
                 raise SchemaError(f"ground_truth.{key}", "missing required field")
-            values.append(_as_number(obj[key], f"ground_truth.{key}"))
         try:
-            ground_truth = GroundTruth(*values, obj.get("unit", ""))
+            ground_truth = GroundTruth(
+                **present_entries(obj, "reading", "range_min", "range_max", "unit")
+            )
         except ValueError as exc:
             raise SchemaError("ground_truth", str(exc)) from None
 
     return GaugeFixture(
-        crop_size=crop_size,
         keypoints=tuple(keypoints),
         needle_points=tuple(needle_points),
         ocr_items=tuple(ocr_items),
         ground_truth=ground_truth,
+        **present_entries(root, "crop_size"),
     )
 
 

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    DegeneratePoints,
-    InsufficientPoints,
-    IsotropicScatter,
-    NoIntersection,
-    ZeroVector,
-)
+from .errors import DegenerateConfiguration, InsufficientPoints, IsotropicScatter, NoIntersection
 
 TAU = 2.0 * math.pi
 
@@ -114,7 +107,7 @@ class Line:
         px, py, dx, dy = (float(v) for v in (self.px, self.py, self.dx, self.dy))
         norm = math.hypot(dx, dy)
         if norm == 0.0 or not math.isfinite(norm):
-            raise ZeroVector("line direction must be nonzero and finite")
+            raise ValueError("line direction must be nonzero and finite")
         dx, dy = dx / norm, dy / norm
         if dx < 0 or (dx == 0 and dy < 0):
             dx, dy = -dx, -dy
@@ -184,9 +177,7 @@ class AffineTransform:
 
 
 def _conic_to_geometric(A, B, C, D, E, F) -> Ellipse:
-    disc = 4.0 * A * C - B * B
-    if disc <= 0:
-        raise DegenerateConfiguration("conic is not an ellipse (4AC - B^2 <= 0)")
+    """Geometric form of a conic whose 4AC - B^2 > 0 the caller checked."""
     aq = np.array([[A, B / 2, D / 2], [B / 2, C, E / 2], [D / 2, E / 2, F]])
     a33 = aq[:2, :2]
     center = np.linalg.solve(a33, [-D / 2, -E / 2])
@@ -286,9 +277,9 @@ def odr_fit_line(points) -> Line:
 
     The optimal line passes through the centroid along the principal axis of
     the centered scatter, obtained here from the SVD. Raises
-    InsufficientPoints (<2), DegeneratePoints (all coincident), or
-    IsotropicScatter when the covariance eigenvalue ratio exceeds
-    ISOTROPY_RATIO and no direction is trustworthy.
+    InsufficientPoints (<2 points, or all coincident) or IsotropicScatter
+    when the covariance eigenvalue ratio exceeds ISOTROPY_RATIO and no
+    direction is trustworthy.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -299,7 +290,7 @@ def odr_fit_line(points) -> Line:
     centered = pts - centroid
     _, sing, vt = np.linalg.svd(centered, full_matrices=False)
     if sing[0] == 0.0:
-        raise DegeneratePoints("all points coincide")
+        raise InsufficientPoints("line fit needs two distinct points; all coincide")
     ratio = (sing[1] / sing[0]) ** 2
     if ratio > ISOTROPY_RATIO:
         raise IsotropicScatter(float(ratio))
@@ -330,11 +321,11 @@ def line_circle_intersections(line: Line) -> list[float]:
 
 def parametric_angle(point):
     """Polar angle in [0, 2*pi), y-down convention, of a point or of each
-    row of an (N, 2) array. Raises ZeroVector if any point is the origin."""
+    row of an (N, 2) array. Raises ValueError if any point is the origin."""
     p = np.asarray(point, dtype=float)
     radius = np.hypot(p[..., 0], p[..., 1])
     if np.count_nonzero(radius) < radius.size:
-        raise ZeroVector("angle of the zero vector is undefined")
+        raise ValueError("angle of the zero vector is undefined")
     return normalize_angle(np.arctan2(p[..., 1], p[..., 0]))
 
 
@@ -343,12 +334,12 @@ def radial_project_to_circle(point) -> tuple[np.ndarray, np.ndarray]:
     unit circle; also return the radius (a scalar, or one per row).
 
     The radius classifies a point as inside (<1) or outside (>=1) the
-    fitted scale downstream. Raises ZeroVector if any point is the origin.
+    fitted scale downstream. Raises ValueError if any point is the origin.
     """
     p = np.asarray(point, dtype=float)
     radius = np.hypot(p[..., 0], p[..., 1])
     if np.count_nonzero(radius) < radius.size:
-        raise ZeroVector("cannot project the origin onto the circle")
+        raise ValueError("cannot project the origin onto the circle")
     return p / radius[..., None], radius
 
 

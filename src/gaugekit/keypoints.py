@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSigma
-from .fixtures import positive_int_size
+from .fixtures import finite_float, positive_int_size
 
 DETECTION_THRESHOLD = 0.5
 CONVERGENCE_SHIFT = 1e-3
@@ -55,10 +54,9 @@ def render_gaussian_heatmap(size: tuple[int, int], centers, sigma: float) -> Hea
     sum keeps overlapping blobs within [0, 1]. `size` is (width, height) in
     positive integers (whole floats pass); centers must lie inside the grid.
     """
-    if isinstance(sigma, (bool, np.bool_)):
-        raise InvalidSigma("sigma must be a number, not a bool")
-    if sigma <= 0 or not np.isfinite(sigma):
-        raise InvalidSigma(f"sigma must be positive, got {sigma}")
+    message = f"sigma must be a positive number, got {sigma!r}"
+    if finite_float(sigma, message) <= 0:
+        raise ValueError(message)
     w, h = positive_int_size(size)
     values = np.zeros((h, w))
     xs = np.arange(w)[None, :]
@@ -85,10 +83,9 @@ def extract_keypoints_meanshift(heatmap: Heatmap, bandwidth: float) -> list[np.n
     thresholded mask (see `_window_sums`), so one iteration costs
     O(support x bandwidth) rather than O(support^2).
     """
-    if isinstance(bandwidth, (bool, np.bool_)):
-        raise ValueError("bandwidth must be a number, not a bool")
-    if bandwidth <= 0 or not np.isfinite(bandwidth):
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    message = f"bandwidth must be a positive number, got {bandwidth!r}"
+    if finite_float(bandwidth, message) <= 0:
+        raise ValueError(message)
     mask = heatmap.values > DETECTION_THRESHOLD
     rows, cols = np.nonzero(mask)
     if rows.size == 0:

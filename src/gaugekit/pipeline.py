@@ -19,9 +19,7 @@ import numpy as np
 from . import geometry, scale_model
 from .errors import (
     DegenerateConfiguration,
-    DegeneratePoints,
     InsufficientPoints,
-    InvalidRange,
     IsotropicScatter,
     MissingGroundTruth,
     NoConsensus,
@@ -39,17 +37,16 @@ from .fixtures import (
     Stage,
     StageStatus,
     is_number,
+    present_entries,
     rounded_json,
 )
-
-MIN_NOTCHES = 5
 
 
 def _present_fields(cls, doc, path: str) -> dict:
     """The entries of JSON object `doc` that name an init field of `cls`."""
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
-    return {f.name: doc[f.name] for f in fields(cls) if f.init and f.name in doc}
+    return present_entries(doc, *(f.name for f in fields(cls) if f.init))
 
 
 @dataclass(frozen=True)
@@ -149,12 +146,12 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     statuses: dict[Stage, StageStatus] = {}
 
     keypoints = fixture.keypoint_array()
-    if len(keypoints) < MIN_NOTCHES:
-        statuses[Stage.ELLIPSE] = StageStatus.failed("insufficient_notches")
-        return GaugeReadingReport(stage_statuses=statuses)
     try:
         ellipse = geometry.fit_ellipse_direct(keypoints)
-    except (InsufficientPoints, DegenerateConfiguration):
+    except InsufficientPoints:
+        statuses[Stage.ELLIPSE] = StageStatus.failed("insufficient_notches")
+        return GaugeReadingReport(stage_statuses=statuses)
+    except DegenerateConfiguration:
         statuses[Stage.ELLIPSE] = StageStatus.failed("degenerate_ellipse")
         return GaugeReadingReport(stage_statuses=statuses)
     statuses[Stage.ELLIPSE] = StageStatus.passed()
@@ -176,7 +173,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     needle_c = transform.apply(fixture.needle_array())
     try:
         needle_line = geometry.odr_fit_line(needle_c)
-    except (InsufficientPoints, DegeneratePoints):
+    except InsufficientPoints:
         statuses[Stage.NEEDLE] = StageStatus.failed("insufficient_needle_points")
         return finish()
     except IsotropicScatter:
@@ -221,9 +218,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
         inliers: set[int] = set()
         if len(group) >= 2:
             pairs = np.column_stack([angles, values])
-            threshold = scale_model.default_inlier_threshold(
-                values, cfg.ransac.threshold_fraction
-            )
+            threshold = scale_model.default_inlier_threshold(values, cfg.ransac.threshold_fraction)
             try:
                 if cfg.ransac.enabled:
                     model = scale_model.ransac_fit_linear(pairs, threshold)
@@ -260,7 +255,7 @@ def compute_relative_error(
 ) -> float:
     """Reading error as a percentage of the full scale range."""
     if not range_max > range_min:
-        raise InvalidRange(f"range_max {range_max} must exceed range_min {range_min}")
+        raise ValueError(f"range_max {range_max} must exceed range_min {range_min}")
     return 100.0 * abs(predicted - truth) / (range_max - range_min)
 
 

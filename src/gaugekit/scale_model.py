@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientMarkers, NoConsensus
+from .errors import InsufficientPoints, NoConsensus
 from .geometry import TAU, normalize_angle
 
 DEFAULT_UNIT_LEXICON = (
@@ -186,7 +186,7 @@ class LinearScaleModel:
         return self.slope * rel_angle + self.intercept
 
 
-def default_inlier_threshold(values, fraction: float = 0.02, floor: float = 1e-9) -> float:
+def default_inlier_threshold(values, fraction: float, floor: float = 1e-9) -> float:
     """Inlier cutoff as a fraction of a robust estimate of the value span.
 
     The span is estimated as four median absolute deviations: that matches
@@ -217,7 +217,7 @@ def least_squares_fit_linear(pairs) -> LinearScaleModel:
     """
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if len(arr) < 2:
-        raise InsufficientMarkers(f"need at least 2 pairs, got {len(arr)}")
+        raise InsufficientPoints(f"need at least 2 pairs, got {len(arr)}")
     slope, intercept = _ols(arr[:, 0], arr[:, 1])
     return LinearScaleModel(slope, intercept, tuple(range(len(arr))))
 
@@ -247,13 +247,13 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
     should the refit drop below two supporters, the minimal model and its
     consensus stand.
 
-    Raises InsufficientMarkers (<2 pairs) or NoConsensus (no model reaches
+    Raises InsufficientPoints (<2 pairs) or NoConsensus (no model reaches
     two supporters, e.g. all pairs at one angle).
     """
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     n = len(arr)
     if n < 2:
-        raise InsufficientMarkers(f"need at least 2 pairs, got {n}")
+        raise InsufficientPoints(f"need at least 2 pairs, got {n}")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     angles = arr[:, 0]

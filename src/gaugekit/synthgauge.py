@@ -26,8 +26,10 @@ from .fixtures import (
     OcrItem,
     Point2,
     Rect,
+    finite_float,
     is_number,
     positive_int_size,
+    present_entries,
 )
 from .geometry import TAU, AffineTransform, Ellipse, normalize_angle
 from .scale_model import DEFAULT_UNIT_LEXICON
@@ -42,6 +44,17 @@ AFFINE_SCALE_RANGE = (0.85, 1.15)
 AFFINE_MAX_TRANSLATION = 25.0
 
 
+def _finite_field(spec, name: str, message: str) -> float:
+    """Set field `name` of `spec` to its value as a float and return it;
+    SpecError(message) unless fixtures.finite_float accepts that value."""
+    try:
+        value = finite_float(getattr(spec, name), message)
+    except ValueError:
+        raise SpecError(message) from None
+    object.__setattr__(spec, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class SecondScale:
     range_min: float
@@ -49,8 +62,8 @@ class SecondScale:
     radius_factor: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.range_min, self.range_max, self.radius_factor)):
-            raise SpecError("second_scale: range and radius_factor must be finite")
+        for name in ("range_min", "range_max", "radius_factor"):
+            _finite_field(self, name, "second_scale: range and radius_factor must be finite")
         if not self.range_max > self.range_min:
             raise SpecError("second_scale: range_max must exceed range_min")
         if self.radius_factor <= 0:
@@ -77,10 +90,11 @@ class SceneSpec:
         for name in (
             "arc_start", "arc_end", "range_min", "range_max", "needle_value", "marker_radius_factor"
         ):
-            if not math.isfinite(getattr(self, name)):
-                raise SpecError(f"{name} must be finite")
-        if self.direction not in (1, -1):
-            raise SpecError("direction must be +1 or -1")
+            _finite_field(self, name, f"{name} must be finite")
+        if not (is_number(self.direction, integer=True) and self.direction in (1, -1)):
+            raise SpecError(f"direction must be +1 or -1, got {self.direction!r}")
+        if not is_number(self.n_major_notches, integer=True):
+            raise SpecError(f"n_major_notches must be an integer, got {self.n_major_notches!r}")
         if self.n_major_notches < 5:
             raise SpecError("a scale needs at least 5 major notches")
         if not self.range_max > self.range_min:
@@ -89,8 +103,10 @@ class SceneSpec:
             raise SpecError("needle_value must lie within the range")
         if self.marker_radius_factor <= 0:
             raise SpecError("marker_radius_factor must be positive")
-        if self.n_needle_points < 2:
-            raise SpecError("need at least 2 needle points")
+        if not (is_number(self.n_needle_points, integer=True) and self.n_needle_points >= 2):
+            raise SpecError("n_needle_points must be an integer >= 2")
+        if not isinstance(self.unit, str):
+            raise SpecError(f"unit must be a string, got {self.unit!r}")
         try:
             object.__setattr__(self, "crop_size", positive_int_size(self.crop_size))
         except ValueError as exc:
@@ -204,16 +220,16 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.keypoint_noise_sigma < math.inf:
-            raise SpecError("keypoint_noise_sigma must be a finite number >= 0")
+        message = "keypoint_noise_sigma must be a finite number >= 0"
+        if _finite_field(self, "keypoint_noise_sigma", message) < 0:
+            raise SpecError(message)
         for name in ("ocr_dropout_rate", "digit_corruption_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise SpecError(f"{name} must lie in [0, 1]")
+            message = f"{name} must lie in [0, 1]"
+            if not 0.0 <= _finite_field(self, name, message) <= 1.0:
+                raise SpecError(message)
         if not (is_number(self.n_outlier_ocr, integer=True) and self.n_outlier_ocr >= 0):
             raise SpecError("n_outlier_ocr must be an integer >= 0")
-        if not math.isfinite(self.rotation):
-            raise SpecError("rotation must be finite")
+        _finite_field(self, "rotation", "rotation must be finite")
         if self.affine is not None and not np.isfinite(self.affine.translation).all():
             raise SpecError("affine translation must be finite")
         if not (is_number(self.seed, integer=True) and self.seed >= 0):
@@ -260,12 +276,11 @@ def perturb_scene(
     w, h = fixture.crop_size
     keypoints = fixture.keypoint_array()
     needle = fixture.needle_array()
-    centers = np.array(
-        [[it.box.center.x, it.box.center.y] for it in fixture.ocr_items]
-    ).reshape(-1, 2)
-    halves = np.array(
-        [[it.box.width / 2, it.box.height / 2] for it in fixture.ocr_items]
-    ).reshape(-1, 2)
+    boxes = np.array(
+        [[it.box.x, it.box.y, it.box.width, it.box.height] for it in fixture.ocr_items]
+    ).reshape(-1, 4)
+    halves = boxes[:, 2:] / 2.0
+    centers = boxes[:, :2] + halves
 
     maps: list[AffineTransform] = []
     if spec.affine is not None:
@@ -360,64 +375,64 @@ def _load_doc(doc) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str) -> Any:
-    if key not in doc:
-        raise SpecError(f"missing required field {key!r}")
+def _require(doc, path: str) -> Any:
+    """The value under the last key of the dotted JSON `path` in `doc`;
+    SpecError naming the path when `doc` is no object or lacks that key."""
+    key = path.rpartition(".")[2]
+    if not isinstance(doc, dict) or key not in doc:
+        raise SpecError(f"missing required field {path!r}")
     return doc[key]
 
 
-def _number(value: Any, name: str, integer: bool = False):
-    """`value` if it is a JSON integer (when `integer`), else a JSON number as
-    a float; SpecError naming the field for anything else, bools and numeric
-    strings included."""
+def _number(doc, path: str, integer: bool = False):
+    """The value at `path` in `doc` (see _require); SpecError naming the path
+    unless it is a JSON number (a JSON integer if `integer`), so bools and
+    numeric strings fail. For spec fields that sit under another name in
+    the JSON."""
+    value = _require(doc, path)
     if not is_number(value, integer):
-        raise SpecError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value if integer else float(value)
+        raise SpecError(f"{path} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
 
 
 def parse_scene_spec(doc) -> SceneSpec:
-    """SceneSpec from a JSON document (object, bytes, or str)."""
+    """SceneSpec from a JSON document (object, bytes, or str); absent
+    optional fields keep their defaults."""
     doc = _load_doc(doc)
     try:
         e = _require(doc, "ellipse")
+        center = _require(e, "ellipse.center")
+        if not (isinstance(center, list) and len(center) == 2 and all(map(is_number, center))):
+            raise SpecError(f"ellipse.center must be two numbers [x, y], got {center!r}")
         ellipse = Ellipse(
-            _number(e["center"][0], "ellipse.center[0]"),
-            _number(e["center"][1], "ellipse.center[1]"),
-            _number(e["a"], "ellipse.a"),
-            _number(e["b"], "ellipse.b"),
-            _number(e.get("theta", 0.0), "ellipse.theta"),
+            *center,
+            _number(e, "ellipse.a"),
+            _number(e, "ellipse.b"),
+            **({"theta": _number(e, "ellipse.theta")} if "theta" in e else {}),
         )
         arc = _require(doc, "scale_arc")
         rng_doc = _require(doc, "range")
         second = None
         if doc.get("second_scale") is not None:
             s = doc["second_scale"]
+            s_range = _require(s, "second_scale.range")
             second = SecondScale(
-                _number(s["range"]["min"], "second_scale.range.min"),
-                _number(s["range"]["max"], "second_scale.range.max"),
-                _number(s["radius_factor"], "second_scale.radius_factor"),
+                _number(s_range, "second_scale.range.min"),
+                _number(s_range, "second_scale.range.max"),
+                _number(s, "second_scale.radius_factor"),
             )
-        crop = doc.get("crop_size", [448, 448])
         return SceneSpec(
             ellipse=ellipse,
-            arc_start=_number(arc["start_angle"], "scale_arc.start_angle"),
-            arc_end=_number(arc["end_angle"], "scale_arc.end_angle"),
-            direction=_number(arc["direction"], "scale_arc.direction", integer=True),
-            range_min=_number(rng_doc["min"], "range.min"),
-            range_max=_number(rng_doc["max"], "range.max"),
-            unit=str(rng_doc.get("unit", "")),
-            n_major_notches=_number(
-                _require(doc, "n_major_notches"), "n_major_notches", integer=True
-            ),
-            needle_value=_number(_require(doc, "needle_value"), "needle_value"),
-            crop_size=tuple(_number(v, f"crop_size[{k}]") for k, v in enumerate(crop)),
-            marker_radius_factor=_number(
-                doc.get("marker_radius_factor", 0.85), "marker_radius_factor"
-            ),
+            arc_start=_number(arc, "scale_arc.start_angle"),
+            arc_end=_number(arc, "scale_arc.end_angle"),
+            direction=_number(arc, "scale_arc.direction", integer=True),
+            range_min=_number(rng_doc, "range.min"),
+            range_max=_number(rng_doc, "range.max"),
+            unit=rng_doc.get("unit", ""),
+            n_major_notches=_require(doc, "n_major_notches"),
+            needle_value=_require(doc, "needle_value"),
             second_scale=second,
-            n_needle_points=_number(
-                doc.get("n_needle_points", 60), "n_needle_points", integer=True
-            ),
+            **present_entries(doc, "crop_size", "marker_radius_factor", "n_needle_points"),
         )
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed scene spec: {exc!r}") from None
@@ -456,18 +471,15 @@ def scene_spec_to_jsonable(spec: SceneSpec) -> dict:
 
 def parse_perturbation_spec(doc) -> PerturbationSpec:
     """PerturbationSpec from a JSON document; absent fields keep their
-    defaults. Fields declared int take only JSON integers and the other
-    numeric fields only JSON numbers."""
+    defaults, and PerturbationSpec checks the values."""
     doc = _load_doc(doc)
     try:
-        kwargs = {
-            f.name: _number(doc[f.name], f.name, integer=f.type == "int")
-            for f in fields(PerturbationSpec)
-            if f.name != "affine" and f.name in doc
-        }
-        if doc.get("affine") is not None:
-            a = doc["affine"]
-            kwargs["affine"] = AffineTransform(a["linear"], a.get("translation", [0.0, 0.0]))
+        kwargs = present_entries(doc, *(f.name for f in fields(PerturbationSpec)))
+        if kwargs.get("affine") is not None:
+            a = kwargs["affine"]
+            kwargs["affine"] = AffineTransform(
+                _require(a, "affine.linear"), a.get("translation", [0.0, 0.0])
+            )
         return PerturbationSpec(**kwargs)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed perturbation spec: {exc!r}") from None

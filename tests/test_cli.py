@@ -200,6 +200,8 @@ _SPEC = scene_spec_to_jsonable(make_scene_spec())
             },
             b"affine translation must be finite",
         ),
+        ({**_SPEC, "range": {**_SPEC["range"], "unit": None}}, b"unit must be a string"),
+        ({**_SPEC, "range": {**_SPEC["range"], "unit": 5}}, b"unit must be a string"),
     ],
 )
 def test_generate_bad_document_exit_three_without_traceback(tmp_path, doc, message):

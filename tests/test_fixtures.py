@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,19 @@ def test_parse_rejects_out_of_range_coordinate():
         (lambda d: d.update(ground_truth={"reading": 1, "range_min": 0, "range_max": 5, "unit": 3}), "ground_truth: unit"),
         (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5], "text": 5}]), "ocr[0]: text"),
         (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5], "text": "x", "confidence": -0.5}]), "ocr[0]: confidence"),
+        # The types reject booleans and non-numbers; each error names its item.
+        (lambda d: d["keypoints"][0].update(x=True), "keypoints[0]: x and y must be finite"),
+        (lambda d: d["keypoints"][1].update(y="3"), "keypoints[1]: x and y must be finite"),
+        (lambda d: d.update(needle_points=[[True, 1]]), "needle_points[0]: x and y must be finite"),
+        (lambda d: d.update(needle_points=[[1, 1], [1, "2"]]), "needle_points[1]: x and y must be finite"),
+        (lambda d: d.update(ocr=[{"box": [1, 1, True, 5], "text": "x"}]), "ocr[0]: box values must be finite"),
+        (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5]}, {"box": [1, "1", 5, 5]}]), "ocr[1]: box values must be finite"),
+        (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5], "confidence": True}]), "ocr[0]: confidence must lie in [0, 1]"),
+        (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5]}, {"box": [1, 1, 5, 5], "confidence": "1"}]), "ocr[1]: confidence must lie in [0, 1]"),
+        (lambda d: d.update(ground_truth={"reading": True, "range_min": 0, "range_max": 5}), "ground_truth: reading must be finite"),
+        (lambda d: d.update(ground_truth={"reading": 1, "range_min": "0", "range_max": 5}), "ground_truth: range_min must be finite"),
+        (lambda d: d.update(crop_size=[True, 448]), "crop_size: width and height must be positive integers"),
+        (lambda d: d.update(crop_size=[448, "448"]), "crop_size: width and height"),
     ],
 )
 def test_parse_schema_errors_name_the_offending_path(mutate, path_part):
@@ -287,3 +301,15 @@ def test_fixture_invariants_reject_bad_direct_construction():
         GaugeFixture(crop_size=(math.inf, 448))
     with pytest.raises(SchemaError):
         GaugeFixture(crop_size=(10**400, 448))
+    # Numbers are ints and floats, Python or numpy; never bools or strings.
+    with pytest.raises(ValueError):
+        Point2(True, 0)
+    with pytest.raises(ValueError):
+        Rect(0, 0, "5", 5)
+    with pytest.raises(ValueError):
+        OcrItem(Rect(0, 0, 1, 1), "x", True)
+    with pytest.raises(ValueError):
+        GroundTruth("1", 0, 5)
+    with pytest.raises(SchemaError):
+        GaugeFixture(crop_size=(True, 448))
+    assert Point2(np.int64(3), np.float32(2.5)) == Point2(3.0, 2.5)

@@ -8,11 +8,9 @@ import pytest
 
 from gaugekit.errors import (
     DegenerateConfiguration,
-    DegeneratePoints,
     InsufficientPoints,
     IsotropicScatter,
     NoIntersection,
-    ZeroVector,
 )
 from gaugekit.geometry import (
     TAU,
@@ -218,7 +216,7 @@ def test_odr_rotation_equivariance():
 def test_odr_degenerate_and_isotropic():
     with pytest.raises(InsufficientPoints):
         odr_fit_line([(1.0, 1.0)])
-    with pytest.raises(DegeneratePoints):
+    with pytest.raises(InsufficientPoints):
         odr_fit_line([(2.0, 2.0)] * 10)
     rng = np.random.default_rng(0)
     angles = rng.uniform(0, TAU, 400)
@@ -337,7 +335,7 @@ def test_parametric_angle_known_values():
     assert parametric_angle([0, 1]) == pytest.approx(math.pi / 2)
     s = math.sqrt(2) / 2
     assert parametric_angle([-s, -s]) == pytest.approx(5 * math.pi / 4)
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ValueError, match="zero vector"):
         parametric_angle([0.0, 0.0])
 
 
@@ -355,7 +353,7 @@ def test_radial_projection():
     assert np.allclose(on, [0.6, 0.8]) and r == pytest.approx(1.0)
     on, r = radial_project_to_circle([0.3, 0.4])
     assert np.allclose(on, [0.6, 0.8]) and r == pytest.approx(0.5)
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ValueError, match="origin"):
         radial_project_to_circle([0.0, 0.0])
 
 
@@ -388,9 +386,9 @@ def test_angle_functions_on_arrays_match_row_by_row_bit_for_bit():
 
 def test_angle_functions_reject_an_origin_row():
     pts = np.array([[1.0, 2.0], [0.0, -0.0], [3.0, 4.0]])
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ValueError, match="zero vector"):
         parametric_angle(pts)
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ValueError, match="origin"):
         radial_project_to_circle(pts)
     # An empty batch has no origin row.
     assert parametric_angle(np.empty((0, 2))).shape == (0,)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_scene_spec, random_fixture
 from gaugekit import scale_model
-from gaugekit.errors import InvalidRange, MissingGroundTruth, SchemaError
+from gaugekit.errors import MissingGroundTruth, SchemaError
 from gaugekit.fixtures import (
     FAILURE_REASONS,
     GaugeFixture,
@@ -197,7 +197,7 @@ def test_relative_error_examples():
     assert compute_relative_error(5.1, 5.0, 0.0, 10.0) == pytest.approx(1.0)
     assert compute_relative_error(7.0, 7.0, 0.0, 10.0) == 0.0
     assert compute_relative_error(2.0, 1.0, 0.0, 1.6) == pytest.approx(62.5)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(ValueError, match="range_max"):
         compute_relative_error(1.0, 1.0, 5.0, 5.0)
 
 

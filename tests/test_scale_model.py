@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gaugekit.errors import InsufficientMarkers, NoConsensus
+from gaugekit.errors import InsufficientPoints, NoConsensus
 from gaugekit.fixtures import OcrItem, Rect
 from gaugekit.scale_model import (
     DEFAULT_UNIT_LEXICON,
@@ -226,9 +226,9 @@ def test_ransac_collinear_equals_ols():
 
 
 def test_ransac_insufficient_markers():
-    with pytest.raises(InsufficientMarkers):
+    with pytest.raises(InsufficientPoints):
         ransac_fit_linear([(1.0, 2.0)], threshold=1.0)
-    with pytest.raises(InsufficientMarkers):
+    with pytest.raises(InsufficientPoints):
         least_squares_fit_linear([])
 
 
@@ -303,14 +303,14 @@ def test_model_requires_two_inliers():
 def test_default_inlier_threshold():
     # Evenly spread values: the robust span tracks max - min.
     values = list(np.linspace(0.0, 10.0, 11))
-    assert default_inlier_threshold(values) == pytest.approx(0.2, rel=0.3)
+    assert default_inlier_threshold(values, 0.02) == pytest.approx(0.2, rel=0.3)
     # One wild outlier must not inflate the cutoff.
     corrupted = values + [373721.0]
-    assert default_inlier_threshold(corrupted) < 0.5
-    assert default_inlier_threshold([5.0, 5.0]) == 1e-9
-    assert default_inlier_threshold([]) == 1e-9
+    assert default_inlier_threshold(corrupted, 0.02) < 0.5
+    assert default_inlier_threshold([5.0, 5.0], 0.02) == 1e-9
+    assert default_inlier_threshold([], 0.02) == 1e-9
     assert default_inlier_threshold(values, fraction=0.1) == pytest.approx(
-        5 * default_inlier_threshold(values)
+        5 * default_inlier_threshold(values, 0.02)
     )
 
 

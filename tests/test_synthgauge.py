@@ -267,6 +267,37 @@ def test_spec_parsing_errors():
     with pytest.raises(SpecError, match="crop_size"):
         make_scene_spec(crop_size=(0, 448))
     assert parse_scene_spec({**good, "crop_size": [448.0, 448]}).crop_size == (448, 448)
+    # A bad nested field is named by its JSON path; the unit must be a string.
+    ellipse_without_a = {k: v for k, v in good["ellipse"].items() if k != "a"}
+    for change, name in [
+        ({"ellipse": ellipse_without_a}, "ellipse.a"),
+        ({"ellipse": {**good["ellipse"], "center": [1]}}, "ellipse.center"),
+        ({"crop_size": 5}, "crop_size"),
+        ({"range": {**good["range"], "unit": None}}, "unit"),
+        ({"range": {**good["range"], "unit": 5}}, "unit"),
+        ({"range": {**good["range"], "min": 10**400}}, "range_min"),
+    ]:
+        with pytest.raises(SpecError, match=name):
+            parse_scene_spec({**good, **change})
+    with pytest.raises(SpecError, match="affine.linear"):
+        parse_perturbation_spec({"affine": {}})
+    range_without_unit = {k: v for k, v in good["range"].items() if k != "unit"}
+    assert parse_scene_spec({**good, "range": range_without_unit}).unit == ""
+    # The spec types check their own numbers, whoever builds them.
+    for overrides, name in [
+        (dict(n_major_notches=7.9), "n_major_notches"),
+        (dict(direction=1.0), "direction"),
+        (dict(n_needle_points=2.5), "n_needle_points"),
+    ]:
+        with pytest.raises(SpecError, match=name):
+            make_scene_spec(**overrides)
+    for kwargs, name in [
+        (dict(keypoint_noise_sigma=True), "keypoint_noise_sigma"),
+        (dict(rotation="x"), "rotation"),
+        (dict(ocr_dropout_rate="0.1"), "ocr_dropout_rate"),
+    ]:
+        with pytest.raises(SpecError, match=name):
+            PerturbationSpec(**kwargs)
 
 
 def test_sampled_scenes_are_diverse_and_valid():
