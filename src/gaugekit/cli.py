@@ -72,6 +72,9 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     paths = doc.get("fixtures") if isinstance(doc, dict) else None
     if not isinstance(paths, list):
         return _fail(EXIT_SCHEMA, f"{args.manifest}: expected a 'fixtures' array")
+    for k, rel in enumerate(paths):
+        if not isinstance(rel, str) or "\0" in rel:
+            return _fail(EXIT_SCHEMA, f"{args.manifest}: fixtures[{k}] must be a file path string")
 
     fixtures = []
     for rel in paths:

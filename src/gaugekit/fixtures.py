@@ -15,59 +15,15 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from .errors import FixtureSyntaxError, SchemaError
-from .geometry import Ellipse, Line
+from .geometry import Ellipse, Line, finite_float, positive_int_size
 
 SCHEMA_VERSION = 1
-
-
-_REALS = (float, int, np.floating, np.integer)
-
-
-def is_number(value: Any, integer: bool = False) -> bool:
-    """True for an int, or for a float unless `integer`; never for a bool."""
-    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-
-
-def finite_float(value, message: str) -> float:
-    """`value` as a float; ValueError(message) unless it is a finite real.
-
-    Python and numpy ints and floats pass; bools, numpy bools, strings and
-    every other type do not. An int beyond the float range counts as
-    infinite.
-    """
-    if type(value) is bool or not isinstance(value, _REALS):
-        raise ValueError(message)
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError(message) from None
-    if not math.isfinite(value):
-        raise ValueError(message)
-    return value
-
-
-def positive_int_size(size) -> tuple[int, int]:
-    """(width, height) as ints; ValueError unless `size` is two positive integers.
-
-    Whole floats such as 448.0 pass; fractions, infinities and ints beyond
-    the float range do not.
-    """
-    message = "width and height must be positive integers"
-    try:
-        w, h = size
-    except (TypeError, ValueError):
-        raise ValueError("expected [width, height]") from None
-    w, h = finite_float(w, message), finite_float(h, message)
-    if not (w > 0 and h > 0 and w.is_integer() and h.is_integer()):
-        raise ValueError(message)
-    return int(w), int(h)
 
 
 @dataclass(frozen=True)

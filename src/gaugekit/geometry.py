@@ -3,13 +3,16 @@
 Conic fitting, total-least-squares line fitting, affine frame changes, and
 line/circle intersection. All coordinates follow the raster convention:
 origin top-left, y grows downward, so increasing polar angle is clockwise on
-screen. Angles are radians.
+screen. Angles are radians. It also holds the package's one number rule
+(`is_number`, `finite_float`, `positive_int_size`), which every value type
+applies to the numbers it is given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -23,6 +26,46 @@ ISOTROPY_RATIO = 0.9
 TANGENCY_EPS = 1e-12
 # Slack when testing whether a circle root lies within the needle pixels' extent.
 SEGMENT_SLACK = 1e-9
+
+
+def is_number(value: Any, integer: bool = False) -> bool:
+    """True for an int, or for a float unless `integer`; never for a bool."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
+def finite_float(value, message: str) -> float:
+    """`value` as a float; ValueError(message) unless it is a finite real.
+
+    Python and numpy ints and floats pass; bools, numpy bools, strings and
+    every other type do not. An int beyond the float range counts as
+    infinite.
+    """
+    if type(value) is bool or not isinstance(value, (float, int, np.floating, np.integer)):
+        raise ValueError(message)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(message) from None
+    if not math.isfinite(value):
+        raise ValueError(message)
+    return value
+
+
+def positive_int_size(size) -> tuple[int, int]:
+    """(width, height) as ints; ValueError unless `size` is two positive integers.
+
+    Whole floats such as 448.0 pass; fractions, infinities and ints beyond
+    the float range do not.
+    """
+    message = "width and height must be positive integers"
+    try:
+        w, h = size
+    except (TypeError, ValueError):
+        raise ValueError("expected [width, height]") from None
+    w, h = finite_float(w, message), finite_float(h, message)
+    if not (w > 0 and h > 0 and w.is_integer() and h.is_integer()):
+        raise ValueError(message)
+    return int(w), int(h)
 
 
 def normalize_angle(angle):
@@ -50,9 +93,8 @@ class Ellipse:
     theta: float = 0.0
 
     def __post_init__(self):
-        cx, cy, a, b, theta = (float(v) for v in (self.cx, self.cy, self.a, self.b, self.theta))
-        if not all(math.isfinite(v) for v in (cx, cy, a, b, theta)):
-            raise ValueError("ellipse parameters must be finite")
+        values = (self.cx, self.cy, self.a, self.b, self.theta)
+        cx, cy, a, b, theta = (finite_float(v, "ellipse parameters must be finite") for v in values)
         if a < b:
             a, b = b, a
             theta += math.pi / 2
@@ -104,7 +146,8 @@ class Line:
     dy: float
 
     def __post_init__(self):
-        px, py, dx, dy = (float(v) for v in (self.px, self.py, self.dx, self.dy))
+        message = "line point and direction must be finite"
+        px, py, dx, dy = (finite_float(v, message) for v in (self.px, self.py, self.dx, self.dy))
         norm = math.hypot(dx, dy)
         if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("line direction must be nonzero and finite")
@@ -134,15 +177,20 @@ class AffineTransform:
     __slots__ = ("linear", "translation")
 
     def __init__(self, linear, translation):
-        linear = np.asarray(linear, dtype=float)
-        translation = np.asarray(translation, dtype=float)
-        if linear.shape != (2, 2) or translation.shape != (2,):
-            raise ValueError("expected a 2x2 linear part and a 2-vector translation")
-        det = float(np.linalg.det(linear))
+        # Entries as Python scalars of their own type; iterating an array is slow.
+        linear = linear.tolist() if isinstance(linear, np.ndarray) else linear
+        translation = translation.tolist() if isinstance(translation, np.ndarray) else translation
+        try:
+            ((a, b), (c, d)), (tx, ty) = linear, translation
+        except (TypeError, ValueError):
+            raise ValueError("expected a 2x2 linear part and a 2-vector translation") from None
+        a, b, c, d = (finite_float(v, "affine linear part must be finite") for v in (a, b, c, d))
+        tx, ty = (finite_float(v, "affine translation must be finite") for v in (tx, ty))
+        det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             raise ValueError("affine transform must be invertible")
-        self.linear = linear
-        self.translation = translation
+        self.linear = np.array([[a, b], [c, d]])
+        self.translation = np.array([tx, ty])
 
     @classmethod
     def rotation(cls, angle: float, about=(0.0, 0.0)) -> "AffineTransform":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixtures import finite_float, positive_int_size
+from .geometry import finite_float, positive_int_size
 
 DETECTION_THRESHOLD = 0.5
 CONVERGENCE_SHIFT = 1e-3
@@ -62,7 +62,8 @@ def render_gaussian_heatmap(size: tuple[int, int], centers, sigma: float) -> Hea
     xs = np.arange(w)[None, :]
     ys = np.arange(h)[:, None]
     for center in centers:
-        cx, cy = float(center[0]), float(center[1])
+        message = "center coordinates must be finite numbers"
+        cx, cy = finite_float(center[0], message), finite_float(center[1], message)
         if not (0.0 <= cx < w and 0.0 <= cy < h):
             raise ValueError(f"center ({cx}, {cy}) outside the heatmap")
         d2 = (xs - cx) ** 2 + (ys - cy) ** 2

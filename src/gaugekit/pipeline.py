@@ -8,7 +8,6 @@ fatal stage so each failed report carries exactly one failure reason.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -36,7 +35,6 @@ from .fixtures import (
     ScaleSide,
     Stage,
     StageStatus,
-    is_number,
     present_entries,
     rounded_json,
 )
@@ -55,8 +53,9 @@ class RansacSettings:
     enabled: bool = True  # False switches to the plain least-squares baseline
 
     def __post_init__(self):
-        if not (is_number(self.threshold_fraction) and 0 < self.threshold_fraction < math.inf):
-            raise ValueError("threshold_fraction must be a finite number > 0")
+        message = "threshold_fraction must be a finite number > 0"
+        if geometry.finite_float(self.threshold_fraction, message) <= 0:
+            raise ValueError(message)
         if not isinstance(self.enabled, bool):
             raise ValueError("enabled must be true or false")
 
@@ -70,9 +69,9 @@ class PipelineConfig:
     unit_lexicon: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        threshold = self.failure_error_threshold_percent
-        if not (is_number(threshold) and 0 <= threshold < math.inf):
-            raise ValueError("failure_error_threshold_percent must be a finite number >= 0")
+        message = "failure_error_threshold_percent must be a finite number >= 0"
+        if geometry.finite_float(self.failure_error_threshold_percent, message) < 0:
+            raise ValueError(message)
         if self.unit_lexicon_path is None:
             lexicon = scale_model.DEFAULT_UNIT_LEXICON
         elif isinstance(self.unit_lexicon_path, (str, os.PathLike)):

@@ -26,12 +26,11 @@ from .fixtures import (
     OcrItem,
     Point2,
     Rect,
-    finite_float,
-    is_number,
-    positive_int_size,
     present_entries,
 )
-from .geometry import TAU, AffineTransform, Ellipse, normalize_angle
+from .geometry import (
+    TAU, AffineTransform, Ellipse, finite_float, is_number, normalize_angle, positive_int_size
+)
 from .scale_model import DEFAULT_UNIT_LEXICON
 
 MIN_ARC_SPAN = math.pi / 2
@@ -46,7 +45,7 @@ AFFINE_MAX_TRANSLATION = 25.0
 
 def _finite_field(spec, name: str, message: str) -> float:
     """Set field `name` of `spec` to its value as a float and return it;
-    SpecError(message) unless fixtures.finite_float accepts that value."""
+    SpecError(message) unless geometry.finite_float accepts that value."""
     try:
         value = finite_float(getattr(spec, name), message)
     except ValueError:
@@ -230,8 +229,6 @@ class PerturbationSpec:
         if not (is_number(self.n_outlier_ocr, integer=True) and self.n_outlier_ocr >= 0):
             raise SpecError("n_outlier_ocr must be an integer >= 0")
         _finite_field(self, "rotation", "rotation must be finite")
-        if self.affine is not None and not np.isfinite(self.affine.translation).all():
-            raise SpecError("affine translation must be finite")
         if not (is_number(self.seed, integer=True) and self.seed >= 0):
             raise SpecError("seed must be an integer >= 0")
 
@@ -399,43 +396,43 @@ def parse_scene_spec(doc) -> SceneSpec:
     """SceneSpec from a JSON document (object, bytes, or str); absent
     optional fields keep their defaults."""
     doc = _load_doc(doc)
+    e = _require(doc, "ellipse")
+    center = _require(e, "ellipse.center")
+    if not (isinstance(center, list) and len(center) == 2 and all(map(is_number, center))):
+        raise SpecError(f"ellipse.center must be two numbers [x, y], got {center!r}")
     try:
-        e = _require(doc, "ellipse")
-        center = _require(e, "ellipse.center")
-        if not (isinstance(center, list) and len(center) == 2 and all(map(is_number, center))):
-            raise SpecError(f"ellipse.center must be two numbers [x, y], got {center!r}")
         ellipse = Ellipse(
             *center,
             _number(e, "ellipse.a"),
             _number(e, "ellipse.b"),
             **({"theta": _number(e, "ellipse.theta")} if "theta" in e else {}),
         )
-        arc = _require(doc, "scale_arc")
-        rng_doc = _require(doc, "range")
-        second = None
-        if doc.get("second_scale") is not None:
-            s = doc["second_scale"]
-            s_range = _require(s, "second_scale.range")
-            second = SecondScale(
-                _number(s_range, "second_scale.range.min"),
-                _number(s_range, "second_scale.range.max"),
-                _number(s, "second_scale.radius_factor"),
-            )
-        return SceneSpec(
-            ellipse=ellipse,
-            arc_start=_number(arc, "scale_arc.start_angle"),
-            arc_end=_number(arc, "scale_arc.end_angle"),
-            direction=_number(arc, "scale_arc.direction", integer=True),
-            range_min=_number(rng_doc, "range.min"),
-            range_max=_number(rng_doc, "range.max"),
-            unit=rng_doc.get("unit", ""),
-            n_major_notches=_require(doc, "n_major_notches"),
-            needle_value=_require(doc, "needle_value"),
-            second_scale=second,
-            **present_entries(doc, "crop_size", "marker_radius_factor", "n_needle_points"),
+    except ValueError as exc:
+        raise SpecError(f"ellipse: {exc}") from None
+    arc = _require(doc, "scale_arc")
+    rng_doc = _require(doc, "range")
+    second = None
+    if doc.get("second_scale") is not None:
+        s = doc["second_scale"]
+        s_range = _require(s, "second_scale.range")
+        second = SecondScale(
+            _number(s_range, "second_scale.range.min"),
+            _number(s_range, "second_scale.range.max"),
+            _number(s, "second_scale.radius_factor"),
         )
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"malformed scene spec: {exc!r}") from None
+    return SceneSpec(
+        ellipse=ellipse,
+        arc_start=_number(arc, "scale_arc.start_angle"),
+        arc_end=_number(arc, "scale_arc.end_angle"),
+        direction=_number(arc, "scale_arc.direction", integer=True),
+        range_min=_number(rng_doc, "range.min"),
+        range_max=_number(rng_doc, "range.max"),
+        unit=rng_doc.get("unit", ""),
+        n_major_notches=_require(doc, "n_major_notches"),
+        needle_value=_require(doc, "needle_value"),
+        second_scale=second,
+        **present_entries(doc, "crop_size", "marker_radius_factor", "n_needle_points"),
+    )
 
 
 def scene_spec_to_jsonable(spec: SceneSpec) -> dict:
@@ -473,16 +470,15 @@ def parse_perturbation_spec(doc) -> PerturbationSpec:
     """PerturbationSpec from a JSON document; absent fields keep their
     defaults, and PerturbationSpec checks the values."""
     doc = _load_doc(doc)
-    try:
-        kwargs = present_entries(doc, *(f.name for f in fields(PerturbationSpec)))
-        if kwargs.get("affine") is not None:
-            a = kwargs["affine"]
-            kwargs["affine"] = AffineTransform(
-                _require(a, "affine.linear"), a.get("translation", [0.0, 0.0])
-            )
-        return PerturbationSpec(**kwargs)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"malformed perturbation spec: {exc!r}") from None
+    kwargs = present_entries(doc, *(f.name for f in fields(PerturbationSpec)))
+    if kwargs.get("affine") is not None:
+        a = kwargs["affine"]
+        linear = _require(a, "affine.linear")
+        try:
+            kwargs["affine"] = AffineTransform(linear, a.get("translation", [0.0, 0.0]))
+        except ValueError as exc:
+            raise SpecError(f"affine: {exc}") from None
+    return PerturbationSpec(**kwargs)
 
 
 def perturbation_to_jsonable(spec: PerturbationSpec) -> dict:

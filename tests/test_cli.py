@@ -88,6 +88,9 @@ def test_read_malformed_fixture_exit_three(tmp_path):
         ("[1]", 3),
         ('{"ransac": {"enabled": "false"}}', 3),
         ('{"ransac": {"threshold_fraction": 0}}', 3),
+        pytest.param(
+            '{"ransac": {"threshold_fraction": 1%s}}' % ("0" * 400), 3, id="threshold-beyond-floats"
+        ),
         ('{"unit_lexicon_path": "%s"}', 2),  # %s becomes a path with no file behind it
         (None, 2),  # the config file itself is missing
     ],
@@ -262,6 +265,12 @@ def test_eval_missing_ground_truth_exit_three(tmp_path):
     (tmp_path / "man.json").write_text("[1]")  # not an object
     proc = run_cli("eval", str(tmp_path / "man.json"))
     assert proc.returncode == 3 and b"Traceback" not in proc.stderr
+    # A non-string entry is named before any fixture, even a missing one, is read.
+    for entry in (5, None, ["fx.json"], {"path": "fx.json"}, "fx\0.json"):
+        (tmp_path / "man.json").write_text(json.dumps({"fixtures": ["missing.json", entry]}))
+        proc = run_cli("eval", str(tmp_path / "man.json"))
+        assert proc.returncode == 3 and b"fixtures[1]" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
 
 def test_eval_is_deterministic(tmp_path):

@@ -410,3 +410,37 @@ def test_ellipse_normalizes_axes_and_theta():
     assert e.a == 2.0 and e.b == 1.0
     assert 0 <= e.theta < math.pi
     assert e.theta == pytest.approx(0.25 + math.pi / 2)
+
+
+def test_value_types_take_only_finite_real_numbers():
+    # Each slot of each type, one bad value at a time.
+    for bad in (True, np.True_, "3", None, 10**400, math.inf, math.nan):
+        for k in range(5):
+            args = [224.0, 224.0, 150.0, 120.0, 0.3]
+            args[k] = bad
+            with pytest.raises(ValueError, match="ellipse"):
+                Ellipse(*args)
+        for k in range(4):
+            args = [1.0, 2.0, 0.6, 0.8]
+            args[k] = bad
+            with pytest.raises(ValueError, match="line"):
+                Line(*args)
+        for k in range(6):
+            entries = [1.0, 0.0, 0.0, 1.0, 3.0, 4.0]
+            entries[k] = bad
+            with pytest.raises(ValueError, match="affine"):
+                AffineTransform([entries[:2], entries[2:4]], entries[4:])
+    with pytest.raises(ValueError, match="translation"):
+        AffineTransform(np.eye(2), [0.0, -math.inf])
+    # Python ints and numpy scalars and arrays pass, as floats.
+    e = Ellipse(np.int64(224), np.float32(224.5), 150, np.float64(120.0), 0)
+    assert (e.cx, e.cy, e.a, e.b, e.theta) == (224.0, 224.5, 150.0, 120.0, 0.0)
+    assert type(e.cx) is float and type(e.a) is float
+    line = Line(1, np.int64(2), np.float32(0.0), -3)
+    assert (line.px, line.py, line.dx, line.dy) == (1.0, 2.0, 0.0, 1.0)
+    t = AffineTransform(np.eye(2, dtype=np.float32) * 2, np.array([3, 4]))
+    assert t.linear.dtype == np.float64 and t.translation.dtype == np.float64
+    np.testing.assert_array_equal(t.apply([[1.0, 1.0]]), [[5.0, 6.0]])
+    assert AffineTransform([[2, 0], [0, 1]], (np.int64(1), 0.5)) == AffineTransform(
+        np.diag([2.0, 1.0]), np.array([1.0, 0.5])
+    )

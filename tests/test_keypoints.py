@@ -54,6 +54,9 @@ def test_render_validates_inputs():
             render_gaussian_heatmap((16, 16), [(4, 4)], sigma=flag)
     with pytest.raises(ValueError):
         render_gaussian_heatmap((16, 16), [(20, 4)], sigma=1.0)
+    for center in [(True, 3), (4, "3")]:
+        with pytest.raises(ValueError, match="center"):
+            render_gaussian_heatmap((16, 16), [center], sigma=1.0)
     with pytest.raises(ValueError):
         Heatmap(np.full((4, 4), 1.5))
 

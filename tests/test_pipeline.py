@@ -331,6 +331,8 @@ def test_config_round_trip_and_defaults(tmp_path):
         ({"ransac": {"threshold_fraction": float("nan")}}, "ransac: threshold_fraction"),
         ({"failure_error_threshold_percent": "5"}, "config: failure_error_threshold_percent"),
         ({"unit_lexicon_path": 5}, "config: unit_lexicon_path"),
+        ({"ransac": {"threshold_fraction": 10**400}}, "ransac: threshold_fraction"),
+        ({"failure_error_threshold_percent": 10**400}, "config: failure_error_threshold_percent"),
     ],
 )
 def test_config_rejects_bad_values(doc, path_part):

@@ -88,8 +88,9 @@ def test_non_finite_spec_values_raise_spec_error():
     for values in ((0.0, math.inf, 1.1), (math.nan, 1.0, 1.1), (0.0, 1.0, math.nan)):
         with pytest.raises(SpecError, match="second_scale"):
             SecondScale(*values)
-    with pytest.raises(SpecError, match="affine translation"):
-        PerturbationSpec(affine=AffineTransform(np.eye(2), [math.inf, 0.0]))
+    # The transform rejects its own non-finite translation before any spec sees it.
+    with pytest.raises(ValueError, match="translation"):
+        AffineTransform(np.eye(2), [math.inf, 0.0])
     # A finite factor whose markers overflow to inf is a content error too.
     with pytest.raises(SpecError, match="box values must be finite"):
         generate_scene(make_scene_spec(marker_radius_factor=1e308))
@@ -281,6 +282,23 @@ def test_spec_parsing_errors():
             parse_scene_spec({**good, **change})
     with pytest.raises(SpecError, match="affine.linear"):
         parse_perturbation_spec({"affine": {}})
+    # A number the value types reject is reported under its JSON object,
+    # never as an exception repr.
+    identity = [[1, 0], [0, 1]]
+    for affine in [
+        {"linear": [[True, False], [False, True]]},
+        {"linear": [["1", "0"], ["0", "1"]]},
+        {"linear": [[10**400, 0], [0, 1]]},
+        {"linear": [[1, 0], [0]]},
+        {"linear": identity, "translation": None},
+        {"linear": identity, "translation": ["5", "5"]},
+    ]:
+        with pytest.raises(SpecError, match="affine") as err:
+            parse_perturbation_spec({"affine": affine})
+        assert "Error(" not in str(err.value)
+    with pytest.raises(SpecError, match="ellipse") as err:
+        parse_scene_spec({**good, "ellipse": {**good["ellipse"], "a": 10**400}})
+    assert "Error(" not in str(err.value)
     range_without_unit = {k: v for k, v in good["range"].items() if k != "unit"}
     assert parse_scene_spec({**good, "range": range_without_unit}).unit == ""
     # The spec types check their own numbers, whoever builds them.
