@@ -11,7 +11,7 @@ ignores it. If matplotlib is installed, the comparison is saved as a PNG.
 
 import numpy as np
 
-from gaugekit import least_squares_fit_linear, ransac_fit_linear, relative_angle, wrap_around_angle
+from gaugekit import least_squares_fit_linear, normalize_angle, ransac_fit_linear, wrap_around_angle
 
 # A 270-degree scale from 0 to 16 bar, markers every 2 bar.
 start, end = np.radians(135.0), np.radians(45.0)
@@ -21,14 +21,14 @@ values = np.linspace(0.0, 16.0, 9)
 wrap, certain = wrap_around_angle(start, end, marker_angles[1:-1])
 print(f"wrap-around point: {np.degrees(wrap):.1f} deg (outside the scale arc, certain: {certain})")
 
-pairs = [(relative_angle(a, wrap), v) for a, v in zip(marker_angles, values)]
-pairs.append((relative_angle(np.radians(300.0), wrap), 50234.0))  # serial number
+pairs = [(normalize_angle(a - wrap), v) for a, v in zip(marker_angles, values)]
+pairs.append((normalize_angle(np.radians(300.0) - wrap), 50234.0))  # serial number
 
 threshold = 0.02 * 16.0
 robust = ransac_fit_linear(pairs, threshold=threshold)
 plain = least_squares_fit_linear(pairs)
 
-needle_rel = relative_angle(np.radians(270.0), wrap)  # needle at mid-scale
+needle_rel = normalize_angle(np.radians(270.0) - wrap)  # needle at mid-scale
 print(f"robust fit : value(needle) = {robust.value_at(needle_rel):8.3f} bar, "
       f"{len(robust.inliers)}/{len(pairs)} inliers")
 print(f"plain LSQ  : value(needle) = {plain.value_at(needle_rel):8.3f} bar (wrecked)")

@@ -61,7 +61,6 @@ from .scale_model import (
     load_unit_lexicon,
     parse_numeric_token,
     ransac_fit_linear,
-    relative_angle,
     wrap_around_angle,
 )
 from .synthgauge import (

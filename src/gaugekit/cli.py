@@ -126,13 +126,15 @@ def _cmd_generate(args) -> int:
         doc = json.loads(Path(args.source).read_text(encoding="utf-8"))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read {args.source}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8
         return _fail(EXIT_SCHEMA, f"{args.source}: invalid JSON: {exc}")
+    if not isinstance(doc, dict):
+        return _fail(EXIT_SCHEMA, f"{args.source}: expected a JSON object")
 
     # Build every fixture before writing any file, so a bad entry leaves
     # no partial output behind.
     try:
-        pairs = _scene_pairs(doc if isinstance(doc, dict) else {})
+        pairs = _scene_pairs(doc)
     except SpecError as exc:
         return _fail(EXIT_SCHEMA, str(exc))
     fixtures = []

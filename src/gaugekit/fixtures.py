@@ -48,6 +48,10 @@ class Keypoint:
     position: Point2
     kind: KeypointClass
 
+    def __post_init__(self):
+        if not (isinstance(self.position, Point2) and isinstance(self.kind, KeypointClass)):
+            raise ValueError("keypoint position must be a Point2 and kind a KeypointClass")
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -74,6 +78,8 @@ class OcrItem:
     confidence: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.box, Rect):
+            raise ValueError("box must be a Rect")
         if not isinstance(self.text, str):
             raise ValueError("text must be a string")
         message = "confidence must lie in [0, 1]"
@@ -100,6 +106,11 @@ class GroundTruth:
             raise ValueError("unit must be a string")
 
 
+def _check_type(value, cls, path: str):
+    if not isinstance(value, cls):
+        raise SchemaError(path, f"expected {cls.__name__}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class GaugeFixture:
     crop_size: tuple[int, int] = (448, 448)
@@ -117,11 +128,16 @@ class GaugeFixture:
         object.__setattr__(self, "needle_points", tuple(self.needle_points))
         object.__setattr__(self, "ocr_items", tuple(self.ocr_items))
         for i, kp in enumerate(self.keypoints):
+            _check_type(kp, Keypoint, f"keypoints[{i}]")
             self._check_bounds(kp.position.x, kp.position.y, f"keypoints[{i}]")
         for i, p in enumerate(self.needle_points):
+            _check_type(p, Point2, f"needle_points[{i}]")
             self._check_bounds(p.x, p.y, f"needle_points[{i}]")
         for i, item in enumerate(self.ocr_items):
+            _check_type(item, OcrItem, f"ocr[{i}]")
             self._check_bounds(item.box.x, item.box.y, f"ocr[{i}].box")
+        if self.ground_truth is not None:
+            _check_type(self.ground_truth, GroundTruth, "ground_truth")
         for kind in (KeypointClass.START, KeypointClass.END):
             if sum(1 for kp in self.keypoints if kp.kind is kind) > 1:
                 raise SchemaError("keypoints", f"more than one {kind.value} keypoint")

@@ -185,7 +185,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     except NoIntersection:
         statuses[Stage.NEEDLE] = StageStatus.failed("no_intersection")
         return finish(needle_line=needle_img)
-    needle_rel = scale_model.relative_angle(geometry.parametric_angle(tip), wrap)
+    needle_rel = geometry.normalize_angle(geometry.parametric_angle(tip) - wrap)
     statuses[Stage.NEEDLE] = StageStatus.passed()
 
     # Project numeric OCR detections onto the circle; the rest are unit
@@ -203,7 +203,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     directed = centers.any(axis=1)  # a marker at the ellipse center has no direction
     markers = [(item.text, value) for (item, value), keep in zip(numeric, directed) if keep]
     on_circle, radius = geometry.radial_project_to_circle(centers[directed])
-    rel_angles = scale_model.relative_angle(geometry.parametric_angle(on_circle), wrap)
+    rel_angles = geometry.normalize_angle(geometry.parametric_angle(on_circle) - wrap)
     unit = scale_model.extract_unit(fixture.ocr_items, cfg.unit_lexicon)
 
     readings: list[Reading] = []

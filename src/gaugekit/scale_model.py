@@ -89,26 +89,6 @@ def extract_unit(ocr_items, lexicon: Sequence[str] = DEFAULT_UNIT_LEXICON) -> Op
 # Wrap-around point
 # ---------------------------------------------------------------------------
 
-def _arc_contains(start: float, span: float, angle: float) -> bool:
-    return (angle - start) % TAU < span
-
-
-def shorter_arc_midpoint(start_angle: float, end_angle: float) -> float:
-    """Midpoint of the shorter arc between two angles.
-
-    Exactly opposite angles leave two candidates; the one in [0, pi) wins.
-    """
-    s = normalize_angle(start_angle)
-    e = normalize_angle(end_angle)
-    forward = (e - s) % TAU  # arc s -> e, increasing angle
-    if abs(forward - math.pi) <= 1e-12:
-        mid = normalize_angle(s + forward / 2.0)
-        return mid if mid < math.pi else normalize_angle(mid + math.pi)
-    if forward < math.pi:
-        return normalize_angle(s + forward / 2.0)
-    return normalize_angle(e + (TAU - forward) / 2.0)
-
-
 def wrap_around_angle(
     start_angle: Optional[float],
     end_angle: Optional[float],
@@ -121,11 +101,11 @@ def wrap_around_angle(
     more intermediate notches is the scale; the wrap-around point is the
     midpoint of the other arc, so relative angles measured from it never
     jump across 2*pi inside the scale. Every other case returns a fallback
-    flagged uncertain: an even split of intermediates gives the shorter
-    arc's midpoint (certain only when there are no intermediates at all),
-    coincident start and end give start + pi/2, and a missing (None) start
-    or end puts the wrap in the middle of the largest gap between the
-    notches given.
+    flagged uncertain: on an even split of intermediates the longer arc is
+    the scale, and exactly opposite notches put the wrap in [0, pi) (both
+    certain only when there are no intermediates at all); coincident start
+    and end give start + pi/2; and a missing (None) start or end puts the
+    wrap in the middle of the largest gap between the notches given.
     """
     intermediates = [normalize_angle(a) for a in intermediate_angles]
     if start_angle is None or end_angle is None:
@@ -144,20 +124,17 @@ def wrap_around_angle(
     if forward == 0.0:
         return normalize_angle(s + math.pi / 2.0), False
 
-    in_forward = sum(1 for a in intermediates if _arc_contains(s, forward, a))
+    in_forward = sum(1 for a in intermediates if (a - s) % TAU < forward)
     in_backward = len(intermediates) - in_forward
-    if in_forward == in_backward:
-        return shorter_arc_midpoint(s, e), not intermediates
-    if in_forward > in_backward:
+    even = in_forward == in_backward
+    certain = not (even and intermediates)
+    if even and abs(forward - math.pi) <= 1e-12:
+        mid = normalize_angle(s + forward / 2.0)
+        return (mid if mid < math.pi else normalize_angle(mid + math.pi)), certain
+    if in_forward > in_backward or (even and forward > math.pi):
         # Scale occupies arc A; wrap in the backward arc end -> start.
-        return normalize_angle(e + (TAU - forward) / 2.0), True
-    return normalize_angle(s + forward / 2.0), True
-
-
-def relative_angle(angle, wrap: float):
-    """Angle (or array of angles) measured from the wrap-around point `wrap`,
-    in [0, 2*pi)."""
-    return normalize_angle(angle - wrap)
+        return normalize_angle(e + (TAU - forward) / 2.0), certain
+    return normalize_angle(s + forward / 2.0), certain
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +148,7 @@ MAX_PAIRS = 200
 
 @dataclass(frozen=True)
 class LinearScaleModel:
-    """value = slope * relative_angle + intercept, with its supporting pairs."""
+    """value = slope * relative angle + intercept, with its supporting pairs."""
 
     slope: float
     intercept: float

@@ -86,6 +86,10 @@ class SceneSpec:
     n_needle_points: int = 60
 
     def __post_init__(self):
+        if not isinstance(self.ellipse, Ellipse):
+            raise SpecError(f"ellipse must be an Ellipse, got {self.ellipse!r}")
+        if not isinstance(self.second_scale, (SecondScale, type(None))):
+            raise SpecError(f"second_scale must be a SecondScale, got {self.second_scale!r}")
         for name in (
             "arc_start", "arc_end", "range_min", "range_max", "needle_value", "marker_radius_factor"
         ):
@@ -161,34 +165,28 @@ def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     fractions = np.arange(n) / (n - 1)
     angles = spec.arc_start + spec.direction * spec.arc_span * fractions
     notch_positions = ell.point_at(angles)
-
-    keypoints = []
-    for i, pos in enumerate(notch_positions):
-        kind = (
-            KeypointClass.START
-            if i == 0
-            else KeypointClass.END
-            if i == n - 1
-            else KeypointClass.INTERMEDIATE
-        )
-        keypoints.append(Keypoint(Point2(pos[0], pos[1]), kind))
+    kinds = [KeypointClass.START] + [KeypointClass.INTERMEDIATE] * (n - 2) + [KeypointClass.END]
+    keypoints = [
+        Keypoint(Point2(x, y), kind) for (x, y), kind in zip(notch_positions.tolist(), kinds)
+    ]
 
     tip = ell.point_at(spec.angle_of_value(spec.needle_value))
     center = ell.center
     lam = np.linspace(0.08, 1.0, spec.n_needle_points)[:, None]
     needle = center + lam * (tip - center)
 
-    values = spec.range_min + (spec.range_max - spec.range_min) * fractions
-    ocr_items = []
-    for pos, value in zip(notch_positions, values):
-        anchor = center + spec.marker_radius_factor * (pos - center)
-        ocr_items.append(OcrItem(_marker_box(anchor), _format_value(value)))
+    scales = [(spec.range_min, spec.range_max, spec.marker_radius_factor)]
     if spec.second_scale is not None:
         second = spec.second_scale
-        values2 = second.range_min + (second.range_max - second.range_min) * fractions
-        for pos, value in zip(notch_positions, values2):
-            anchor = center + second.radius_factor * (pos - center)
-            ocr_items.append(OcrItem(_marker_box(anchor), _format_value(value)))
+        scales.append((second.range_min, second.range_max, second.radius_factor))
+    ocr_items = [
+        OcrItem(_marker_box(anchor), _format_value(value))
+        for low, high, factor in scales
+        for anchor, value in zip(
+            (center + factor * (notch_positions - center)).tolist(),
+            (low + (high - low) * fractions).tolist(),
+        )
+    ]
     if spec.unit:
         anchor = center + np.array([0.0, 0.45 * ell.b])
         ocr_items.append(OcrItem(_marker_box(anchor), spec.unit))
@@ -197,7 +195,7 @@ def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     fixture = GaugeFixture(
         crop_size=spec.crop_size,
         keypoints=tuple(keypoints),
-        needle_points=tuple(Point2(p[0], p[1]) for p in needle),
+        needle_points=tuple(Point2(x, y) for x, y in needle.tolist()),
         ocr_items=tuple(ocr_items),
         ground_truth=truth,
     )
@@ -228,22 +226,23 @@ class PerturbationSpec:
                 raise SpecError(message)
         if not (is_number(self.n_outlier_ocr, integer=True) and self.n_outlier_ocr >= 0):
             raise SpecError("n_outlier_ocr must be an integer >= 0")
+        if not isinstance(self.affine, (AffineTransform, type(None))):
+            raise SpecError(f"affine must be an AffineTransform or None, got {self.affine!r}")
         _finite_field(self, "rotation", "rotation must be finite")
         if not (is_number(self.seed, integer=True) and self.seed >= 0):
             raise SpecError("seed must be an integer >= 0")
 
 
-def _fit_to_frame(groups: list[np.ndarray], crop: tuple[int, int]) -> Optional[AffineTransform]:
-    """Similarity pulling out-of-frame content back inside, or None if snug.
+def _fit_to_frame(pts: np.ndarray, crop: tuple[int, int]) -> Optional[AffineTransform]:
+    """Similarity pulling the out-of-frame points of `pts` (N, 2) back
+    inside, or None if snug.
 
     A similarity keeps readings intact (the pipeline is affine-invariant),
     so viewpoint perturbations cannot silently violate the fixture's
     bounds invariant.
     """
-    stacked = [g for g in groups if g.size]
-    if not stacked:
+    if not pts.size:
         return None
-    pts = np.vstack(stacked)
     size = np.array(crop, dtype=float)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     if np.all(lo >= FRAME_MARGIN) and np.all(hi <= size - FRAME_MARGIN):
@@ -279,59 +278,39 @@ def perturb_scene(
     halves = boxes[:, 2:] / 2.0
     centers = boxes[:, :2] + halves
 
-    maps: list[AffineTransform] = []
-    if spec.affine is not None:
-        maps.append(spec.affine)
+    view = spec.affine
     if spec.rotation != 0.0:
-        maps.append(AffineTransform.rotation(spec.rotation, about=(w / 2, h / 2)))
-    if maps:
-        total = maps[0]
-        for m in maps[1:]:
-            total = m.compose(total)
-        keypoints = total.apply(keypoints)
-        needle = total.apply(needle)
-        centers = total.apply(centers)
+        turn = AffineTransform.rotation(spec.rotation, about=(w / 2, h / 2))
+        view = turn if view is None else turn.compose(view)
+    if view is not None:
+        keypoints, needle, centers = (view.apply(p) for p in (keypoints, needle, centers))
         fit = _fit_to_frame(
-            [keypoints, needle, centers - halves, centers + halves], fixture.crop_size
+            np.vstack([keypoints, needle, centers - halves, centers + halves]), fixture.crop_size
         )
         if fit is not None:
-            keypoints = fit.apply(keypoints)
-            needle = fit.apply(needle)
-            centers = fit.apply(centers)
+            keypoints, needle, centers = (fit.apply(p) for p in (keypoints, needle, centers))
 
     if spec.keypoint_noise_sigma > 0 and keypoints.size:
         keypoints = keypoints + rng.normal(0.0, spec.keypoint_noise_sigma, keypoints.shape)
 
     limit = np.array([w, h]) - 1e-6
-    keypoints = np.clip(keypoints, 0.0, limit)
-    needle = np.clip(needle, 0.0, limit)
-
-    new_keypoints = tuple(
-        Keypoint(Point2(p[0], p[1]), kp.kind) for p, kp in zip(keypoints, fixture.keypoints)
+    keypoints, needle, corners = (
+        np.clip(p, 0.0, limit).tolist() for p in (keypoints, needle, centers - halves)
     )
-    new_needle = tuple(Point2(p[0], p[1]) for p in needle)
 
-    if spec.ocr_dropout_rate > 0 and len(fixture.ocr_items):
-        keep = rng.random(len(fixture.ocr_items)) >= spec.ocr_dropout_rate
-    else:
-        keep = np.ones(len(fixture.ocr_items), dtype=bool)
+    keep = np.ones(len(fixture.ocr_items), dtype=bool)
+    if spec.ocr_dropout_rate > 0:  # random(0) draws nothing
+        keep = rng.random(len(keep)) >= spec.ocr_dropout_rate
 
     items: list[OcrItem] = []
-    for idx, item in enumerate(fixture.ocr_items):
-        if not keep[idx]:
+    for item, kept, (x, y) in zip(fixture.ocr_items, keep, corners):
+        if not kept:
             continue
-        corner = np.clip(centers[idx] - halves[idx], 0.0, limit)
         text = item.text
         if spec.digit_corruption_rate > 0 and any(ch.isdigit() for ch in text):
             if rng.random() < spec.digit_corruption_rate:
                 text = _corrupt_digit(text, rng)
-        items.append(
-            OcrItem(
-                Rect(corner[0], corner[1], item.box.width, item.box.height),
-                text,
-                item.confidence,
-            )
-        )
+        items.append(OcrItem(Rect(x, y, item.box.width, item.box.height), text, item.confidence))
 
     for _ in range(spec.n_outlier_ocr):
         margin = FRAME_MARGIN + MARKER_BOX[0] / 2
@@ -342,8 +321,10 @@ def perturb_scene(
 
     return GaugeFixture(
         crop_size=fixture.crop_size,
-        keypoints=new_keypoints,
-        needle_points=new_needle,
+        keypoints=tuple(
+            Keypoint(Point2(x, y), kp.kind) for (x, y), kp in zip(keypoints, fixture.keypoints)
+        ),
+        needle_points=tuple(Point2(x, y) for x, y in needle),
         ocr_items=tuple(items),
         ground_truth=fixture.ground_truth if fixture.ground_truth is not None else truth,
     )

@@ -81,29 +81,52 @@ def test_read_malformed_fixture_exit_three(tmp_path):
     assert b"crop_size" in proc.stderr and b"Traceback" not in proc.stderr
 
 
+def _config_row(config, code, message, name=None):
+    """A bad-config row; unless `name` is given, its id is the one
+    `config, code` alone would give."""
+    return pytest.param(config, code, message, id=name or f"{config}-{code}")
+
+
 @pytest.mark.parametrize(
-    "config, code",
+    "config, code, message",
     [
-        ("{not json", 3),
-        ("[1]", 3),
-        ('{"ransac": {"enabled": "false"}}', 3),
-        ('{"ransac": {"threshold_fraction": 0}}', 3),
-        pytest.param(
-            '{"ransac": {"threshold_fraction": 1%s}}' % ("0" * 400), 3, id="threshold-beyond-floats"
+        _config_row("{not json", 3, b"config: not valid JSON"),
+        _config_row("[1]", 3, b"config: expected an object, got list"),
+        _config_row(
+            '{"ransac": {"enabled": "false"}}', 3, b"ransac: enabled must be true or false"
         ),
-        ('{"unit_lexicon_path": "%s"}', 2),  # %s becomes a path with no file behind it
-        (None, 2),  # the config file itself is missing
+        _config_row(
+            '{"ransac": {"threshold_fraction": 0}}',
+            3,
+            b"ransac: threshold_fraction must be a finite number > 0",
+        ),
+        _config_row(
+            '{"ransac": {"threshold_fraction": 1%s}}' % ("0" * 400),
+            3,
+            b"ransac: threshold_fraction must be a finite number > 0",
+            name="threshold-beyond-floats",
+        ),
+        # %s becomes a path with no file behind it.
+        _config_row('{"unit_lexicon_path": "%s"}', 2, b"cannot read config: [Errno 2]"),
+        _config_row(None, 2, b"cannot read config: [Errno 2]"),  # no config file
     ],
 )
 @pytest.mark.parametrize("command", ["read", "eval"])
-def test_bad_config_exits_before_any_input(tmp_path, scene_file, command, config, code):
+def test_bad_config_exits_before_any_input(tmp_path, scene_file, command, config, code, message):
     cfg = tmp_path / "cfg.json"
     if config is not None:
         cfg.write_text(config.replace("%s", (tmp_path / "units.txt").as_posix()), encoding="utf-8")
-    proc = run_cli(command, str(scene_file), "--config", str(cfg))
+    source = scene_file
+    if command == "eval":
+        source = tmp_path / "manifest.json"
+        source.write_text(json.dumps({"schema": 1, "fixtures": [scene_file.name]}))
+    proc = run_cli(command, str(source), "--config", str(cfg))
     assert proc.returncode == code
     assert proc.stdout == b""
-    assert b"config" in proc.stderr and b"Traceback" not in proc.stderr
+    assert message in proc.stderr and b"Traceback" not in proc.stderr
+    # The missing file named is the config or the lexicon it points to.
+    if code == 2:
+        assert (b"cfg.json" if config is None else b"units.txt") in proc.stderr
 
 
 def test_old_config_with_meanshift_key_still_loads(tmp_path, scene_file):
@@ -205,11 +228,18 @@ _SPEC = scene_spec_to_jsonable(make_scene_spec())
         ),
         ({**_SPEC, "range": {**_SPEC["range"], "unit": None}}, b"unit must be a string"),
         ({**_SPEC, "range": {**_SPEC["range"], "unit": 5}}, b"unit must be a string"),
+        # Raw bytes are written as they are.
+        pytest.param(
+            b'\xff\xfe{"spec": {}}',
+            b"invalid JSON: 'utf-8' codec can't decode byte 0xff",
+            id="not-utf8",
+        ),
+        pytest.param(b"[1]", b"expected a JSON object", id="not-an-object"),
     ],
 )
 def test_generate_bad_document_exit_three_without_traceback(tmp_path, doc, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
     proc = run_cli("generate", str(path), "--out-dir", str(tmp_path / "x"))
     assert proc.returncode == 3
     assert message in proc.stderr and b"Traceback" not in proc.stderr

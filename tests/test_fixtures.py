@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,4 +313,19 @@ def test_fixture_invariants_reject_bad_direct_construction():
         GroundTruth("1", 0, 5)
     with pytest.raises(SchemaError):
         GaugeFixture(crop_size=(True, 448))
+    # Fields that hold objects take only their own type.
+    with pytest.raises(ValueError, match="position"):
+        Keypoint((1, 2), KeypointClass.START)
+    with pytest.raises(ValueError, match="kind"):
+        Keypoint(Point2(1, 2), "start")
+    with pytest.raises(ValueError, match="box"):
+        OcrItem((0, 0, 1, 1), "5")
+    for kwargs, path in [
+        (dict(keypoints=(Keypoint(Point2(1, 1), KeypointClass.START), "x")), "keypoints[1]"),
+        (dict(needle_points=((1.0, 2.0),)), "needle_points[0]"),
+        (dict(ocr_items=({"box": [0, 0, 1, 1], "text": "5"},)), "ocr[0]"),
+        (dict(ground_truth="x"), "ground_truth"),
+    ]:
+        with pytest.raises(SchemaError, match=re.escape(path)):
+            GaugeFixture(**kwargs)
     assert Point2(np.int64(3), np.float32(2.5)) == Point2(3.0, 2.5)

@@ -18,8 +18,6 @@ from gaugekit.scale_model import (
     load_unit_lexicon,
     parse_numeric_token,
     ransac_fit_linear,
-    relative_angle,
-    shorter_arc_midpoint,
     wrap_around_angle,
 )
 
@@ -47,8 +45,12 @@ def test_wrap_no_intermediates_falls_back_to_shorter_arc():
 
 
 def test_wrap_even_split_is_uncertain_with_fallback():
+    # Exactly opposite notches: the wrap goes to the midpoint in [0, pi).
     wrap, certain = wrap_around_angle(0.0, math.pi, [math.pi / 2, 3 * math.pi / 2])
-    assert wrap == pytest.approx(shorter_arc_midpoint(0.0, math.pi)) and not certain
+    assert wrap == pytest.approx(math.pi / 2) and not certain
+    # Otherwise the longer arc is the scale: here the forward arc 0 -> 3pi/2.
+    wrap, certain = wrap_around_angle(0.0, 3 * math.pi / 2, [math.pi / 2, 1.6 * math.pi])
+    assert wrap == pytest.approx(7 * math.pi / 4) and not certain
 
 
 def test_wrap_coincident_start_and_end_is_uncertain():
@@ -82,20 +84,6 @@ def test_wrap_from_gaps():
     assert wrap_around_angle(None, None, [0.0, math.pi]) == (pytest.approx(math.pi / 2), False)
     with pytest.raises(ValueError):
         wrap_around_angle(None, None, [])
-
-
-def test_relative_angle():
-    assert relative_angle(1.2, 1.2) == 0.0
-    assert relative_angle(1.2 + math.pi / 2, 1.2) == pytest.approx(math.pi / 2)
-    assert relative_angle(0.1, 6.0) == pytest.approx((0.1 - 6.0) % TAU)
-    assert 0.0 <= relative_angle(-5.0, 7.0) < TAU
-
-
-def test_relative_angle_on_arrays_matches_row_by_row_bit_for_bit():
-    angles = np.linspace(0.0, TAU, 97, endpoint=False)
-    for wrap in (0.0, 1.3, TAU - 1e-12, angles[40]):
-        by_row = np.array([relative_angle(float(a), wrap) for a in angles])
-        assert relative_angle(angles, wrap).tobytes() == by_row.tobytes()
 
 
 # ---------------------------------------------------------------------------

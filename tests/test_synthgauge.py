@@ -11,7 +11,7 @@ from gaugekit.errors import SpecError
 from gaugekit.fixtures import KeypointClass, ScaleSide, Stage, serialize_fixture
 from gaugekit.geometry import TAU, AffineTransform, Ellipse
 from gaugekit.pipeline import evaluate_batch, matched_reading, read_gauge
-from gaugekit.scale_model import parse_numeric_token, relative_angle
+from gaugekit.scale_model import parse_numeric_token
 from gaugekit.synthgauge import (
     PerturbationSpec,
     SecondScale,
@@ -301,11 +301,15 @@ def test_spec_parsing_errors():
     assert "Error(" not in str(err.value)
     range_without_unit = {k: v for k, v in good["range"].items() if k != "unit"}
     assert parse_scene_spec({**good, "range": range_without_unit}).unit == ""
-    # The spec types check their own numbers, whoever builds them.
+    # The spec types check their own fields, whoever builds them.
     for overrides, name in [
         (dict(n_major_notches=7.9), "n_major_notches"),
         (dict(direction=1.0), "direction"),
         (dict(n_needle_points=2.5), "n_needle_points"),
+        (dict(ellipse="x"), "ellipse"),
+        (dict(ellipse=(224.0, 224.0, 150.0, 120.0)), "ellipse"),
+        (dict(second_scale="x"), "second_scale"),
+        (dict(second_scale={"range_min": 0, "range_max": 1, "radius_factor": 1.1}), "second_scale"),
     ]:
         with pytest.raises(SpecError, match=name):
             make_scene_spec(**overrides)
@@ -313,6 +317,8 @@ def test_spec_parsing_errors():
         (dict(keypoint_noise_sigma=True), "keypoint_noise_sigma"),
         (dict(rotation="x"), "rotation"),
         (dict(ocr_dropout_rate="0.1"), "ocr_dropout_rate"),
+        (dict(affine="x"), "affine"),
+        (dict(affine=np.eye(2)), "affine"),
     ]:
         with pytest.raises(SpecError, match=name):
             PerturbationSpec(**kwargs)
