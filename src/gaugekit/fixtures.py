@@ -24,6 +24,7 @@ from .errors import FixtureSyntaxError, SchemaError
 from .geometry import Ellipse, Line, finite_float, positive_int_size
 
 SCHEMA_VERSION = 1
+CROP_SIZE = (448, 448)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _check_type(value, cls, path: str):
 
 @dataclass(frozen=True)
 class GaugeFixture:
-    crop_size: tuple[int, int] = (448, 448)
+    crop_size: tuple[int, int] = CROP_SIZE
     keypoints: tuple[Keypoint, ...] = ()
     needle_points: tuple[Point2, ...] = ()
     ocr_items: tuple[OcrItem, ...] = ()
@@ -160,6 +161,8 @@ class GaugeFixture:
 # ---------------------------------------------------------------------------
 
 class Stage(enum.Enum):
+    """Pipeline stages, declared in their order in reports and summaries."""
+
     NOTCHES = "notches"
     ELLIPSE = "ellipse"
     NEEDLE = "needle"
@@ -184,28 +187,20 @@ FAILURE_REASONS = frozenset(
 # degrades to a fallback wrap-around point.
 FATAL_STAGES = (Stage.ELLIPSE, Stage.NEEDLE, Stage.OCR)
 
-# Order of the stages in serialized reports and evaluation summaries.
-REPORT_STAGES = (Stage.NOTCHES, Stage.ELLIPSE, Stage.NEEDLE, Stage.OCR)
-
 
 @dataclass(frozen=True)
 class StageStatus:
-    ok: bool
+    """Outcome of one stage: ok without a reason, failed with one."""
+
     reason: Optional[str] = None
 
     def __post_init__(self):
-        if self.ok and self.reason is not None:
-            raise ValueError("ok status carries no reason")
-        if not self.ok and self.reason not in FAILURE_REASONS:
+        if self.reason is not None and self.reason not in FAILURE_REASONS:
             raise ValueError(f"unknown failure reason {self.reason!r}")
 
-    @classmethod
-    def passed(cls) -> "StageStatus":
-        return cls(True)
-
-    @classmethod
-    def failed(cls, reason: str) -> "StageStatus":
-        return cls(False, reason)
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
 
 class ScaleSide(enum.Enum):
@@ -446,7 +441,7 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
     digits, so identical reports serialize to identical bytes.
     """
     statuses = {}
-    for stage in REPORT_STAGES:
+    for stage in Stage:
         status = report.stage_statuses.get(stage)
         if status is None:
             continue

@@ -29,18 +29,19 @@ SEGMENT_SLACK = 1e-9
 
 
 def is_number(value: Any, integer: bool = False) -> bool:
-    """True for an int, or for a float unless `integer`; never for a bool."""
-    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    """True for a Python or numpy int, or float unless `integer`; never for a bool or np.bool_."""
+    types = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def finite_float(value, message: str) -> float:
     """`value` as a float; ValueError(message) unless it is a finite real.
 
-    Python and numpy ints and floats pass; bools, numpy bools, strings and
-    every other type do not. An int beyond the float range counts as
-    infinite.
+    Every value is_number accepts passes; strings and every other type do
+    not. An int beyond the float range counts as infinite.
     """
-    if type(value) is bool or not isinstance(value, (float, int, np.floating, np.integer)):
+    # A Python float, the common case, skips the call: is_number accepts it.
+    if type(value) is not float and not is_number(value):
         raise ValueError(message)
     try:
         value = float(value)

@@ -26,7 +26,6 @@ from .errors import (
     SchemaError,
 )
 from .fixtures import (
-    REPORT_STAGES,
     GaugeFixture,
     GaugeReadingReport,
     KeypointClass,
@@ -123,7 +122,7 @@ def _wrap_and_notch_status(
     wrap, certain = scale_model.wrap_around_angle(
         start[0] if start else None, end[0] if end else None, by_kind[KeypointClass.INTERMEDIATE]
     )
-    return wrap, StageStatus.passed() if certain else StageStatus.failed("ambiguous_orientation")
+    return wrap, StageStatus(None if certain else "ambiguous_orientation")
 
 
 def _back_map_line(line: geometry.Line, inverse: geometry.AffineTransform) -> geometry.Line:
@@ -148,12 +147,12 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     try:
         ellipse = geometry.fit_ellipse_direct(keypoints)
     except InsufficientPoints:
-        statuses[Stage.ELLIPSE] = StageStatus.failed("insufficient_notches")
+        statuses[Stage.ELLIPSE] = StageStatus("insufficient_notches")
         return GaugeReadingReport(stage_statuses=statuses)
     except DegenerateConfiguration:
-        statuses[Stage.ELLIPSE] = StageStatus.failed("degenerate_ellipse")
+        statuses[Stage.ELLIPSE] = StageStatus("degenerate_ellipse")
         return GaugeReadingReport(stage_statuses=statuses)
-    statuses[Stage.ELLIPSE] = StageStatus.passed()
+    statuses[Stage.ELLIPSE] = StageStatus()
 
     transform = geometry.circularize(ellipse)
     inverse = transform.inverse()
@@ -173,20 +172,20 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     try:
         needle_line = geometry.odr_fit_line(needle_c)
     except InsufficientPoints:
-        statuses[Stage.NEEDLE] = StageStatus.failed("insufficient_needle_points")
+        statuses[Stage.NEEDLE] = StageStatus("insufficient_needle_points")
         return finish()
     except IsotropicScatter:
-        statuses[Stage.NEEDLE] = StageStatus.failed("isotropic_needle")
+        statuses[Stage.NEEDLE] = StageStatus("isotropic_needle")
         return finish()
     needle_img = _back_map_line(needle_line, inverse)
 
     try:
         tip = geometry.needle_tip(needle_line, needle_c)
     except NoIntersection:
-        statuses[Stage.NEEDLE] = StageStatus.failed("no_intersection")
+        statuses[Stage.NEEDLE] = StageStatus("no_intersection")
         return finish(needle_line=needle_img)
     needle_rel = geometry.normalize_angle(geometry.parametric_angle(tip) - wrap)
-    statuses[Stage.NEEDLE] = StageStatus.passed()
+    statuses[Stage.NEEDLE] = StageStatus()
 
     # Project numeric OCR detections onto the circle; the rest are unit
     # candidates and need no geometry.
@@ -234,10 +233,8 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
         )
 
     # A side with two or more markers either yields a reading or lacks consensus.
-    statuses[Stage.OCR] = (
-        StageStatus.passed()
-        if readings
-        else StageStatus.failed("no_consensus" if no_consensus else "insufficient_markers")
+    statuses[Stage.OCR] = StageStatus(
+        None if readings else ("no_consensus" if no_consensus else "insufficient_markers")
     )
 
     return finish(
@@ -283,14 +280,17 @@ def matched_reading(report: GaugeReadingReport, gt) -> Optional[float]:
 
 @dataclass(frozen=True)
 class EvalSummary:
-    """Batch metrics: per-category mean relative error and stage failure shares."""
+    """Batch metrics: mean relative error of the readings and stage failure shares."""
 
     n_fixtures: int
     n_readings: int
-    reading_failure_share: float
     full_re_mean: Optional[float]
-    ocr_success_re_mean: Optional[float]
     stage_failure_rates: dict[str, float]
+
+    @property
+    def reading_failure_share(self) -> float:
+        """Share of fixtures without a reading; 0.0 for an empty batch."""
+        return (self.n_fixtures - self.n_readings) / self.n_fixtures if self.n_fixtures else 0.0
 
     def to_jsonable(self) -> dict:
         return {
@@ -298,7 +298,6 @@ class EvalSummary:
             "n_readings": self.n_readings,
             "reading_failure_share": self.reading_failure_share,
             "full_re_mean_percent": self.full_re_mean,
-            "ocr_success_re_mean_percent": self.ocr_success_re_mean,
             "stage_failure_rates": dict(self.stage_failure_rates),
         }
 
@@ -311,7 +310,6 @@ class EvalSummary:
             f"readings computed   {self.n_readings}",
             f"reading failures    {self.reading_failure_share * 100:.1f}%",
             f"full RE mean        {fmt(self.full_re_mean)}%",
-            f"OCR-success RE mean {fmt(self.ocr_success_re_mean)}%",
             "stage failure rates:",
         ]
         for stage, rate in self.stage_failure_rates.items():
@@ -337,11 +335,10 @@ def evaluate_batch(
 
     n = len(fixtures)
     if n == 0:
-        return EvalSummary(0, 0, 0.0, None, None, {s.value: 0.0 for s in REPORT_STAGES})
+        return EvalSummary(0, 0, None, {s.value: 0.0 for s in Stage})
 
     full_errors: list[float] = []
-    ocr_success_errors: list[float] = []
-    stage_failures = {s: 0 for s in REPORT_STAGES}
+    stage_failures = {s: 0 for s in Stage}
     n_readings = 0
 
     for f in fixtures:
@@ -353,10 +350,7 @@ def evaluate_batch(
             n_readings += 1
             error = compute_relative_error(predicted, gt.reading, gt.range_min, gt.range_max)
             full_errors.append(error)
-            ocr = report.stage_statuses.get(Stage.OCR)
-            if ocr is not None and ocr.ok:
-                ocr_success_errors.append(error)
-        for stage in REPORT_STAGES:
+        for stage in Stage:
             status = report.stage_statuses.get(stage)
             if status is None or status.ok:
                 continue
@@ -366,10 +360,8 @@ def evaluate_batch(
     return EvalSummary(
         n_fixtures=n,
         n_readings=n_readings,
-        reading_failure_share=(n - n_readings) / n,
         full_re_mean=float(np.mean(full_errors)) if full_errors else None,
-        ocr_success_re_mean=float(np.mean(ocr_success_errors)) if ocr_success_errors else None,
-        stage_failure_rates={s.value: stage_failures[s] / n for s in REPORT_STAGES},
+        stage_failure_rates={s.value: stage_failures[s] / n for s in Stage},
     )
 
 

@@ -10,7 +10,6 @@ viewpoint changes) deterministically from a seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Any, Optional
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import SchemaError, SpecError
 from .fixtures import (
+    CROP_SIZE,
     GaugeFixture,
     GroundTruth,
     Keypoint,
@@ -37,7 +37,6 @@ MIN_ARC_SPAN = math.pi / 2
 MAX_ARC_SPAN = 0.95 * TAU
 MARKER_BOX = (20.0, 10.0)
 FRAME_MARGIN = 12.0
-CROP_SIZE = (448, 448)
 # Overall scale and per-axis translation bounds of sample_affine.
 AFFINE_SCALE_RANGE = (0.85, 1.15)
 AFFINE_MAX_TRANSLATION = 25.0
@@ -108,6 +107,8 @@ class SceneSpec:
             raise SpecError("marker_radius_factor must be positive")
         if not (is_number(self.n_needle_points, integer=True) and self.n_needle_points >= 2):
             raise SpecError("n_needle_points must be an integer >= 2")
+        for name in ("direction", "n_major_notches", "n_needle_points"):
+            object.__setattr__(self, name, int(getattr(self, name)))  # json writes no numpy int
         if not isinstance(self.unit, str):
             raise SpecError(f"unit must be a string, got {self.unit!r}")
         try:
@@ -231,6 +232,8 @@ class PerturbationSpec:
         _finite_field(self, "rotation", "rotation must be finite")
         if not (is_number(self.seed, integer=True) and self.seed >= 0):
             raise SpecError("seed must be an integer >= 0")
+        for name in ("n_outlier_ocr", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))  # json writes no numpy int
 
 
 def _fit_to_frame(pts: np.ndarray, crop: tuple[int, int]) -> Optional[AffineTransform]:
@@ -342,14 +345,10 @@ def _corrupt_digit(text: str, rng: np.random.Generator) -> str:
 # JSON documents
 # ---------------------------------------------------------------------------
 
-def _load_doc(doc) -> dict:
-    if isinstance(doc, (bytes, str)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec is not valid JSON: {exc}") from None
+def _as_object(doc, name: str) -> dict:
+    """`doc`; SpecError naming the document `name` unless it is a JSON object."""
     if not isinstance(doc, dict):
-        raise SpecError("spec must be a JSON object")
+        raise SpecError(f"{name} must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -374,9 +373,9 @@ def _number(doc, path: str, integer: bool = False):
 
 
 def parse_scene_spec(doc) -> SceneSpec:
-    """SceneSpec from a JSON document (object, bytes, or str); absent
-    optional fields keep their defaults."""
-    doc = _load_doc(doc)
+    """SceneSpec from a decoded JSON object; absent optional fields keep
+    their defaults."""
+    doc = _as_object(doc, "spec")
     e = _require(doc, "ellipse")
     center = _require(e, "ellipse.center")
     if not (isinstance(center, list) and len(center) == 2 and all(map(is_number, center))):
@@ -448,9 +447,9 @@ def scene_spec_to_jsonable(spec: SceneSpec) -> dict:
 
 
 def parse_perturbation_spec(doc) -> PerturbationSpec:
-    """PerturbationSpec from a JSON document; absent fields keep their
-    defaults, and PerturbationSpec checks the values."""
-    doc = _load_doc(doc)
+    """PerturbationSpec from a decoded JSON object; absent fields keep
+    their defaults, and PerturbationSpec checks the values."""
+    doc = _as_object(doc, "perturbation")
     kwargs = present_entries(doc, *(f.name for f in fields(PerturbationSpec)))
     if kwargs.get("affine") is not None:
         a = kwargs["affine"]

@@ -235,6 +235,10 @@ _SPEC = scene_spec_to_jsonable(make_scene_spec())
             id="not-utf8",
         ),
         pytest.param(b"[1]", b"expected a JSON object", id="not-an-object"),
+        # A spec or perturbation given as JSON text is not decoded a second time.
+        ({"scenes": [{"spec": "x"}]}, b"scenes[0]: spec must be a JSON object, got str"),
+        ({"spec": json.dumps(_SPEC)}, b"spec must be a JSON object, got str"),
+        ({"spec": _SPEC, "perturbation": "{}"}, b"perturbation must be a JSON object"),
     ],
 )
 def test_generate_bad_document_exit_three_without_traceback(tmp_path, doc, message):

@@ -201,10 +201,10 @@ def _ok_report() -> GaugeReadingReport:
     )
     return GaugeReadingReport(
         stage_statuses={
-            Stage.NOTCHES: StageStatus.passed(),
-            Stage.ELLIPSE: StageStatus.passed(),
-            Stage.NEEDLE: StageStatus.passed(),
-            Stage.OCR: StageStatus.passed(),
+            Stage.NOTCHES: StageStatus(),
+            Stage.ELLIPSE: StageStatus(),
+            Stage.NEEDLE: StageStatus(),
+            Stage.OCR: StageStatus(),
         },
         wrap_angle=1.25,
         markers_used=markers,
@@ -224,7 +224,7 @@ def test_report_all_ok_serializes_four_ok_entries():
 
 def test_report_failed_ellipse_has_empty_readings():
     report = GaugeReadingReport(
-        stage_statuses={Stage.ELLIPSE: StageStatus.failed("insufficient_notches")}
+        stage_statuses={Stage.ELLIPSE: StageStatus("insufficient_notches")}
     )
     doc = json.loads(serialize_report(report))
     assert doc["readings"] == []
@@ -242,7 +242,7 @@ def test_report_serialization_is_byte_identical():
 def test_report_rejects_reading_after_fatal_failure():
     with pytest.raises(ValueError):
         GaugeReadingReport(
-            stage_statuses={Stage.OCR: StageStatus.failed("insufficient_markers")},
+            stage_statuses={Stage.OCR: StageStatus("insufficient_markers")},
             markers_used=(
                 MarkerUse(ScaleSide.OUTER, 0.1, 0.0, True),
                 MarkerUse(ScaleSide.OUTER, 0.2, 1.0, True),
@@ -254,7 +254,7 @@ def test_report_rejects_reading_after_fatal_failure():
 def test_report_rejects_reading_without_two_inlier_markers():
     with pytest.raises(ValueError):
         GaugeReadingReport(
-            stage_statuses={Stage.OCR: StageStatus.passed()},
+            stage_statuses={Stage.OCR: StageStatus()},
             markers_used=(MarkerUse(ScaleSide.OUTER, 0.1, 0.0, True),),
             readings=(Reading(ScaleSide.OUTER, 5.0),),
         )
@@ -262,7 +262,23 @@ def test_report_rejects_reading_without_two_inlier_markers():
 
 def test_stage_status_rejects_unknown_reason():
     with pytest.raises(ValueError):
-        StageStatus.failed("cosmic_rays")
+        StageStatus("cosmic_rays")
+
+
+def test_stage_status_is_its_reason():
+    assert StageStatus().ok
+    assert not StageStatus("no_consensus").ok
+    # The two-field spellings of older releases raise instead of building.
+    with pytest.raises(ValueError):
+        StageStatus(True)
+    with pytest.raises(TypeError):
+        StageStatus(False, "no_consensus")
+
+
+def test_stage_declaration_is_the_report_order():
+    assert [s.value for s in Stage] == ["notches", "ellipse", "needle", "ocr"]
+    doc = json.loads(serialize_report(_ok_report()))
+    assert list(doc["stage_statuses"]) == ["notches", "ellipse", "needle", "ocr"]
 
 
 def test_fixture_invariants_reject_bad_direct_construction():

@@ -1,6 +1,7 @@
 """Scene generation and perturbation: determinism, ground-truth fidelity,
 wrap placement, and error growth under increasing corruption."""
 
+import json
 import math
 
 import numpy as np
@@ -232,9 +233,14 @@ def test_spec_parsing_errors():
     with pytest.raises(SpecError):
         parse_scene_spec({"n_major_notches": 9})
     with pytest.raises(SpecError):
-        parse_scene_spec(b"{bad json")
-    with pytest.raises(SpecError):
         parse_perturbation_spec({"ocr_dropout_rate": 2.0})
+    # The readers take decoded JSON objects only, never JSON text.
+    good = scene_spec_to_jsonable(make_scene_spec())
+    for text in (b"{bad json", b"\xff\xfe{", json.dumps(good), json.dumps(good).encode()):
+        with pytest.raises(SpecError, match="spec must be a JSON object"):
+            parse_scene_spec(text)
+    with pytest.raises(SpecError, match="perturbation must be a JSON object"):
+        parse_perturbation_spec('{"seed": 3}')
     # Integer fields take only JSON integers, number fields only JSON numbers.
     for doc, name in [
         ({"seed": 2.7}, "seed"),
@@ -252,7 +258,6 @@ def test_spec_parsing_errors():
     for count in (1.5, True, -1):
         with pytest.raises(SpecError, match="n_outlier_ocr"):
             PerturbationSpec(n_outlier_ocr=count)
-    good = scene_spec_to_jsonable(make_scene_spec())
     for change, name in [
         ({"n_major_notches": 7.9}, "n_major_notches"),
         ({"n_major_notches": True}, "n_major_notches"),
@@ -322,6 +327,19 @@ def test_spec_parsing_errors():
     ]:
         with pytest.raises(SpecError, match=name):
             PerturbationSpec(**kwargs)
+    # Numpy ints pass as integers and are stored as Python ints, so the
+    # specs still serialize; whole floats and bools of either kind do not.
+    spec = make_scene_spec(
+        n_major_notches=np.int64(9), direction=np.int64(1), n_needle_points=np.int64(60)
+    )
+    assert parse_scene_spec(json.loads(json.dumps(scene_spec_to_jsonable(spec)))) == spec
+    pert = PerturbationSpec(seed=np.int64(3), n_outlier_ocr=np.int64(1))
+    assert json.loads(json.dumps(perturbation_to_jsonable(pert)))["seed"] == 3
+    for bad in (9.0, np.float64(9.0), True, np.bool_(True)):
+        with pytest.raises(SpecError, match="n_major_notches"):
+            make_scene_spec(n_major_notches=bad)
+        with pytest.raises(SpecError, match="seed"):
+            PerturbationSpec(seed=bad)
 
 
 def test_sampled_scenes_are_diverse_and_valid():
