@@ -2,7 +2,7 @@
 
 Thin shell over the library; reports go to stdout as JSON (one document per
 line), diagnostics to stderr. Exit codes: 0 success, 1 reading failure on at
-least one input, 2 usage or I/O error, 3 schema/spec error.
+least one input, 2 usage or I/O error, 3 bad input (SchemaError).
 """
 
 from __future__ import annotations
@@ -10,17 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .errors import (
-    FixtureSyntaxError,
-    GaugeKitError,
-    MissingGroundTruth,
-    SchemaError,
-    SpecError,
-)
-from .fixtures import parse_fixture, serialize_fixture, serialize_report
+from .errors import GaugeKitError, SchemaError
+from .fixtures import as_list, as_object, parse_fixture, serialize_fixture, serialize_report
 from .pipeline import PipelineConfig, evaluate_batch, read_gauge, serialize_summary
 from .synthgauge import generate_scene, parse_perturbation_spec, parse_scene_spec, perturb_scene
 
@@ -42,7 +35,7 @@ def _cmd_read(args, cfg: PipelineConfig) -> int:
             fixture = parse_fixture(Path(path).read_bytes())
         except OSError as exc:
             return _fail(EXIT_IO, f"{path}: {exc}")
-        except (FixtureSyntaxError, SchemaError) as exc:
+        except SchemaError as exc:
             return _fail(EXIT_SCHEMA, f"{path}: {exc}")
         report = read_gauge(fixture, cfg)
         if not report.readings:
@@ -83,11 +76,11 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
             fixtures.append(parse_fixture(fpath.read_bytes()))
         except OSError as exc:
             return _fail(EXIT_IO, f"{fpath}: {exc}")
-        except (FixtureSyntaxError, SchemaError) as exc:
+        except SchemaError as exc:
             return _fail(EXIT_SCHEMA, f"{fpath}: {exc}")
     try:
         summary = evaluate_batch(fixtures, cfg)
-    except MissingGroundTruth as exc:
+    except SchemaError as exc:
         return _fail(EXIT_SCHEMA, str(exc))
 
     payload = serialize_summary(summary)
@@ -106,12 +99,8 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
 def _scene_pairs(doc) -> list[tuple[str, dict, dict | None]]:
     """(error prefix, spec, perturbation or None) for each scene of `doc`."""
     if "scenes" in doc:
-        entries = doc["scenes"]
-        if not isinstance(entries, list):
-            raise SpecError("'scenes' must be an array")
-        for k, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise SpecError(f"scenes[{k}] must be an object, got {type(entry).__name__}")
+        scenes = as_list(doc["scenes"], "scenes")
+        entries = [as_object(entry, f"scenes[{k}]") for k, entry in enumerate(scenes)]
         return [
             (f"scenes[{k}]: ", entry.get("spec", entry), entry.get("perturbation"))
             for k, entry in enumerate(entries)
@@ -135,18 +124,17 @@ def _cmd_generate(args) -> int:
     # no partial output behind.
     try:
         pairs = _scene_pairs(doc)
-    except SpecError as exc:
+    except SchemaError as exc:
         return _fail(EXIT_SCHEMA, str(exc))
     fixtures = []
     for index, (where, spec_doc, pert_doc) in enumerate(pairs):
         try:
             fixture, truth = generate_scene(parse_scene_spec(spec_doc))
             if pert_doc is not None:
-                pert = parse_perturbation_spec(pert_doc)
-                if args.seed is not None:
-                    pert = replace(pert, seed=args.seed + index)
-                fixture = perturb_scene(fixture, truth, pert)
-        except SpecError as exc:
+                if args.seed is not None:  # checked with the rest of the perturbation
+                    pert_doc = {**as_object(pert_doc, "perturbation"), "seed": args.seed + index}
+                fixture = perturb_scene(fixture, truth, parse_perturbation_spec(pert_doc))
+        except SchemaError as exc:
             return _fail(EXIT_SCHEMA, f"{where}{exc}")
         fixtures.append(fixture)
 

@@ -1,8 +1,9 @@
 """Exception types raised across the package.
 
-Every failure mode callers are expected to handle gets its own class so the
-reading pipeline can translate them into stage statuses without string
-matching.
+There are two kinds. SchemaError is a bad input: a document, spec or batch
+that breaks a data model, named by its path. The five fit failures are
+steps that could not be computed; read_gauge turns each into a stage status
+without string matching.
 """
 
 from __future__ import annotations
@@ -12,12 +13,8 @@ class GaugeKitError(Exception):
     """Base class for all gaugekit errors."""
 
 
-class FixtureSyntaxError(GaugeKitError):
-    """Input is not valid UTF-8 JSON."""
-
-
 class SchemaError(GaugeKitError):
-    """Input is valid JSON but violates the fixture data model."""
+    """Input breaks a data model: malformed JSON, a wrong shape or a bad value."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -48,11 +45,3 @@ class NoIntersection(GaugeKitError):
 
 class NoConsensus(GaugeKitError):
     """RANSAC found no model supported by at least two pairs."""
-
-
-class MissingGroundTruth(GaugeKitError):
-    """Batch evaluation requires ground truth on every fixture."""
-
-
-class SpecError(GaugeKitError):
-    """Synthetic scene or perturbation specification violates its invariants."""

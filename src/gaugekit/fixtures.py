@@ -7,21 +7,22 @@ top-left, y down) and must fall inside [0, crop_size) per axis. The
 dataclasses enforce every value rule on construction, so a fixture built in
 code obeys the same rules as a parsed one; parse_fixture checks only shape.
 
-Documents carry a top-level "schema": 1 field. Unknown fields are ignored
-so fixtures written by newer producers still parse.
+Documents carry a top-level "schema": 1 field, the JSON integer 1 (not
+true, 1.0 or "1"). Unknown fields are ignored so fixtures written by newer
+producers still parse.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .errors import FixtureSyntaxError, SchemaError
-from .geometry import Ellipse, Line, finite_float, positive_int_size
+from .errors import SchemaError
+from .geometry import Ellipse, Line, finite_float, is_number, positive_int_size
 
 SCHEMA_VERSION = 1
 CROP_SIZE = (448, 448)
@@ -195,8 +196,10 @@ class StageStatus:
     reason: Optional[str] = None
 
     def __post_init__(self):
-        if self.reason is not None and self.reason not in FAILURE_REASONS:
-            raise ValueError(f"unknown failure reason {self.reason!r}")
+        # The type test first: an unhashable reason cannot be looked up.
+        reason = self.reason
+        if reason is not None and not (isinstance(reason, str) and reason in FAILURE_REASONS):
+            raise ValueError(f"unknown failure reason {reason!r}")
 
     @property
     def ok(self) -> bool:
@@ -241,7 +244,8 @@ class GaugeReadingReport:
     unit: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_statuses", dict(self.stage_statuses))
+        statuses = self.stage_statuses  # kept in Stage order, whatever the recording order
+        object.__setattr__(self, "stage_statuses", {s: statuses[s] for s in Stage if s in statuses})
         object.__setattr__(self, "markers_used", tuple(self.markers_used))
         object.__setattr__(self, "readings", tuple(self.readings))
         if self.readings:
@@ -269,24 +273,18 @@ class GaugeReadingReport:
                 return status.reason
         return None
 
-    def reading_for(self, scale: ScaleSide) -> Optional[float]:
-        for reading in self.readings:
-            if reading.scale is scale:
-                return reading.value
-        return None
-
 
 # ---------------------------------------------------------------------------
 # JSON parsing
 # ---------------------------------------------------------------------------
 
-def _as_list(value: Any, path: str) -> list:
+def as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(path, f"expected an array, got {type(value).__name__}")
     return value
 
 
-def _as_object(value: Any, path: str) -> dict:
+def as_object(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
     return value
@@ -298,29 +296,36 @@ def present_entries(obj: dict, *keys: str) -> dict:
     return {key: obj[key] for key in keys if key in obj}
 
 
+def present_fields(cls, doc: Any, path: str) -> dict:
+    """The entries of JSON object `doc` that name an init field of dataclass
+    `cls`; SchemaError under `path` unless `doc` is an object."""
+    return present_entries(as_object(doc, path), *(f.name for f in fields(cls) if f.init))
+
+
 def parse_fixture(data: bytes | str) -> GaugeFixture:
     """Parse a UTF-8 JSON fixture document.
 
-    Raises FixtureSyntaxError for malformed JSON and SchemaError (naming the
-    offending path) for a wrong shape or a value the data model rejects.
+    Raises SchemaError naming the offending path: "$" for malformed UTF-8
+    or JSON, the field for a wrong shape or a value the data model rejects.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FixtureSyntaxError(f"fixture is not valid UTF-8: {exc}") from None
+            raise SchemaError("$", f"not valid UTF-8: {exc}") from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
-        raise FixtureSyntaxError(f"fixture is not valid JSON: {exc}") from None
+        raise SchemaError("$", f"not valid JSON: {exc}") from None
 
-    root = _as_object(doc, "$")
-    if root.get("schema") != SCHEMA_VERSION:
+    root = as_object(doc, "$")
+    version = root.get("schema")
+    if not (is_number(version, integer=True) and version == SCHEMA_VERSION):
         raise SchemaError("schema", f"expected schema version {SCHEMA_VERSION}")
 
     keypoints = []
-    for i, entry in enumerate(_as_list(root.get("keypoints", []), "keypoints")):
-        obj = _as_object(entry, f"keypoints[{i}]")
+    for i, entry in enumerate(as_list(root.get("keypoints", []), "keypoints")):
+        obj = as_object(entry, f"keypoints[{i}]")
         if "x" not in obj or "y" not in obj:
             raise SchemaError(f"keypoints[{i}]", "missing x or y")
         raw_kind = obj.get("class")
@@ -337,8 +342,8 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
             raise SchemaError(f"keypoints[{i}]", str(exc)) from None
 
     needle_points = []
-    for i, entry in enumerate(_as_list(root.get("needle_points", []), "needle_points")):
-        pair = _as_list(entry, f"needle_points[{i}]")
+    for i, entry in enumerate(as_list(root.get("needle_points", []), "needle_points")):
+        pair = as_list(entry, f"needle_points[{i}]")
         if len(pair) != 2:
             raise SchemaError(f"needle_points[{i}]", "expected [x, y]")
         try:
@@ -347,9 +352,9 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
             raise SchemaError(f"needle_points[{i}]", str(exc)) from None
 
     ocr_items = []
-    for i, entry in enumerate(_as_list(root.get("ocr", []), "ocr")):
-        obj = _as_object(entry, f"ocr[{i}]")
-        box = _as_list(obj.get("box"), f"ocr[{i}].box")
+    for i, entry in enumerate(as_list(root.get("ocr", []), "ocr")):
+        obj = as_object(entry, f"ocr[{i}]")
+        box = as_list(obj.get("box"), f"ocr[{i}].box")
         if len(box) != 4:
             raise SchemaError(f"ocr[{i}].box", "expected [x, y, width, height]")
         try:
@@ -361,7 +366,7 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
 
     ground_truth = None
     if root.get("ground_truth") is not None:
-        obj = _as_object(root["ground_truth"], "ground_truth")
+        obj = as_object(root["ground_truth"], "ground_truth")
         for key in ("reading", "range_min", "range_max"):
             if key not in obj:
                 raise SchemaError(f"ground_truth.{key}", "missing required field")
@@ -440,14 +445,10 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
     Keys follow a fixed order and every real is rounded to 9 significant
     digits, so identical reports serialize to identical bytes.
     """
-    statuses = {}
-    for stage in Stage:
-        status = report.stage_statuses.get(stage)
-        if status is None:
-            continue
-        statuses[stage.value] = (
-            {"status": "ok"} if status.ok else {"status": "failed", "reason": status.reason}
-        )
+    statuses = {
+        stage.value: {"status": "ok"} if status.ok else {"status": "failed", "reason": status.reason}
+        for stage, status in report.stage_statuses.items()
+    }
 
     e = report.fitted_ellipse
     doc = {

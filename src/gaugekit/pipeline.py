@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,7 +20,6 @@ from .errors import (
     DegenerateConfiguration,
     InsufficientPoints,
     IsotropicScatter,
-    MissingGroundTruth,
     NoConsensus,
     NoIntersection,
     SchemaError,
@@ -34,16 +33,9 @@ from .fixtures import (
     ScaleSide,
     Stage,
     StageStatus,
-    present_entries,
+    present_fields,
     rounded_json,
 )
-
-
-def _present_fields(cls, doc, path: str) -> dict:
-    """The entries of JSON object `doc` that name an init field of `cls`."""
-    if not isinstance(doc, dict):
-        raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
-    return present_entries(doc, *(f.name for f in fields(cls) if f.init))
 
 
 @dataclass(frozen=True)
@@ -84,11 +76,11 @@ class PipelineConfig:
         """Config from a decoded JSON object; absent keys keep the defaults and
         unknown keys are ignored. SchemaError on a bad value, OSError on an
         unreadable unit lexicon."""
-        kwargs = _present_fields(cls, doc, "config")
+        kwargs = present_fields(cls, doc, "config")
         if "ransac" in kwargs:
             try:
                 kwargs["ransac"] = RansacSettings(
-                    **_present_fields(RansacSettings, kwargs["ransac"], "ransac")
+                    **present_fields(RansacSettings, kwargs["ransac"], "ransac")
                 )
             except ValueError as exc:
                 raise SchemaError("ransac", str(exc)) from None
@@ -331,7 +323,7 @@ def evaluate_batch(
     cfg = config or PipelineConfig()
     for i, f in enumerate(fixtures):
         if f.ground_truth is None:
-            raise MissingGroundTruth(f"fixtures[{i}] has no ground truth")
+            raise SchemaError(f"fixtures[{i}].ground_truth", "required for evaluation")
 
     n = len(fixtures)
     if n == 0:

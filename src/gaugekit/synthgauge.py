@@ -6,17 +6,20 @@ spec, so the emitted fixture doubles as a quantitative oracle for the
 reading pipeline. Perturbation reproduces the characteristic detection
 defects (keypoint jitter, dropped or misread OCR boxes, unrelated numbers,
 viewpoint changes) deterministically from a seed.
+
+The spec types raise ValueError, as every value type does; the JSON readers
+report a bad document as SchemaError naming its path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
-from .errors import SchemaError, SpecError
+from .errors import SchemaError
 from .fixtures import (
     CROP_SIZE,
     GaugeFixture,
@@ -26,7 +29,9 @@ from .fixtures import (
     OcrItem,
     Point2,
     Rect,
+    as_object,
     present_entries,
+    present_fields,
 )
 from .geometry import (
     TAU, AffineTransform, Ellipse, finite_float, is_number, normalize_angle, positive_int_size
@@ -44,11 +49,8 @@ AFFINE_MAX_TRANSLATION = 25.0
 
 def _finite_field(spec, name: str, message: str) -> float:
     """Set field `name` of `spec` to its value as a float and return it;
-    SpecError(message) unless geometry.finite_float accepts that value."""
-    try:
-        value = finite_float(getattr(spec, name), message)
-    except ValueError:
-        raise SpecError(message) from None
+    ValueError(message) unless geometry.finite_float accepts that value."""
+    value = finite_float(getattr(spec, name), message)
     object.__setattr__(spec, name, value)
     return value
 
@@ -63,9 +65,9 @@ class SecondScale:
         for name in ("range_min", "range_max", "radius_factor"):
             _finite_field(self, name, "second_scale: range and radius_factor must be finite")
         if not self.range_max > self.range_min:
-            raise SpecError("second_scale: range_max must exceed range_min")
+            raise ValueError("second_scale: range_max must exceed range_min")
         if self.radius_factor <= 0:
-            raise SpecError("second_scale: radius_factor must be positive")
+            raise ValueError("second_scale: radius_factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,38 +88,38 @@ class SceneSpec:
 
     def __post_init__(self):
         if not isinstance(self.ellipse, Ellipse):
-            raise SpecError(f"ellipse must be an Ellipse, got {self.ellipse!r}")
+            raise ValueError(f"ellipse must be an Ellipse, got {self.ellipse!r}")
         if not isinstance(self.second_scale, (SecondScale, type(None))):
-            raise SpecError(f"second_scale must be a SecondScale, got {self.second_scale!r}")
+            raise ValueError(f"second_scale must be a SecondScale, got {self.second_scale!r}")
         for name in (
             "arc_start", "arc_end", "range_min", "range_max", "needle_value", "marker_radius_factor"
         ):
             _finite_field(self, name, f"{name} must be finite")
         if not (is_number(self.direction, integer=True) and self.direction in (1, -1)):
-            raise SpecError(f"direction must be +1 or -1, got {self.direction!r}")
+            raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
         if not is_number(self.n_major_notches, integer=True):
-            raise SpecError(f"n_major_notches must be an integer, got {self.n_major_notches!r}")
+            raise ValueError(f"n_major_notches must be an integer, got {self.n_major_notches!r}")
         if self.n_major_notches < 5:
-            raise SpecError("a scale needs at least 5 major notches")
+            raise ValueError("a scale needs at least 5 major notches")
         if not self.range_max > self.range_min:
-            raise SpecError("range_max must exceed range_min")
+            raise ValueError("range_max must exceed range_min")
         if not self.range_min <= self.needle_value <= self.range_max:
-            raise SpecError("needle_value must lie within the range")
+            raise ValueError("needle_value must lie within the range")
         if self.marker_radius_factor <= 0:
-            raise SpecError("marker_radius_factor must be positive")
+            raise ValueError("marker_radius_factor must be positive")
         if not (is_number(self.n_needle_points, integer=True) and self.n_needle_points >= 2):
-            raise SpecError("n_needle_points must be an integer >= 2")
+            raise ValueError("n_needle_points must be an integer >= 2")
         for name in ("direction", "n_major_notches", "n_needle_points"):
             object.__setattr__(self, name, int(getattr(self, name)))  # json writes no numpy int
         if not isinstance(self.unit, str):
-            raise SpecError(f"unit must be a string, got {self.unit!r}")
+            raise ValueError(f"unit must be a string, got {self.unit!r}")
         try:
             object.__setattr__(self, "crop_size", positive_int_size(self.crop_size))
         except ValueError as exc:
-            raise SpecError(f"crop_size: {exc}") from None
+            raise ValueError(f"crop_size: {exc}") from None
         span = self.arc_span
         if not (MIN_ARC_SPAN <= span <= MAX_ARC_SPAN):
-            raise SpecError(
+            raise ValueError(
                 f"arc span {span:.4f} rad outside [{MIN_ARC_SPAN:.4f}, {MAX_ARC_SPAN:.4f}]"
             )
 
@@ -149,15 +151,15 @@ def generate_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     ellipse center to the rim at the value's angle, and each notch gets an
     OCR box with the exact printed value, pulled toward or away from the
     center by the radius factor. Deterministic: no randomness involved.
-    Raises SpecError when that content leaves the crop frame, overflowing
-    to a non-finite coordinate included.
+    Raises SchemaError under "spec" when that content leaves the crop frame,
+    overflowing to a non-finite coordinate included.
     """
     try:
         # An overflow becomes an inf coordinate, which the data model rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             return _build_scene(spec)
     except (SchemaError, ValueError) as exc:
-        raise SpecError(f"scene content leaves the crop frame: {exc}") from None
+        raise SchemaError("spec", f"scene content leaves the crop frame: {exc}") from None
 
 
 def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
@@ -220,18 +222,18 @@ class PerturbationSpec:
     def __post_init__(self):
         message = "keypoint_noise_sigma must be a finite number >= 0"
         if _finite_field(self, "keypoint_noise_sigma", message) < 0:
-            raise SpecError(message)
+            raise ValueError(message)
         for name in ("ocr_dropout_rate", "digit_corruption_rate"):
             message = f"{name} must lie in [0, 1]"
             if not 0.0 <= _finite_field(self, name, message) <= 1.0:
-                raise SpecError(message)
+                raise ValueError(message)
         if not (is_number(self.n_outlier_ocr, integer=True) and self.n_outlier_ocr >= 0):
-            raise SpecError("n_outlier_ocr must be an integer >= 0")
+            raise ValueError("n_outlier_ocr must be an integer >= 0")
         if not isinstance(self.affine, (AffineTransform, type(None))):
-            raise SpecError(f"affine must be an AffineTransform or None, got {self.affine!r}")
+            raise ValueError(f"affine must be an AffineTransform or None, got {self.affine!r}")
         _finite_field(self, "rotation", "rotation must be finite")
         if not (is_number(self.seed, integer=True) and self.seed >= 0):
-            raise SpecError("seed must be an integer >= 0")
+            raise ValueError("seed must be an integer >= 0")
         for name in ("n_outlier_ocr", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))  # json writes no numpy int
 
@@ -345,41 +347,35 @@ def _corrupt_digit(text: str, rng: np.random.Generator) -> str:
 # JSON documents
 # ---------------------------------------------------------------------------
 
-def _as_object(doc, name: str) -> dict:
-    """`doc`; SpecError naming the document `name` unless it is a JSON object."""
-    if not isinstance(doc, dict):
-        raise SpecError(f"{name} must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def _require(doc, path: str) -> Any:
     """The value under the last key of the dotted JSON `path` in `doc`;
-    SpecError naming the path when `doc` is no object or lacks that key."""
+    SchemaError naming the path when `doc` is no object or lacks that key."""
     key = path.rpartition(".")[2]
     if not isinstance(doc, dict) or key not in doc:
-        raise SpecError(f"missing required field {path!r}")
+        raise SchemaError(path, "missing required field")
     return doc[key]
 
 
 def _number(doc, path: str, integer: bool = False):
-    """The value at `path` in `doc` (see _require); SpecError naming the path
+    """The value at `path` in `doc` (see _require); SchemaError naming the path
     unless it is a JSON number (a JSON integer if `integer`), so bools and
     numeric strings fail. For spec fields that sit under another name in
     the JSON."""
     value = _require(doc, path)
     if not is_number(value, integer):
-        raise SpecError(f"{path} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        raise SchemaError(path, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
     return value
 
 
 def parse_scene_spec(doc) -> SceneSpec:
     """SceneSpec from a decoded JSON object; absent optional fields keep
-    their defaults."""
-    doc = _as_object(doc, "spec")
+    their defaults. SchemaError names the JSON path of a missing or mistyped
+    field, or "spec" for a value SceneSpec or SecondScale rejects."""
+    doc = as_object(doc, "spec")
     e = _require(doc, "ellipse")
     center = _require(e, "ellipse.center")
     if not (isinstance(center, list) and len(center) == 2 and all(map(is_number, center))):
-        raise SpecError(f"ellipse.center must be two numbers [x, y], got {center!r}")
+        raise SchemaError("ellipse.center", f"must be two numbers [x, y], got {center!r}")
     try:
         ellipse = Ellipse(
             *center,
@@ -388,31 +384,34 @@ def parse_scene_spec(doc) -> SceneSpec:
             **({"theta": _number(e, "ellipse.theta")} if "theta" in e else {}),
         )
     except ValueError as exc:
-        raise SpecError(f"ellipse: {exc}") from None
+        raise SchemaError("ellipse", str(exc)) from None
     arc = _require(doc, "scale_arc")
     rng_doc = _require(doc, "range")
-    second = None
-    if doc.get("second_scale") is not None:
-        s = doc["second_scale"]
-        s_range = _require(s, "second_scale.range")
-        second = SecondScale(
-            _number(s_range, "second_scale.range.min"),
-            _number(s_range, "second_scale.range.max"),
-            _number(s, "second_scale.radius_factor"),
+    try:
+        second = None
+        if doc.get("second_scale") is not None:
+            s = doc["second_scale"]
+            s_range = _require(s, "second_scale.range")
+            second = SecondScale(
+                _number(s_range, "second_scale.range.min"),
+                _number(s_range, "second_scale.range.max"),
+                _number(s, "second_scale.radius_factor"),
+            )
+        return SceneSpec(
+            ellipse=ellipse,
+            arc_start=_number(arc, "scale_arc.start_angle"),
+            arc_end=_number(arc, "scale_arc.end_angle"),
+            direction=_number(arc, "scale_arc.direction", integer=True),
+            range_min=_number(rng_doc, "range.min"),
+            range_max=_number(rng_doc, "range.max"),
+            unit=rng_doc.get("unit", ""),
+            n_major_notches=_require(doc, "n_major_notches"),
+            needle_value=_require(doc, "needle_value"),
+            second_scale=second,
+            **present_entries(doc, "crop_size", "marker_radius_factor", "n_needle_points"),
         )
-    return SceneSpec(
-        ellipse=ellipse,
-        arc_start=_number(arc, "scale_arc.start_angle"),
-        arc_end=_number(arc, "scale_arc.end_angle"),
-        direction=_number(arc, "scale_arc.direction", integer=True),
-        range_min=_number(rng_doc, "range.min"),
-        range_max=_number(rng_doc, "range.max"),
-        unit=rng_doc.get("unit", ""),
-        n_major_notches=_require(doc, "n_major_notches"),
-        needle_value=_require(doc, "needle_value"),
-        second_scale=second,
-        **present_entries(doc, "crop_size", "marker_radius_factor", "n_needle_points"),
-    )
+    except ValueError as exc:
+        raise SchemaError("spec", str(exc)) from None
 
 
 def scene_spec_to_jsonable(spec: SceneSpec) -> dict:
@@ -448,17 +447,20 @@ def scene_spec_to_jsonable(spec: SceneSpec) -> dict:
 
 def parse_perturbation_spec(doc) -> PerturbationSpec:
     """PerturbationSpec from a decoded JSON object; absent fields keep
-    their defaults, and PerturbationSpec checks the values."""
-    doc = _as_object(doc, "perturbation")
-    kwargs = present_entries(doc, *(f.name for f in fields(PerturbationSpec)))
+    their defaults. PerturbationSpec checks the values, and a value it
+    rejects is a SchemaError under "perturbation"."""
+    kwargs = present_fields(PerturbationSpec, doc, "perturbation")
     if kwargs.get("affine") is not None:
         a = kwargs["affine"]
         linear = _require(a, "affine.linear")
         try:
             kwargs["affine"] = AffineTransform(linear, a.get("translation", [0.0, 0.0]))
         except ValueError as exc:
-            raise SpecError(f"affine: {exc}") from None
-    return PerturbationSpec(**kwargs)
+            raise SchemaError("affine", str(exc)) from None
+    try:
+        return PerturbationSpec(**kwargs)
+    except ValueError as exc:
+        raise SchemaError("perturbation", str(exc)) from None
 
 
 def perturbation_to_jsonable(spec: PerturbationSpec) -> dict:

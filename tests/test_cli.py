@@ -49,6 +49,10 @@ def test_read_table_output(scene_file):
     assert proc.returncode == 0
     line = proc.stdout.decode()
     assert "inner=" in line and "bar" in line and "ellipse:ok" in line
+    # The table lists the stages in the order of the JSON report.
+    report = json.loads(run_cli("read", str(scene_file)).stdout)
+    stages = line.rstrip("\n").split("\t")[3].split("; ")
+    assert [entry.split(":")[0] for entry in stages] == list(report["stage_statuses"])
 
 
 def test_read_failing_fixture_exit_one(tmp_path):
@@ -75,6 +79,11 @@ def test_read_malformed_fixture_exit_three(tmp_path):
     assert run_cli("read", str(path)).returncode == 3
     path.write_text('{"schema": 2}', encoding="utf-8")
     assert run_cli("read", str(path)).returncode == 3
+    # A value equal to 1 that is not the JSON integer 1 is no schema version.
+    path.write_text('{"schema": true, "keypoints": []}', encoding="utf-8")
+    proc = run_cli("read", str(path))
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert b"schema: expected schema version 1" in proc.stderr
     path.write_text('{"schema": 1, "crop_size": [1%s, 448]}' % ("0" * 400), encoding="utf-8")
     proc = run_cli("read", str(path))
     assert proc.returncode == 3
@@ -236,9 +245,9 @@ _SPEC = scene_spec_to_jsonable(make_scene_spec())
         ),
         pytest.param(b"[1]", b"expected a JSON object", id="not-an-object"),
         # A spec or perturbation given as JSON text is not decoded a second time.
-        ({"scenes": [{"spec": "x"}]}, b"scenes[0]: spec must be a JSON object, got str"),
-        ({"spec": json.dumps(_SPEC)}, b"spec must be a JSON object, got str"),
-        ({"spec": _SPEC, "perturbation": "{}"}, b"perturbation must be a JSON object"),
+        ({"scenes": [{"spec": "x"}]}, b"scenes[0]: spec: expected an object, got str"),
+        ({"spec": json.dumps(_SPEC)}, b"spec: expected an object, got str"),
+        ({"spec": _SPEC, "perturbation": "{}"}, b"perturbation: expected an object"),
     ],
 )
 def test_generate_bad_document_exit_three_without_traceback(tmp_path, doc, message):
@@ -256,9 +265,18 @@ def test_generate_bad_later_entry_writes_nothing(tmp_path):
     out_dir = tmp_path / "x"
     proc = run_cli("generate", str(path), "--out-dir", str(out_dir))
     assert proc.returncode == 3
-    assert b"scenes[1]: a scale needs at least 5 major notches" in proc.stderr
+    assert b"scenes[1]: spec: a scale needs at least 5 major notches" in proc.stderr
     assert not (out_dir / "scene_000.json").exists()
     assert not (out_dir / "manifest.json").exists()
+
+
+def test_generate_negative_seed_exit_three(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"spec": _SPEC, "perturbation": {}}))
+    proc = run_cli("generate", str(path), "--seed", "-3", "--out-dir", str(tmp_path / "x"))
+    assert proc.returncode == 3
+    assert b"perturbation: seed must be an integer >= 0" in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_eval_manifest_matches_library(tmp_path):
@@ -296,6 +314,7 @@ def test_eval_missing_ground_truth_exit_three(tmp_path):
     (tmp_path / "man.json").write_text(json.dumps({"schema": 1, "fixtures": ["fx.json"]}))
     proc = run_cli("eval", str(tmp_path / "man.json"))
     assert proc.returncode == 3
+    assert b"fixtures[0].ground_truth: required for evaluation" in proc.stderr
     (tmp_path / "man.json").write_text("[1]")  # not an object
     proc = run_cli("eval", str(tmp_path / "man.json"))
     assert proc.returncode == 3 and b"Traceback" not in proc.stderr

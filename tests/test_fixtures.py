@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugekit.errors import FixtureSyntaxError, SchemaError
+from gaugekit.errors import SchemaError
 from gaugekit.fixtures import (
     GaugeFixture,
     GaugeReadingReport,
@@ -110,6 +110,10 @@ def test_parse_rejects_out_of_range_coordinate():
         (lambda d: d.update(ground_truth={"reading": 1, "range_min": "0", "range_max": 5}), "ground_truth: range_min must be finite"),
         (lambda d: d.update(crop_size=[True, 448]), "crop_size: width and height must be positive integers"),
         (lambda d: d.update(crop_size=[448, "448"]), "crop_size: width and height"),
+        # The version is the JSON integer 1, not a value that equals it.
+        (lambda d: d.update(schema=True), "schema: expected schema version 1"),
+        (lambda d: d.update(schema=1.0), "schema: expected schema version"),
+        (lambda d: d.update(schema="1"), "schema: expected schema"),
     ],
 )
 def test_parse_schema_errors_name_the_offending_path(mutate, path_part):
@@ -121,11 +125,11 @@ def test_parse_schema_errors_name_the_offending_path(mutate, path_part):
 
 
 def test_parse_malformed_inputs_raise_typed_errors():
-    with pytest.raises(FixtureSyntaxError):
+    with pytest.raises(SchemaError, match=r"^\$: not valid JSON: "):
         parse_fixture(b"{not json")
-    with pytest.raises(FixtureSyntaxError):
+    with pytest.raises(SchemaError, match=r"^\$: not valid UTF-8: "):
         parse_fixture(b"\xff\xfe\x00bad")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"^\$: expected an object"):
         parse_fixture(b"[1, 2, 3]")
 
 
@@ -261,8 +265,10 @@ def test_report_rejects_reading_without_two_inlier_markers():
 
 
 def test_stage_status_rejects_unknown_reason():
-    with pytest.raises(ValueError):
-        StageStatus("cosmic_rays")
+    # Unhashable reasons included: they fail the type test, not the lookup.
+    for reason in ("cosmic_rays", [], {}):
+        with pytest.raises(ValueError, match="unknown failure reason"):
+            StageStatus(reason)
 
 
 def test_stage_status_is_its_reason():
@@ -279,6 +285,9 @@ def test_stage_declaration_is_the_report_order():
     assert [s.value for s in Stage] == ["notches", "ellipse", "needle", "ocr"]
     doc = json.loads(serialize_report(_ok_report()))
     assert list(doc["stage_statuses"]) == ["notches", "ellipse", "needle", "ocr"]
+    # A report keeps its statuses in Stage order, whatever order they came in.
+    recorded = {stage: StageStatus() for stage in reversed(Stage)}
+    assert list(GaugeReadingReport(stage_statuses=recorded).stage_statuses) == list(Stage)
 
 
 def test_fixture_invariants_reject_bad_direct_construction():

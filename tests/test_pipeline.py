@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_scene_spec, random_fixture
 from gaugekit import scale_model
-from gaugekit.errors import MissingGroundTruth, SchemaError
+from gaugekit.errors import SchemaError
 from gaugekit.fixtures import (
     FAILURE_REASONS,
     GaugeFixture,
@@ -253,9 +253,9 @@ def test_evaluate_batch_empty_and_missing_ground_truth():
         needle_points=fixture.needle_points,
         ocr_items=fixture.ocr_items,
     )
-    with pytest.raises(MissingGroundTruth) as err:
+    with pytest.raises(SchemaError) as err:
         evaluate_batch([fixture, no_gt])
-    assert "fixtures[1]" in str(err.value)
+    assert str(err.value) == "fixtures[1].ground_truth: required for evaluation"
 
 
 def test_reading_invariant_under_affine_and_rotation():
@@ -419,8 +419,9 @@ def test_dual_scale_reports_both_readings():
     fixture, truth = generate_scene(spec)
     report = read_gauge(fixture)
     assert {r.scale for r in report.readings} == {ScaleSide.OUTER, ScaleSide.INNER}
-    assert report.reading_for(ScaleSide.INNER) == pytest.approx(2.5, abs=1e-6)
-    assert report.reading_for(ScaleSide.OUTER) == pytest.approx(25.0, abs=1e-5)
+    values = {r.scale: r.value for r in report.readings}
+    assert values[ScaleSide.INNER] == pytest.approx(2.5, abs=1e-6)
+    assert values[ScaleSide.OUTER] == pytest.approx(25.0, abs=1e-5)
     assert matched_reading(report, truth) == pytest.approx(2.5, abs=1e-6)
 
 

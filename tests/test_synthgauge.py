@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scene_spec
-from gaugekit.errors import SpecError
+from gaugekit.errors import SchemaError
 from gaugekit.fixtures import KeypointClass, ScaleSide, Stage, serialize_fixture
 from gaugekit.geometry import TAU, AffineTransform, Ellipse
 from gaugekit.pipeline import evaluate_batch, matched_reading, read_gauge
@@ -71,12 +71,12 @@ def test_generated_needle_points_count():
     ],
 )
 def test_spec_validation(overrides):
-    with pytest.raises(SpecError):
+    with pytest.raises(ValueError):
         make_scene_spec(**overrides)
 
 
 def test_scene_outside_crop_raises_spec_error():
-    with pytest.raises(SpecError):
+    with pytest.raises(SchemaError, match="^spec: scene content leaves the crop frame"):
         generate_scene(make_scene_spec(ellipse=Ellipse(224.0, 224.0, 260.0, 200.0, 0.0)))
 
 
@@ -84,16 +84,16 @@ def test_non_finite_spec_values_raise_spec_error():
     for name in ("arc_start", "arc_end", "range_min", "range_max", "needle_value",
                  "marker_radius_factor"):
         for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(SpecError, match=name):
+            with pytest.raises(ValueError, match=name):
                 make_scene_spec(**{name: bad})
     for values in ((0.0, math.inf, 1.1), (math.nan, 1.0, 1.1), (0.0, 1.0, math.nan)):
-        with pytest.raises(SpecError, match="second_scale"):
+        with pytest.raises(ValueError, match="second_scale"):
             SecondScale(*values)
     # The transform rejects its own non-finite translation before any spec sees it.
     with pytest.raises(ValueError, match="translation"):
         AffineTransform(np.eye(2), [math.inf, 0.0])
     # A finite factor whose markers overflow to inf is a content error too.
-    with pytest.raises(SpecError, match="box values must be finite"):
+    with pytest.raises(SchemaError, match="box values must be finite"):
         generate_scene(make_scene_spec(marker_radius_factor=1e308))
 
 
@@ -230,17 +230,20 @@ def test_perturbation_spec_json_round_trip():
 
 
 def test_spec_parsing_errors():
-    with pytest.raises(SpecError):
+    with pytest.raises(SchemaError, match="^ellipse: missing required field$"):
         parse_scene_spec({"n_major_notches": 9})
-    with pytest.raises(SpecError):
+    with pytest.raises(SchemaError, match=r"^perturbation: ocr_dropout_rate must lie in \[0, 1\]$"):
         parse_perturbation_spec({"ocr_dropout_rate": 2.0})
     # The readers take decoded JSON objects only, never JSON text.
     good = scene_spec_to_jsonable(make_scene_spec())
     for text in (b"{bad json", b"\xff\xfe{", json.dumps(good), json.dumps(good).encode()):
-        with pytest.raises(SpecError, match="spec must be a JSON object"):
+        with pytest.raises(SchemaError, match="^spec: expected an object, got"):
             parse_scene_spec(text)
-    with pytest.raises(SpecError, match="perturbation must be a JSON object"):
+    with pytest.raises(SchemaError, match="^perturbation: expected an object, got str$"):
         parse_perturbation_spec('{"seed": 3}')
+    # A value the spec type rejects is reported under the document's name.
+    with pytest.raises(SchemaError, match="^spec: a scale needs at least 5 major notches$"):
+        parse_scene_spec({**good, "n_major_notches": 3})
     # Integer fields take only JSON integers, number fields only JSON numbers.
     for doc, name in [
         ({"seed": 2.7}, "seed"),
@@ -251,12 +254,12 @@ def test_spec_parsing_errors():
         ({"keypoint_noise_sigma": float("nan")}, "keypoint_noise_sigma"),
         ({"rotation": False}, "rotation"),
     ]:
-        with pytest.raises(SpecError, match=name):
+        with pytest.raises(SchemaError, match=name):
             parse_perturbation_spec(doc)
-    with pytest.raises(SpecError, match="seed"):
+    with pytest.raises(ValueError, match="seed"):
         PerturbationSpec(seed=-1)
     for count in (1.5, True, -1):
-        with pytest.raises(SpecError, match="n_outlier_ocr"):
+        with pytest.raises(ValueError, match="n_outlier_ocr"):
             PerturbationSpec(n_outlier_ocr=count)
     for change, name in [
         ({"n_major_notches": 7.9}, "n_major_notches"),
@@ -268,9 +271,9 @@ def test_spec_parsing_errors():
         ({"crop_size": [447.5, 448]}, "crop_size"),
         ({"crop_size": [448, "448"]}, "crop_size"),
     ]:
-        with pytest.raises(SpecError, match=name):
+        with pytest.raises(SchemaError, match=name):
             parse_scene_spec({**good, **change})
-    with pytest.raises(SpecError, match="crop_size"):
+    with pytest.raises(ValueError, match="crop_size"):
         make_scene_spec(crop_size=(0, 448))
     assert parse_scene_spec({**good, "crop_size": [448.0, 448]}).crop_size == (448, 448)
     # A bad nested field is named by its JSON path; the unit must be a string.
@@ -283,9 +286,9 @@ def test_spec_parsing_errors():
         ({"range": {**good["range"], "unit": 5}}, "unit"),
         ({"range": {**good["range"], "min": 10**400}}, "range_min"),
     ]:
-        with pytest.raises(SpecError, match=name):
+        with pytest.raises(SchemaError, match=name):
             parse_scene_spec({**good, **change})
-    with pytest.raises(SpecError, match="affine.linear"):
+    with pytest.raises(SchemaError, match="^affine.linear: missing required field$"):
         parse_perturbation_spec({"affine": {}})
     # A number the value types reject is reported under its JSON object,
     # never as an exception repr.
@@ -298,10 +301,10 @@ def test_spec_parsing_errors():
         {"linear": identity, "translation": None},
         {"linear": identity, "translation": ["5", "5"]},
     ]:
-        with pytest.raises(SpecError, match="affine") as err:
+        with pytest.raises(SchemaError, match="^affine: ") as err:
             parse_perturbation_spec({"affine": affine})
         assert "Error(" not in str(err.value)
-    with pytest.raises(SpecError, match="ellipse") as err:
+    with pytest.raises(SchemaError, match="^ellipse: ") as err:
         parse_scene_spec({**good, "ellipse": {**good["ellipse"], "a": 10**400}})
     assert "Error(" not in str(err.value)
     range_without_unit = {k: v for k, v in good["range"].items() if k != "unit"}
@@ -316,7 +319,7 @@ def test_spec_parsing_errors():
         (dict(second_scale="x"), "second_scale"),
         (dict(second_scale={"range_min": 0, "range_max": 1, "radius_factor": 1.1}), "second_scale"),
     ]:
-        with pytest.raises(SpecError, match=name):
+        with pytest.raises(ValueError, match=name):
             make_scene_spec(**overrides)
     for kwargs, name in [
         (dict(keypoint_noise_sigma=True), "keypoint_noise_sigma"),
@@ -325,7 +328,7 @@ def test_spec_parsing_errors():
         (dict(affine="x"), "affine"),
         (dict(affine=np.eye(2)), "affine"),
     ]:
-        with pytest.raises(SpecError, match=name):
+        with pytest.raises(ValueError, match=name):
             PerturbationSpec(**kwargs)
     # Numpy ints pass as integers and are stored as Python ints, so the
     # specs still serialize; whole floats and bools of either kind do not.
@@ -336,9 +339,9 @@ def test_spec_parsing_errors():
     pert = PerturbationSpec(seed=np.int64(3), n_outlier_ocr=np.int64(1))
     assert json.loads(json.dumps(perturbation_to_jsonable(pert)))["seed"] == 3
     for bad in (9.0, np.float64(9.0), True, np.bool_(True)):
-        with pytest.raises(SpecError, match="n_major_notches"):
+        with pytest.raises(ValueError, match="n_major_notches"):
             make_scene_spec(n_major_notches=bad)
-        with pytest.raises(SpecError, match="seed"):
+        with pytest.raises(ValueError, match="seed"):
             PerturbationSpec(seed=bad)
 
 
