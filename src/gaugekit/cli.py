@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .errors import GaugeKitError, SchemaError
-from .fixtures import as_list, as_object, parse_fixture, serialize_fixture, serialize_report
+from .fixtures import as_list, as_object, load_json, parse_fixture
+from .fixtures import serialize_fixture, serialize_report
 from .pipeline import PipelineConfig, evaluate_batch, read_gauge, serialize_summary
 from .synthgauge import generate_scene, parse_perturbation_spec, parse_scene_spec, perturb_scene
 
@@ -57,17 +58,15 @@ def _cmd_read(args, cfg: PipelineConfig) -> int:
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
     manifest_path = Path(args.manifest)
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        doc = as_object(load_json(manifest_path.read_bytes()), "$")
+        paths = as_list(doc.get("fixtures"), "fixtures")
+        for k, rel in enumerate(paths):
+            if not isinstance(rel, str) or "\0" in rel:
+                raise SchemaError(f"fixtures[{k}]", "expected a file path string")
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read manifest: {exc}")
-    except ValueError as exc:  # malformed JSON or UTF-8
-        return _fail(EXIT_SCHEMA, f"{args.manifest}: invalid JSON: {exc}")
-    paths = doc.get("fixtures") if isinstance(doc, dict) else None
-    if not isinstance(paths, list):
-        return _fail(EXIT_SCHEMA, f"{args.manifest}: expected a 'fixtures' array")
-    for k, rel in enumerate(paths):
-        if not isinstance(rel, str) or "\0" in rel:
-            return _fail(EXIT_SCHEMA, f"{args.manifest}: fixtures[{k}] must be a file path string")
+    except SchemaError as exc:
+        return _fail(EXIT_SCHEMA, f"{args.manifest}: {exc}")
 
     fixtures = []
     for rel in paths:
@@ -81,7 +80,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     try:
         summary = evaluate_batch(fixtures, cfg)
     except SchemaError as exc:
-        return _fail(EXIT_SCHEMA, str(exc))
+        return _fail(EXIT_SCHEMA, f"{args.manifest}: {exc}")
 
     payload = serialize_summary(summary)
     if args.out:
@@ -111,21 +110,14 @@ def _scene_pairs(doc) -> list[tuple[str, dict, dict | None]]:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        doc = json.loads(Path(args.source).read_text(encoding="utf-8"))
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read {args.source}: {exc}")
-    except ValueError as exc:  # malformed JSON or UTF-8
-        return _fail(EXIT_SCHEMA, f"{args.source}: invalid JSON: {exc}")
-    if not isinstance(doc, dict):
-        return _fail(EXIT_SCHEMA, f"{args.source}: expected a JSON object")
-
     # Build every fixture before writing any file, so a bad entry leaves
     # no partial output behind.
     try:
-        pairs = _scene_pairs(doc)
+        pairs = _scene_pairs(as_object(load_json(Path(args.source).read_bytes()), "$"))
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot read {args.source}: {exc}")
     except SchemaError as exc:
-        return _fail(EXIT_SCHEMA, str(exc))
+        return _fail(EXIT_SCHEMA, f"{args.source}: {exc}")
     fixtures = []
     for index, (where, spec_doc, pert_doc) in enumerate(pairs):
         try:
@@ -135,7 +127,7 @@ def _cmd_generate(args) -> int:
                     pert_doc = {**as_object(pert_doc, "perturbation"), "seed": args.seed + index}
                 fixture = perturb_scene(fixture, truth, parse_perturbation_spec(pert_doc))
         except SchemaError as exc:
-            return _fail(EXIT_SCHEMA, f"{where}{exc}")
+            return _fail(EXIT_SCHEMA, f"{args.source}: {where}{exc}")
         fixtures.append(fixture)
 
     out_dir = Path(args.out_dir)

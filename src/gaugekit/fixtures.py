@@ -1,11 +1,12 @@
 """Detection data model and its JSON wire format.
 
 A fixture bundles everything the reading pipeline needs for one cropped
-gauge: notch keypoints, sampled needle-mask pixels, OCR text boxes, and
-optional ground truth. All coordinates live in the crop frame (origin
-top-left, y down) and must fall inside [0, crop_size) per axis. The
-dataclasses enforce every value rule on construction, so a fixture built in
-code obeys the same rules as a parsed one; parse_fixture checks only shape.
+gauge: notch keypoints, sampled needle-mask pixels (one read-only (M, 2)
+float array), OCR text boxes, and optional ground truth. All coordinates
+live in the crop frame (origin top-left, y down) and must fall inside
+[0, crop_size) per axis. The dataclasses enforce every value rule on
+construction, so a fixture built in code obeys the same rules as a parsed
+one; parse_fixture checks only shape.
 
 Documents carry a top-level "schema": 1 field, the JSON integer 1 (not
 true, 1.0 or "1"). Unknown fields are ignored so fixtures written by newer
@@ -17,6 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -113,11 +115,66 @@ def _check_type(value, cls, path: str):
         raise SchemaError(path, f"expected {cls.__name__}, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+def _first_bad_needle_row(rows) -> None:
+    """SchemaError for the first row of `rows` that is not a pair of finite
+    numbers, checked row by row in document order."""
+    for i, row in enumerate(rows):
+        path = f"needle_points[{i}]"
+        if not isinstance(row, (list, tuple)):
+            raise SchemaError(path, f"expected an array, got {type(row).__name__}")
+        if len(row) != 2:
+            raise SchemaError(path, "expected [x, y]")
+        try:
+            for v in row:
+                finite_float(v, "x and y must be finite")
+        except ValueError as exc:
+            raise SchemaError(path, str(exc)) from None
+
+
+def _needle_array(points) -> np.ndarray:
+    """`points` as a new float64 (M, 2) array of finite values. Pairs of
+    Python ints and floats, the usual case, take one type scan and one
+    np.array call; other pairs are walked row by row for the first fault."""
+    if isinstance(points, np.ndarray):
+        if points.dtype.kind not in "iuf":
+            raise SchemaError("needle_points", f"expected an int or float array, got {points.dtype}")
+        arr = points.astype(np.float64)  # a copy, whatever the input dtype
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        elif arr.ndim != 2 or arr.shape[1] != 2:
+            raise SchemaError("needle_points", f"expected shape (M, 2), got {points.shape}")
+    elif not isinstance(points, (list, tuple)):
+        raise SchemaError("needle_points", f"expected an array, got {type(points).__name__}")
+    else:
+        if not (
+            set(map(type, points)) <= {list, tuple}
+            and set(map(len, points)) <= {2}
+            and set(map(type, chain.from_iterable(points))) <= {float, int}
+        ):
+            _first_bad_needle_row(points)  # pairs of numpy scalars pass on
+        try:
+            arr = np.array(points, dtype=np.float64).reshape(-1, 2)
+        except OverflowError:  # an int beyond the float range
+            _first_bad_needle_row(points)
+            raise
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"needle_points[{int(finite.argmin())}]", "x and y must be finite")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class GaugeFixture:
+    """One gauge's detections.
+
+    `needle_points` takes an int or float (M, 2) array, or a list or tuple
+    of [x, y] number pairs, and keeps a read-only float64 (M, 2) copy, (0, 2)
+    when empty; equality and hashing compare its values.
+    """
+
     crop_size: tuple[int, int] = CROP_SIZE
     keypoints: tuple[Keypoint, ...] = ()
-    needle_points: tuple[Point2, ...] = ()
+    needle_points: np.ndarray = ()
     ocr_items: tuple[OcrItem, ...] = ()
     ground_truth: Optional[GroundTruth] = None
 
@@ -127,14 +184,17 @@ class GaugeFixture:
         except ValueError as exc:
             raise SchemaError("crop_size", str(exc)) from None
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
-        object.__setattr__(self, "needle_points", tuple(self.needle_points))
         object.__setattr__(self, "ocr_items", tuple(self.ocr_items))
         for i, kp in enumerate(self.keypoints):
             _check_type(kp, Keypoint, f"keypoints[{i}]")
             self._check_bounds(kp.position.x, kp.position.y, f"keypoints[{i}]")
-        for i, p in enumerate(self.needle_points):
-            _check_type(p, Point2, f"needle_points[{i}]")
-            self._check_bounds(p.x, p.y, f"needle_points[{i}]")
+        needle = _needle_array(self.needle_points)
+        inside = ((needle >= 0.0) & (needle < np.array(self.crop_size, dtype=float))).all(axis=1)
+        if not inside.all():
+            i = int(inside.argmin())
+            self._check_bounds(*needle[i].tolist(), f"needle_points[{i}]")
+        needle.flags.writeable = False
+        object.__setattr__(self, "needle_points", needle)
         for i, item in enumerate(self.ocr_items):
             _check_type(item, OcrItem, f"ocr[{i}]")
             self._check_bounds(item.box.x, item.box.y, f"ocr[{i}].box")
@@ -149,12 +209,21 @@ class GaugeFixture:
         if not (0.0 <= x < w and 0.0 <= y < h):
             raise SchemaError(path, f"coordinate ({x}, {y}) outside [0, {w}) x [0, {h})")
 
+    def _values(self) -> tuple:
+        needle = tuple(self.needle_points.ravel().tolist())
+        return (self.crop_size, self.keypoints, needle, self.ocr_items, self.ground_truth)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
     def keypoint_array(self) -> np.ndarray:
         """Keypoint positions as an (N, 2) array."""
         return np.array([[kp.position.x, kp.position.y] for kp in self.keypoints]).reshape(-1, 2)
-
-    def needle_array(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.needle_points]).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +371,12 @@ def present_fields(cls, doc: Any, path: str) -> dict:
     return present_entries(as_object(doc, path), *(f.name for f in fields(cls) if f.init))
 
 
-def parse_fixture(data: bytes | str) -> GaugeFixture:
-    """Parse a UTF-8 JSON fixture document.
+def load_json(data: bytes | str) -> Any:
+    """The document encoded in UTF-8 JSON `data`.
 
-    Raises SchemaError naming the offending path: "$" for malformed UTF-8
-    or JSON, the field for a wrong shape or a value the data model rejects.
+    Raises SchemaError under "$" when `data` is not valid UTF-8 or JSON;
+    every reader of a JSON file (fixtures, configs, manifests, scene
+    sources) decodes through here, so the fault reads the same for each.
     """
     if isinstance(data, bytes):
         try:
@@ -314,10 +384,18 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
         except UnicodeDecodeError as exc:
             raise SchemaError("$", f"not valid UTF-8: {exc}") from None
     try:
-        doc = json.loads(data)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
 
+
+def parse_fixture(data: bytes | str) -> GaugeFixture:
+    """Parse a UTF-8 JSON fixture document.
+
+    Raises SchemaError naming the offending path: "$" for malformed UTF-8
+    or JSON, the field for a wrong shape or a value the data model rejects.
+    """
+    doc = load_json(data)
     root = as_object(doc, "$")
     version = root.get("schema")
     if not (is_number(version, integer=True) and version == SCHEMA_VERSION):
@@ -340,16 +418,6 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
             keypoints.append(Keypoint(Point2(obj["x"], obj["y"]), kind))
         except ValueError as exc:
             raise SchemaError(f"keypoints[{i}]", str(exc)) from None
-
-    needle_points = []
-    for i, entry in enumerate(as_list(root.get("needle_points", []), "needle_points")):
-        pair = as_list(entry, f"needle_points[{i}]")
-        if len(pair) != 2:
-            raise SchemaError(f"needle_points[{i}]", "expected [x, y]")
-        try:
-            needle_points.append(Point2(pair[0], pair[1]))
-        except ValueError as exc:
-            raise SchemaError(f"needle_points[{i}]", str(exc)) from None
 
     ocr_items = []
     for i, entry in enumerate(as_list(root.get("ocr", []), "ocr")):
@@ -377,12 +445,12 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
         except ValueError as exc:
             raise SchemaError("ground_truth", str(exc)) from None
 
+    # The fixture checks the needle rows itself, in bulk.
     return GaugeFixture(
         keypoints=tuple(keypoints),
-        needle_points=tuple(needle_points),
         ocr_items=tuple(ocr_items),
         ground_truth=ground_truth,
-        **present_entries(root, "crop_size"),
+        **present_entries(root, "crop_size", "needle_points"),
     )
 
 
@@ -398,7 +466,7 @@ def _fixture_jsonable(f: GaugeFixture) -> dict:
             {"x": kp.position.x, "y": kp.position.y, "class": kp.kind.value}
             for kp in f.keypoints
         ],
-        "needle_points": [[p.x, p.y] for p in f.needle_points],
+        "needle_points": f.needle_points.tolist(),
         "ocr": [
             {
                 "box": [it.box.x, it.box.y, it.box.width, it.box.height],

@@ -7,7 +7,6 @@ fatal stage so each failed report carries exactly one failure reason.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +32,7 @@ from .fixtures import (
     ScaleSide,
     Stage,
     StageStatus,
+    load_json,
     present_fields,
     rounded_json,
 )
@@ -91,12 +91,9 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """Config from a UTF-8 JSON file; see from_json for the errors."""
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # malformed JSON or UTF-8; OSError passes
-            raise SchemaError("config", f"not valid JSON: {exc}") from None
-        return cls.from_json(doc)
+        """Config from a UTF-8 JSON file; see load_json and from_json for
+        the errors. OSError passes."""
+        return cls.from_json(load_json(Path(path).read_bytes()))
 
 
 def _wrap_and_notch_status(
@@ -160,7 +157,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
             **kwargs,
         )
 
-    needle_c = transform.apply(fixture.needle_array())
+    needle_c = transform.apply(fixture.needle_points)
     try:
         needle_line = geometry.odr_fit_line(needle_c)
     except InsufficientPoints:

@@ -173,11 +173,20 @@ def default_inlier_threshold(values, fraction: float, floor: float = 1e-9) -> fl
     outlier inflate it until nothing gets rejected. Floored for degenerate
     (single-value) spans.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    values = [float(v) for v in values]
+    if not values:
         return floor
-    mad = float(np.median(np.abs(arr - np.median(arr))))
+    center = _median(values)
+    mad = _median([abs(v - center) for v in values])
     return max(fraction * 4.0 * mad, floor)
+
+
+def _median(values: list[float]) -> float:
+    """np.median's result, bit for bit: the middle value, or the mean of
+    the two middle values as (a + b) / 2."""
+    ordered = sorted(values)
+    k = len(ordered) // 2
+    return ordered[k] if len(ordered) % 2 else (ordered[k - 1] + ordered[k]) / 2
 
 
 def _ols(angles: np.ndarray, values: np.ndarray) -> tuple[float, float]:

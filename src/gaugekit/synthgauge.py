@@ -198,7 +198,7 @@ def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     fixture = GaugeFixture(
         crop_size=spec.crop_size,
         keypoints=tuple(keypoints),
-        needle_points=tuple(Point2(x, y) for x, y in needle.tolist()),
+        needle_points=needle,
         ocr_items=tuple(ocr_items),
         ground_truth=truth,
     )
@@ -276,7 +276,7 @@ def perturb_scene(
     rng = np.random.default_rng(spec.seed)
     w, h = fixture.crop_size
     keypoints = fixture.keypoint_array()
-    needle = fixture.needle_array()
+    needle = fixture.needle_points
     boxes = np.array(
         [[it.box.x, it.box.y, it.box.width, it.box.height] for it in fixture.ocr_items]
     ).reshape(-1, 4)
@@ -299,9 +299,8 @@ def perturb_scene(
         keypoints = keypoints + rng.normal(0.0, spec.keypoint_noise_sigma, keypoints.shape)
 
     limit = np.array([w, h]) - 1e-6
-    keypoints, needle, corners = (
-        np.clip(p, 0.0, limit).tolist() for p in (keypoints, needle, centers - halves)
-    )
+    keypoints, corners = (np.clip(p, 0.0, limit).tolist() for p in (keypoints, centers - halves))
+    needle = np.clip(needle, 0.0, limit)
 
     keep = np.ones(len(fixture.ocr_items), dtype=bool)
     if spec.ocr_dropout_rate > 0:  # random(0) draws nothing
@@ -329,7 +328,7 @@ def perturb_scene(
         keypoints=tuple(
             Keypoint(Point2(x, y), kp.kind) for (x, y), kp in zip(keypoints, fixture.keypoints)
         ),
-        needle_points=tuple(Point2(x, y) for x, y in needle),
+        needle_points=needle,
         ocr_items=tuple(items),
         ground_truth=fixture.ground_truth if fixture.ground_truth is not None else truth,
     )

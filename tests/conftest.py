@@ -86,7 +86,6 @@ def random_fixture(rng: np.random.Generator) -> GaugeFixture:
         pts = np.column_stack(
             [rng.uniform(0, w - 1e-3, n_needle), rng.uniform(0, h - 1e-3, n_needle)]
         )
-    needle = tuple(Point2(p[0], p[1]) for p in pts)
 
     items = []
     for _ in range(int(rng.integers(0, 6))):
@@ -109,7 +108,7 @@ def random_fixture(rng: np.random.Generator) -> GaugeFixture:
     return GaugeFixture(
         crop_size=(w, h),
         keypoints=keypoints,
-        needle_points=needle,
+        needle_points=pts,
         ocr_items=tuple(items),
         ground_truth=truth,
     )

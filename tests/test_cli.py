@@ -90,6 +90,20 @@ def test_read_malformed_fixture_exit_three(tmp_path):
     assert b"crop_size" in proc.stderr and b"Traceback" not in proc.stderr
 
 
+def test_malformed_json_reads_alike_for_every_input(tmp_path, scene_file):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    for argv in (
+        ["read", str(bad)],
+        ["eval", str(bad)],
+        ["generate", str(bad), "--out-dir", str(tmp_path / "x")],
+        ["read", str(scene_file), "--config", str(bad)],
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3
+        assert f"gaugekit: {bad}: $: not valid JSON: ".encode() in proc.stderr
+
+
 def _config_row(config, code, message, name=None):
     """A bad-config row; unless `name` is given, its id is the one
     `config, code` alone would give."""
@@ -99,7 +113,7 @@ def _config_row(config, code, message, name=None):
 @pytest.mark.parametrize(
     "config, code, message",
     [
-        _config_row("{not json", 3, b"config: not valid JSON"),
+        _config_row("{not json", 3, b"cfg.json: $: not valid JSON: "),
         _config_row("[1]", 3, b"config: expected an object, got list"),
         _config_row(
             '{"ransac": {"enabled": "false"}}', 3, b"ransac: enabled must be true or false"
@@ -240,10 +254,10 @@ _SPEC = scene_spec_to_jsonable(make_scene_spec())
         # Raw bytes are written as they are.
         pytest.param(
             b'\xff\xfe{"spec": {}}',
-            b"invalid JSON: 'utf-8' codec can't decode byte 0xff",
+            b"bad.json: $: not valid UTF-8: 'utf-8' codec can't decode byte 0xff",
             id="not-utf8",
         ),
-        pytest.param(b"[1]", b"expected a JSON object", id="not-an-object"),
+        pytest.param(b"[1]", b"bad.json: $: expected an object, got list", id="not-an-object"),
         # A spec or perturbation given as JSON text is not decoded a second time.
         ({"scenes": [{"spec": "x"}]}, b"scenes[0]: spec: expected an object, got str"),
         ({"spec": json.dumps(_SPEC)}, b"spec: expected an object, got str"),
@@ -314,10 +328,16 @@ def test_eval_missing_ground_truth_exit_three(tmp_path):
     (tmp_path / "man.json").write_text(json.dumps({"schema": 1, "fixtures": ["fx.json"]}))
     proc = run_cli("eval", str(tmp_path / "man.json"))
     assert proc.returncode == 3
-    assert b"fixtures[0].ground_truth: required for evaluation" in proc.stderr
-    (tmp_path / "man.json").write_text("[1]")  # not an object
-    proc = run_cli("eval", str(tmp_path / "man.json"))
-    assert proc.returncode == 3 and b"Traceback" not in proc.stderr
+    assert b"man.json: fixtures[0].ground_truth: required for evaluation" in proc.stderr
+    for manifest, message in (
+        ("[1]", b"man.json: $: expected an object, got list"),
+        ('{"fixtures": 3}', b"man.json: fixtures: expected an array, got int"),
+        ("{}", b"man.json: fixtures: expected an array, got NoneType"),
+    ):
+        (tmp_path / "man.json").write_text(manifest)
+        proc = run_cli("eval", str(tmp_path / "man.json"))
+        assert proc.returncode == 3 and b"Traceback" not in proc.stderr
+        assert message in proc.stderr
     # A non-string entry is named before any fixture, even a missing one, is read.
     for entry in (5, None, ["fx.json"], {"path": "fx.json"}, "fx\0.json"):
         (tmp_path / "man.json").write_text(json.dumps({"fixtures": ["missing.json", entry]}))

@@ -75,6 +75,31 @@ def test_parse_rejects_out_of_range_coordinate():
     assert "needle_points[0]" in err.value.path
 
 
+# One needle fault each, with the error that names it: parse_fixture and
+# direct GaugeFixture construction report it alike.
+NEEDLE_FAULTS = [
+    ("true", [[1, 1], [True, 1]], "needle_points[1]: x and y must be finite"),
+    ("string", [["2", 1]], "needle_points[0]: x and y must be finite"),
+    ("null", [[1, 1], [1, None]], "needle_points[1]: x and y must be finite"),
+    ("nan", [[1, 1], [1, 1], [math.nan, 1]], "needle_points[2]: x and y must be finite"),
+    ("infinity", [[1, math.inf]], "needle_points[0]: x and y must be finite"),
+    ("beyond-floats", [[1, 1], [10**400, 1]], "needle_points[1]: x and y must be finite"),
+    ("three-values", [[1, 1], [1, 2, 3]], "needle_points[1]: expected [x, y]"),
+    ("not-a-row", [[1, 1], 5], "needle_points[1]: expected an array, got int"),
+    ("not-an-array", {"x": 1}, "needle_points: expected an array, got dict"),
+    (
+        "outside-crop",
+        [[1, 1], [448, 10]],
+        "needle_points[1]: coordinate (448.0, 10.0) outside [0, 448) x [0, 448)",
+    ),
+    (
+        "negative",
+        [[-0.5, 10]],
+        "needle_points[0]: coordinate (-0.5, 10.0) outside [0, 448) x [0, 448)",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "mutate, path_part",
     [
@@ -114,6 +139,12 @@ def test_parse_rejects_out_of_range_coordinate():
         (lambda d: d.update(schema=True), "schema: expected schema version 1"),
         (lambda d: d.update(schema=1.0), "schema: expected schema version"),
         (lambda d: d.update(schema="1"), "schema: expected schema"),
+        *(
+            pytest.param(
+                lambda d, rows=rows: d.update(needle_points=rows), message, id=f"needle-{name}"
+            )
+            for name, rows, message in NEEDLE_FAULTS
+        ),
     ],
 )
 def test_parse_schema_errors_name_the_offending_path(mutate, path_part):
@@ -151,9 +182,9 @@ def fixtures(draw) -> GaugeFixture:
         keypoints.append(
             Keypoint(Point2(draw(_coords), draw(_coords)), KeypointClass.INTERMEDIATE)
         )
-    needle = [
-        Point2(draw(_coords), draw(_coords)) for _ in range(draw(st.integers(0, 5)))
-    ]
+    needle = np.array(
+        [[draw(_coords), draw(_coords)] for _ in range(draw(st.integers(0, 5)))]
+    ).reshape(-1, 2)
     items = []
     for _ in range(draw(st.integers(0, 3))):
         items.append(
@@ -176,7 +207,7 @@ def fixtures(draw) -> GaugeFixture:
     return GaugeFixture(
         crop_size=(448, 448),
         keypoints=tuple(keypoints),
-        needle_points=tuple(needle),
+        needle_points=needle,
         ocr_items=tuple(items),
         ground_truth=truth,
     )
@@ -299,7 +330,7 @@ def test_fixture_invariants_reject_bad_direct_construction():
             )
         )
     with pytest.raises(SchemaError):
-        GaugeFixture(needle_points=(Point2(448.0, 1.0),))
+        GaugeFixture(needle_points=[[448.0, 1.0]])
     with pytest.raises(ValueError):
         Point2(math.inf, 0.0)
     with pytest.raises(ValueError):
@@ -347,10 +378,55 @@ def test_fixture_invariants_reject_bad_direct_construction():
         OcrItem((0, 0, 1, 1), "5")
     for kwargs, path in [
         (dict(keypoints=(Keypoint(Point2(1, 1), KeypointClass.START), "x")), "keypoints[1]"),
-        (dict(needle_points=((1.0, 2.0),)), "needle_points[0]"),
+        (dict(needle_points=(Point2(1.0, 2.0),)), "needle_points[0]: expected an array"),
         (dict(ocr_items=({"box": [0, 0, 1, 1], "text": "5"},)), "ocr[0]"),
         (dict(ground_truth="x"), "ground_truth"),
     ]:
         with pytest.raises(SchemaError, match=re.escape(path)):
             GaugeFixture(**kwargs)
     assert Point2(np.int64(3), np.float32(2.5)) == Point2(3.0, 2.5)
+    for _, rows, message in NEEDLE_FAULTS:
+        with pytest.raises(SchemaError) as err:
+            GaugeFixture(needle_points=rows)
+        assert str(err.value) == message
+
+
+def test_fixture_needle_points_are_a_read_only_copy():
+    source = np.array([[200.0, 200.0], [210.0, 190.0]])
+    fixture = GaugeFixture(needle_points=source)
+    assert fixture.needle_points.dtype == np.float64
+    assert fixture.needle_points.shape == (2, 2)
+    with pytest.raises(ValueError):
+        fixture.needle_points[0, 0] = 1.0
+    # The caller's array is copied, not frozen or shared.
+    assert source.flags.writeable
+    source[0, 0] = 5.0
+    assert fixture.needle_points[0, 0] == 200.0
+    assert GaugeFixture().needle_points.shape == (0, 2)
+    assert GaugeFixture(needle_points=[]).needle_points.shape == (0, 2)
+
+
+def test_fixture_equality_and_hash_compare_needle_values():
+    from_list = GaugeFixture(needle_points=[[200, 200], [210.5, 190]])
+    as_ints = GaugeFixture(needle_points=np.array([[200, 200], [210, 190]]))
+    as_floats = GaugeFixture(needle_points=np.array([[200.0, 200.0], [210.5, 190.0]]))
+    assert from_list == as_floats and hash(from_list) == hash(as_floats)
+    assert as_ints != as_floats
+    assert as_ints.needle_points.dtype == np.float64
+    assert GaugeFixture(needle_points=[[0.0, 1]]) == GaugeFixture(needle_points=[[-0.0, 1]])
+    assert hash(GaugeFixture(needle_points=[[0.0, 1]])) == hash(
+        GaugeFixture(needle_points=[[-0.0, 1]])
+    )
+    assert GaugeFixture(needle_points=np.float32([[1.5, 2]])) == GaugeFixture(
+        needle_points=[(np.float32(1.5), np.int64(2))]
+    )
+    for rows in (
+        np.array([[True, False]]),
+        np.array([["1", "2"]]),
+        np.array([[1.0, 2.0]], dtype=object),
+        np.array([[1 + 0j, 2]]),
+    ):
+        with pytest.raises(SchemaError, match=r"^needle_points: expected an int or float array"):
+            GaugeFixture(needle_points=rows)
+    with pytest.raises(SchemaError, match=re.escape("needle_points: expected shape (M, 2)")):
+        GaugeFixture(needle_points=np.array([1.0, 2.0]))

@@ -58,7 +58,7 @@ def test_too_few_notches_fails_ellipse_stage():
             Keypoint(Point2(200, 75), KeypointClass.INTERMEDIATE),
             Keypoint(Point2(250, 80), KeypointClass.END),
         ),
-        needle_points=(Point2(200, 200), Point2(210, 190)),
+        needle_points=np.array([[200.0, 200.0], [210.0, 190.0]]),
     )
     report = read_gauge(fixture)
     assert report.stage_statuses[Stage.ELLIPSE].reason == "insufficient_notches"
@@ -72,7 +72,7 @@ def test_collinear_notches_fail_as_degenerate_ellipse():
             Keypoint(Point2(50 + 30 * i, 100 + 20 * i), KeypointClass.INTERMEDIATE)
             for i in range(6)
         ),
-        needle_points=(Point2(200, 200), Point2(210, 190)),
+        needle_points=np.array([[200.0, 200.0], [210.0, 190.0]]),
     )
     report = read_gauge(fixture)
     assert report.stage_statuses[Stage.ELLIPSE].reason == "degenerate_ellipse"
@@ -114,7 +114,7 @@ def test_coincident_needle_points_map_to_insufficient():
     stacked = GaugeFixture(
         crop_size=fixture.crop_size,
         keypoints=fixture.keypoints,
-        needle_points=(Point2(200.0, 200.0),) * 8,
+        needle_points=np.full((8, 2), 200.0),
         ocr_items=fixture.ocr_items,
         ground_truth=fixture.ground_truth,
     )
@@ -135,7 +135,7 @@ def test_isotropic_needle_blob():
     fixture = GaugeFixture(
         crop_size=fixture.crop_size,
         keypoints=fixture.keypoints,
-        needle_points=tuple(Point2(p[0], p[1]) for p in blob),
+        needle_points=blob,
         ocr_items=fixture.ocr_items,
         ground_truth=fixture.ground_truth,
     )
@@ -146,7 +146,8 @@ def test_isotropic_needle_blob():
 def test_needle_line_missing_scale_circle():
     fixture, _ = generate_scene(make_scene_spec())
     # A needle segment far in the top-left corner misses the scale entirely.
-    off_scale = tuple(Point2(10.0 + 2 * i, 12.0 + 0.1 * i) for i in range(20))
+    i = np.arange(20)
+    off_scale = np.column_stack([10.0 + 2 * i, 12.0 + 0.1 * i])
     fixture = GaugeFixture(
         crop_size=fixture.crop_size,
         keypoints=fixture.keypoints,

@@ -302,6 +302,28 @@ def test_default_inlier_threshold():
     )
 
 
+def test_default_inlier_threshold_is_bit_exact():
+    def reference(values, fraction, floor=1e-9):
+        arr = np.asarray(values, dtype=float)
+        if arr.size == 0:
+            return floor
+        mad = float(np.median(np.abs(arr - np.median(arr))))
+        return max(fraction * 4.0 * mad, floor)
+
+    rng = np.random.default_rng(20)
+    cases = [[3.5], [-2.0, 7.25], [0.0, 0.0, 1.0], [5.0, 5.0, 5.0, 1e6], [-0.0, 0.0]]
+    for n in (2, 3, 4, 5, 10, 11, 40, 41):
+        cases.append(rng.normal(0.0, 100.0, n).tolist())
+        cases.append(rng.integers(-5, 5, n).astype(float).tolist())  # ties
+        cases.append((-rng.uniform(0.0, 1e-6, n)).tolist())
+    for values in cases:
+        for fraction in (0.02, 0.1, 1.0):
+            expected = reference(values, fraction)
+            got = default_inlier_threshold(values, fraction)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), values
+    assert default_inlier_threshold([3.5], 0.02) == 1e-9  # a single value: the floor
+
+
 def test_default_lexicon_contents():
     assert "bar" in DEFAULT_UNIT_LEXICON
     assert "%" in DEFAULT_UNIT_LEXICON
