@@ -29,13 +29,17 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _cannot_read(path, exc: OSError) -> int:
+    return _fail(EXIT_IO, f"cannot read {path}: {exc}")
+
+
 def _cmd_read(args, cfg: PipelineConfig) -> int:
     any_reading_failure = False
     for path in args.paths:
         try:
             fixture = parse_fixture(Path(path).read_bytes())
         except OSError as exc:
-            return _fail(EXIT_IO, f"{path}: {exc}")
+            return _cannot_read(path, exc)
         except SchemaError as exc:
             return _fail(EXIT_SCHEMA, f"{path}: {exc}")
         report = read_gauge(fixture, cfg)
@@ -64,7 +68,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
             if not isinstance(rel, str) or "\0" in rel:
                 raise SchemaError(f"fixtures[{k}]", "expected a file path string")
     except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read manifest: {exc}")
+        return _cannot_read(args.manifest, exc)
     except SchemaError as exc:
         return _fail(EXIT_SCHEMA, f"{args.manifest}: {exc}")
 
@@ -74,7 +78,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
         try:
             fixtures.append(parse_fixture(fpath.read_bytes()))
         except OSError as exc:
-            return _fail(EXIT_IO, f"{fpath}: {exc}")
+            return _cannot_read(fpath, exc)
         except SchemaError as exc:
             return _fail(EXIT_SCHEMA, f"{fpath}: {exc}")
     try:
@@ -115,7 +119,7 @@ def _cmd_generate(args) -> int:
     try:
         pairs = _scene_pairs(as_object(load_json(Path(args.source).read_bytes()), "$"))
     except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read {args.source}: {exc}")
+        return _cannot_read(args.source, exc)
     except SchemaError as exc:
         return _fail(EXIT_SCHEMA, f"{args.source}: {exc}")
     fixtures = []
@@ -186,7 +190,7 @@ def main(argv=None) -> int:
         try:
             cfg = PipelineConfig() if args.config is None else PipelineConfig.from_file(args.config)
         except OSError as exc:
-            return _fail(EXIT_IO, f"cannot read config: {exc}")
+            return _cannot_read(args.config, exc)
         except SchemaError as exc:
             return _fail(EXIT_SCHEMA, f"{args.config}: {exc}")
         return (_cmd_read if args.command == "read" else _cmd_eval)(args, cfg)

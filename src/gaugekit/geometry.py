@@ -205,8 +205,13 @@ class AffineTransform:
         return pts @ self.linear.T + self.translation
 
     def inverse(self) -> "AffineTransform":
-        inv = np.linalg.inv(self.linear)
-        return AffineTransform(inv, -inv @ self.translation)
+        """The inverse map, from the analytic 2x2 inverse (adjugate over
+        determinant) of the linear part."""
+        (a, b), (c, d) = self.linear.tolist()
+        tx, ty = self.translation.tolist()
+        det = a * d - b * c
+        a, b, c, d = d / det, -b / det, -c / det, a / det
+        return AffineTransform([[a, b], [c, d]], [-(a * tx + b * ty), -(c * tx + d * ty)])
 
     def compose(self, inner: "AffineTransform") -> "AffineTransform":
         """Transform equal to applying `inner` first, then this one."""
@@ -225,20 +230,48 @@ class AffineTransform:
         return f"AffineTransform(linear={self.linear.tolist()}, translation={self.translation.tolist()})"
 
 
+def _sym_eig2(sxx: float, sxy: float, syy: float) -> tuple[float, float, float, float]:
+    """Eigenvalues lo <= hi of the symmetric matrix [[sxx, sxy], [sxy, syy]]
+    of non-negative trace, and the unit eigenvector (ux, uy) of hi, in
+    closed form.
+
+    hi = mid + r adds terms of one sign; lo comes from the determinant,
+    det / hi, as in LAPACK's dlaev2, since mid - r would keep only eps * hi
+    of absolute accuracy. The eigenvector likewise takes whichever of its
+    two formulas does not cancel; a multiple of the identity gets (1, 0).
+    """
+    mid, half = 0.5 * (sxx + syy), 0.5 * (sxx - syy)
+    r = math.hypot(half, sxy)
+    vx, vy = (half + r, sxy) if half >= 0.0 else (sxy, r - half)
+    norm = math.hypot(vx, vy)
+    if norm == 0.0:
+        return mid, mid, 1.0, 0.0
+    hi = mid + r
+    return (sxx / hi) * syy - (sxy / hi) * sxy, hi, vx / norm, vy / norm
+
+
 def _conic_to_geometric(A, B, C, D, E, F) -> Ellipse:
-    """Geometric form of a conic whose 4AC - B^2 > 0 the caller checked."""
-    aq = np.array([[A, B / 2, D / 2], [B / 2, C, E / 2], [D / 2, E / 2, F]])
-    a33 = aq[:2, :2]
-    center = np.linalg.solve(a33, [-D / 2, -E / 2])
-    evals, evecs = np.linalg.eigh(a33)
-    k = -np.linalg.det(aq) / np.linalg.det(a33)
-    axes_sq = k / evals
-    if np.any(axes_sq <= 0) or not np.all(np.isfinite(axes_sq)):
-        raise DegenerateConfiguration("conic has no real ellipse points")
-    radii = np.sqrt(axes_sq)
-    # eigh sorts eigenvalues ascending, so radii[0] is the major axis.
-    theta = math.atan2(evecs[1, 0], evecs[0, 0])
-    return Ellipse(center[0], center[1], radii[0], radii[1], theta)
+    """Geometric form of the conic A x^2 + B xy + C y^2 + D x + E y + F = 0;
+    DegenerateConfiguration unless it is a real ellipse.
+
+    The centre solves the 2x2 gradient system by Cramer's rule; the conic's
+    value there, -k, fixes the axes, a^2 = k / lo and b^2 = k / hi, from the
+    eigenvalues of the quadratic part. The major axis runs along the
+    eigenvector of lo, perpendicular to the (ux, uy) of hi.
+    """
+    A, B, C, D, E, F = (float(v) for v in (A, B, C, D, E, F))
+    if A + C < 0:  # the same conic, with a quadratic part of positive trace
+        A, B, C, D, E, F = -A, -B, -C, -D, -E, -F
+    det = A * C - 0.25 * B * B
+    lo, hi, ux, uy = _sym_eig2(A, 0.5 * B, C)
+    if det > 0 and lo > 0:
+        cx = (0.25 * B * E - 0.5 * C * D) / det
+        cy = (0.25 * B * D - 0.5 * A * E) / det
+        k = -(F + 0.5 * D * cx + 0.5 * E * cy)
+        a_sq, b_sq = k / lo, k / hi
+        if b_sq > 0 and math.isfinite(a_sq):
+            return Ellipse(cx, cy, math.sqrt(a_sq), math.sqrt(b_sq), math.atan2(ux, -uy))
+    raise DegenerateConfiguration("conic has no real ellipse points")
 
 
 def fit_ellipse_direct(points) -> Ellipse:
@@ -325,7 +358,8 @@ def odr_fit_line(points) -> Line:
     """Orthogonal-distance (total least squares) line fit.
 
     The optimal line passes through the centroid along the principal axis of
-    the centered scatter, obtained here from the SVD. Raises
+    the centered scatter: the eigenvector of the larger eigenvalue of the
+    2x2 scatter matrix, taken in closed form by _sym_eig2. Raises
     InsufficientPoints (<2 points, or all coincident) or IsotropicScatter
     when the covariance eigenvalue ratio exceeds ISOTROPY_RATIO and no
     direction is trustworthy.
@@ -337,14 +371,14 @@ def odr_fit_line(points) -> Line:
         raise InsufficientPoints(f"line fit needs at least 2 points, got {pts.shape[0]}")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
-    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
-    if sing[0] == 0.0:
+    (sxx, sxy), (_, syy) = (centered.T @ centered).tolist()
+    lo, hi, ux, uy = _sym_eig2(sxx, sxy, syy)
+    if hi == 0.0:
         raise InsufficientPoints("line fit needs two distinct points; all coincide")
-    ratio = (sing[1] / sing[0]) ** 2
+    ratio = max(lo, 0.0) / hi
     if ratio > ISOTROPY_RATIO:
-        raise IsotropicScatter(float(ratio))
-    direction = vt[0]
-    return Line(centroid[0], centroid[1], direction[0], direction[1])
+        raise IsotropicScatter(ratio)
+    return Line(centroid[0], centroid[1], ux, uy)
 
 
 def line_circle_intersections(line: Line) -> list[float]:

@@ -141,6 +141,11 @@ def wrap_around_angle(
 # Linear scale model
 # ---------------------------------------------------------------------------
 
+# Angles closer than this (radians) count as one angle: no two-point model
+# runs through them. About 2e-7 px on a 200 px scale radius, far below a
+# pixel, yet far above the rounding that separates markers on one ray.
+SAME_ANGLE_EPS = 1e-9
+
 # Most two-point models one fit scores. A side with up to 20 markers has at
 # most 190 pairs and scores them all; larger sets are thinned evenly.
 MAX_PAIRS = 200
@@ -190,16 +195,22 @@ def _median(values: list[float]) -> float:
 
 
 def _ols(angles: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    design = np.column_stack([angles, np.ones(len(angles))])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return float(coef[0]), float(coef[1])
+    """Least-squares (slope, intercept) in the centred closed form; raises
+    NoConsensus when every angle lies within SAME_ANGLE_EPS of the others."""
+    if float(angles.max() - angles.min()) <= SAME_ANGLE_EPS:
+        raise NoConsensus("all pairs lie at one angle")
+    a_mean, v_mean = float(angles.mean()), float(values.mean())
+    da = angles - a_mean
+    slope = float(da @ (values - v_mean)) / float(da @ da)
+    return slope, v_mean - slope * a_mean
 
 
 def least_squares_fit_linear(pairs) -> LinearScaleModel:
     """Plain least-squares line through all pairs; no outlier handling.
 
     Exists as the non-robust baseline; every pair counts as an inlier
-    regardless of residual.
+    regardless of residual. Raises InsufficientPoints (<2 pairs) or
+    NoConsensus (all angles within SAME_ANGLE_EPS).
     """
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if len(arr) < 2:
@@ -233,6 +244,7 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
     should the refit drop below two supporters, the minimal model and its
     consensus stand.
 
+    Only pairs more than SAME_ANGLE_EPS apart in angle define a model.
     Raises InsufficientPoints (<2 pairs) or NoConsensus (no model reaches
     two supporters, e.g. all pairs at one angle).
     """
@@ -247,9 +259,9 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
 
     i, j = _pair_indices(n)
     dx = angles[j] - angles[i]
-    valid = dx != 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slopes = np.where(valid, (values[j] - values[i]) / np.where(dx == 0.0, 1.0, dx), 0.0)
+    valid = np.abs(dx) > SAME_ANGLE_EPS
+    with np.errstate(invalid="ignore", over="ignore"):
+        slopes = np.where(valid, (values[j] - values[i]) / np.where(valid, dx, 1.0), 0.0)
         intercepts = values[i] - slopes * angles[i]
         residuals = np.abs(
             values[None, :] - (slopes[:, None] * angles[None, :] + intercepts[:, None])

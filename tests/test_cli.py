@@ -104,6 +104,22 @@ def test_malformed_json_reads_alike_for_every_input(tmp_path, scene_file):
         assert f"gaugekit: {bad}: $: not valid JSON: ".encode() in proc.stderr
 
 
+def test_unreadable_file_reads_alike_for_every_input(tmp_path, scene_file):
+    missing = tmp_path / "missing.json"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema": 1, "fixtures": [missing.name]}), encoding="utf-8")
+    for argv, named in (
+        (["read", str(missing)], missing),
+        (["eval", str(missing)], missing),
+        (["eval", str(manifest)], missing),  # a fixture the manifest lists
+        (["generate", str(missing), "--out-dir", str(tmp_path / "x")], missing),
+        (["read", str(scene_file), "--config", str(missing)], missing),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(f"gaugekit: cannot read {named}: [Errno 2] ".encode())
+
+
 def _config_row(config, code, message, name=None):
     """A bad-config row; unless `name` is given, its id is the one
     `config, code` alone would give."""
@@ -130,8 +146,8 @@ def _config_row(config, code, message, name=None):
             name="threshold-beyond-floats",
         ),
         # %s becomes a path with no file behind it.
-        _config_row('{"unit_lexicon_path": "%s"}', 2, b"cannot read config: [Errno 2]"),
-        _config_row(None, 2, b"cannot read config: [Errno 2]"),  # no config file
+        _config_row('{"unit_lexicon_path": "%s"}', 2, b"cfg.json: [Errno 2]"),
+        _config_row(None, 2, b"cfg.json: [Errno 2]"),  # no config file
     ],
 )
 @pytest.mark.parametrize("command", ["read", "eval"])
@@ -147,8 +163,10 @@ def test_bad_config_exits_before_any_input(tmp_path, scene_file, command, config
     assert proc.returncode == code
     assert proc.stdout == b""
     assert message in proc.stderr and b"Traceback" not in proc.stderr
-    # The missing file named is the config or the lexicon it points to.
+    # The message names the config as given; its error names the missing
+    # file, the config or the lexicon it points to.
     if code == 2:
+        assert proc.stderr.startswith(f"gaugekit: cannot read {cfg}: ".encode())
         assert (b"cfg.json" if config is None else b"units.txt") in proc.stderr
 
 

@@ -160,22 +160,30 @@ def test_needle_line_missing_scale_circle():
 
 
 def test_markers_at_single_angle_give_no_consensus():
-    fixture, _ = generate_scene(make_scene_spec())
+    scene, _ = generate_scene(make_scene_spec())
     center = np.array([224.0, 224.0])
-    anchor = fixture.keypoint_array()[2]
-    items = []
-    for factor, text in ((0.7, "1"), (0.8, "2"), (0.9, "3")):
-        pos = center + factor * (anchor - center)
-        items.append(OcrItem(Rect(pos[0] - 10, pos[1] - 5, 20, 10), text))
-    fixture = GaugeFixture(
-        crop_size=fixture.crop_size,
-        keypoints=fixture.keypoints,
-        needle_points=fixture.needle_points,
-        ocr_items=tuple(items),
-        ground_truth=fixture.ground_truth,
-    )
-    report = read_gauge(fixture)
-    assert report.stage_statuses[Stage.OCR].reason == "no_consensus"
+    anchor = scene.keypoint_array()[2]
+    # A marker 1e-10 px off the ray is at one angle too: without the
+    # SAME_ANGLE_EPS rule its rounding-sized angle step read about 1e12.
+    for offset in (0.0, 1e-10):
+        items = []
+        for factor, text in ((0.7, "1"), (0.8, "2"), (0.9, "3")):
+            pos = center + factor * (anchor - center)
+            if text == "2":
+                pos = pos + offset
+            items.append(OcrItem(Rect(pos[0] - 10, pos[1] - 5, 20, 10), text))
+        fixture = GaugeFixture(
+            crop_size=scene.crop_size,
+            keypoints=scene.keypoints,
+            needle_points=scene.needle_points,
+            ocr_items=tuple(items),
+            ground_truth=scene.ground_truth,
+        )
+        for ransac in (True, False):
+            config = PipelineConfig(ransac=RansacSettings(enabled=ransac))
+            report = read_gauge(fixture, config)
+            assert report.stage_statuses[Stage.OCR].reason == "no_consensus", (offset, ransac)
+            assert report.readings == ()
 
 
 def test_missing_start_notch_uses_gap_fallback():

@@ -11,6 +11,7 @@ from gaugekit.errors import InsufficientPoints, NoConsensus
 from gaugekit.fixtures import OcrItem, Rect
 from gaugekit.scale_model import (
     DEFAULT_UNIT_LEXICON,
+    SAME_ANGLE_EPS,
     LinearScaleModel,
     default_inlier_threshold,
     extract_unit,
@@ -223,6 +224,20 @@ def test_ransac_insufficient_markers():
 def test_ransac_no_consensus_when_all_angles_equal():
     with pytest.raises(NoConsensus):
         ransac_fit_linear([(1.0, 0.0), (1.0, 5.0), (1.0, 9.0)], threshold=0.1)
+
+
+def test_angles_within_same_angle_eps_are_one_angle():
+    # Rounding-sized angle steps: markers on one ray from the centre.
+    near = [(1.0, 0.0), (1.0 + 1e-12, 5.0), (1.0 - 1e-12, 9.0)]
+    with pytest.raises(NoConsensus):
+        ransac_fit_linear(near, threshold=0.1)
+    for pairs in (near, [(1.0, 0.0), (1.0, 5.0), (1.0, 9.0)], [(2.0, 1.0), (2.0, 1.0)]):
+        with pytest.raises(NoConsensus):
+            least_squares_fit_linear(pairs)
+    # Just beyond the constant, two markers define a model again.
+    apart = [(1.0, 0.0), (1.0 + 2 * SAME_ANGLE_EPS, 1e-8)]
+    assert ransac_fit_linear(apart, threshold=0.1).inliers == (0, 1)
+    assert least_squares_fit_linear(apart).slope == pytest.approx(0.5e-8 / SAME_ANGLE_EPS)
 
 
 def test_ransac_outlier_robustness_invariant():
