@@ -30,7 +30,7 @@ spec = SceneSpec(
 
 fixture, truth = generate_scene(spec)
 print(f"scene: {len(fixture.keypoints)} notches, {len(fixture.needle_points)} needle px, "
-      f"{len(fixture.ocr_items)} OCR boxes, truth = {truth.reading} {truth.unit}")
+      f"{len(fixture.ocr_texts)} OCR boxes, truth = {truth.reading} {truth.unit}")
 
 report = read_gauge(fixture)
 for stage, status in report.stage_statuses.items():

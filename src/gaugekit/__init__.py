@@ -11,13 +11,9 @@ from .fixtures import (
     GaugeFixture,
     GaugeReadingReport,
     GroundTruth,
-    Keypoint,
     KeypointClass,
     MarkerUse,
-    OcrItem,
-    Point2,
     Reading,
-    Rect,
     ScaleSide,
     Stage,
     StageStatus,

@@ -97,14 +97,15 @@ class PipelineConfig:
 
 
 def _wrap_and_notch_status(
-    fixture: GaugeFixture, keypoints: np.ndarray, transform: geometry.AffineTransform
+    fixture: GaugeFixture, transform: geometry.AffineTransform
 ) -> tuple[float, StageStatus]:
-    # One vote per distinct keypoint: an exact repeat is the same notch.
-    distinct = {kp: i for i, kp in enumerate(fixture.keypoints)}
-    points = transform.apply(keypoints[list(distinct.values())])
+    # One vote per distinct (x, y, class): an exact repeat is the same notch.
+    rows = zip(fixture.keypoints.tolist(), fixture.keypoint_classes)
+    distinct = {(x, y, kind): i for i, ((x, y), kind) in enumerate(rows)}
+    points = transform.apply(fixture.keypoints[list(distinct.values())])
     directed = points.any(axis=1)  # a notch at the ellipse center has no direction
     angles = geometry.parametric_angle(points[directed]).tolist()
-    kinds = [kp.kind for kp, keep in zip(distinct, directed) if keep]
+    kinds = [kind for (_, _, kind), keep in zip(distinct, directed) if keep]
     by_kind = {kind: [a for a, k in zip(angles, kinds) if k is kind] for kind in KeypointClass}
 
     start, end = by_kind[KeypointClass.START], by_kind[KeypointClass.END]
@@ -132,9 +133,8 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     cfg = config or PipelineConfig()
     statuses: dict[Stage, StageStatus] = {}
 
-    keypoints = fixture.keypoint_array()
     try:
-        ellipse = geometry.fit_ellipse_direct(keypoints)
+        ellipse = geometry.fit_ellipse_direct(fixture.keypoints)
     except InsufficientPoints:
         statuses[Stage.ELLIPSE] = StageStatus("insufficient_notches")
         return GaugeReadingReport(stage_statuses=statuses)
@@ -146,7 +146,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     transform = geometry.circularize(ellipse)
     inverse = transform.inverse()
 
-    wrap, notch_status = _wrap_and_notch_status(fixture, keypoints, transform)
+    wrap, notch_status = _wrap_and_notch_status(fixture, transform)
     statuses[Stage.NOTCHES] = notch_status
 
     def finish(**kwargs) -> GaugeReadingReport:
@@ -178,21 +178,20 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
 
     # Project numeric OCR detections onto the circle; the rest are unit
     # candidates and need no geometry.
-    numeric = [
-        (item, value)
-        for item in fixture.ocr_items
-        if (value := scale_model.parse_numeric_token(item.text)) is not None
-    ]
-    centers = transform.apply(
-        np.array(
-            [[it.box.x + it.box.width / 2.0, it.box.y + it.box.height / 2.0] for it, _ in numeric]
-        ).reshape(-1, 2)
-    )
+    texts = fixture.ocr_texts
+    values = [scale_model.parse_numeric_token(text) for text in texts]
+    numeric = [i for i, value in enumerate(values) if value is not None]
+    boxes = fixture.ocr_boxes[numeric]
+    centers = transform.apply(boxes[:, :2] + boxes[:, 2:] / 2)
     directed = centers.any(axis=1)  # a marker at the ellipse center has no direction
-    markers = [(item.text, value) for (item, value), keep in zip(numeric, directed) if keep]
+    markers = [(texts[i], values[i]) for i, keep in zip(numeric, directed) if keep]
     on_circle, radius = geometry.radial_project_to_circle(centers[directed])
     rel_angles = geometry.normalize_angle(geometry.parametric_angle(on_circle) - wrap)
-    unit = scale_model.extract_unit(fixture.ocr_items, cfg.unit_lexicon)
+    confidences = fixture.ocr_confidences.tolist()
+    others = [i for i, value in enumerate(values) if value is None]
+    unit = scale_model.extract_unit(
+        [texts[i] for i in others], [confidences[i] for i in others], cfg.unit_lexicon
+    )
 
     readings: list[Reading] = []
     marker_uses: list[MarkerUse] = []

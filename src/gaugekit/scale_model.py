@@ -66,22 +66,25 @@ def parse_numeric_token(text: str) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def extract_unit(ocr_items, lexicon: Sequence[str] = DEFAULT_UNIT_LEXICON) -> Optional[str]:
-    """Highest-confidence non-numeric token matching the unit lexicon.
+def extract_unit(
+    texts: Sequence[str],
+    confidences: Sequence[float],
+    lexicon: Sequence[str] = DEFAULT_UNIT_LEXICON,
+) -> Optional[str]:
+    """Highest-confidence text matching the unit lexicon.
 
-    Matching is case-insensitive; the lexicon's canonical casing is
-    returned. Ties keep the earliest item.
+    `texts` are the non-numeric OCR texts (read_gauge splits them from the
+    markers) and `confidences` theirs. Matching is case-insensitive; the
+    lexicon's canonical casing is returned. Ties keep the earliest text.
     """
     canonical = {u.strip().lower(): u for u in lexicon}
     best: Optional[str] = None
     best_conf = -1.0
-    for item in ocr_items:
-        if parse_numeric_token(item.text) is not None:
-            continue
-        match = canonical.get(item.text.strip().lower())
-        if match is not None and item.confidence > best_conf:
+    for text, confidence in zip(texts, confidences):
+        match = canonical.get(text.strip().lower())
+        if match is not None and confidence > best_conf:
             best = match
-            best_conf = item.confidence
+            best_conf = confidence
     return best
 
 

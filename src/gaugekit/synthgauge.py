@@ -14,7 +14,7 @@ report a bad document as SchemaError naming its path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -24,11 +24,7 @@ from .fixtures import (
     CROP_SIZE,
     GaugeFixture,
     GroundTruth,
-    Keypoint,
     KeypointClass,
-    OcrItem,
-    Point2,
-    Rect,
     as_object,
     present_entries,
     present_fields,
@@ -137,10 +133,12 @@ def _format_value(value: float) -> str:
     return text if text not in ("", "-") else "0"
 
 
-def _marker_box(center: np.ndarray) -> Rect:
-    return Rect(
-        center[0] - MARKER_BOX[0] / 2, center[1] - MARKER_BOX[1] / 2, *MARKER_BOX
-    )
+def _marker_boxes(centers: np.ndarray) -> np.ndarray:
+    """MARKER_BOX-sized (K, 4) boxes around the rows of `centers` (K, 2)."""
+    boxes = np.empty((len(centers), 4))
+    boxes[:, :2] = centers - np.array(MARKER_BOX) / 2
+    boxes[:, 2:] = MARKER_BOX
+    return boxes
 
 
 def generate_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
@@ -151,15 +149,31 @@ def generate_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     ellipse center to the rim at the value's angle, and each notch gets an
     OCR box with the exact printed value, pulled toward or away from the
     center by the radius factor. Deterministic: no randomness involved.
-    Raises SchemaError under "spec" when that content leaves the crop frame,
-    overflowing to a non-finite coordinate included.
+    Raises SchemaError under "spec" naming the spec field whose content
+    leaves the crop frame, overflowing to a non-finite coordinate included.
     """
     try:
         # An overflow becomes an inf coordinate, which the data model rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             return _build_scene(spec)
-    except (SchemaError, ValueError) as exc:
-        raise SchemaError("spec", f"scene content leaves the crop frame: {exc}") from None
+    except SchemaError as exc:
+        raise SchemaError(
+            "spec", f"scene content leaves the crop frame: {_placed_by(spec, exc.path)}"
+        ) from None
+
+
+def _placed_by(spec: SceneSpec, path: str) -> str:
+    """What puts the part of a generated fixture at `path` where it is."""
+    if path.startswith("ocr["):
+        i, n = int(path[4 : path.index("]")]), spec.n_major_notches
+        if i < n:
+            return "marker_radius_factor places a marker outside it"
+        if i < 2 * n and spec.second_scale is not None:
+            return "second_scale.radius_factor places a marker outside it"
+        return "ellipse places the unit label outside it"
+    if path.startswith("needle_points"):
+        return "ellipse and needle_value place the needle outside it"
+    return "ellipse and scale_arc place a notch outside it"
 
 
 def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
@@ -168,10 +182,7 @@ def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     fractions = np.arange(n) / (n - 1)
     angles = spec.arc_start + spec.direction * spec.arc_span * fractions
     notch_positions = ell.point_at(angles)
-    kinds = [KeypointClass.START] + [KeypointClass.INTERMEDIATE] * (n - 2) + [KeypointClass.END]
-    keypoints = [
-        Keypoint(Point2(x, y), kind) for (x, y), kind in zip(notch_positions.tolist(), kinds)
-    ]
+    classes = (KeypointClass.START, *[KeypointClass.INTERMEDIATE] * (n - 2), KeypointClass.END)
 
     tip = ell.point_at(spec.angle_of_value(spec.needle_value))
     center = ell.center
@@ -182,24 +193,24 @@ def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     if spec.second_scale is not None:
         second = spec.second_scale
         scales.append((second.range_min, second.range_max, second.radius_factor))
-    ocr_items = [
-        OcrItem(_marker_box(anchor), _format_value(value))
-        for low, high, factor in scales
-        for anchor, value in zip(
-            (center + factor * (notch_positions - center)).tolist(),
-            (low + (high - low) * fractions).tolist(),
-        )
+    anchors = [center + factor * (notch_positions - center) for _, _, factor in scales]
+    texts = [
+        _format_value(value)
+        for low, high, _ in scales
+        for value in (low + (high - low) * fractions).tolist()
     ]
     if spec.unit:
-        anchor = center + np.array([0.0, 0.45 * ell.b])
-        ocr_items.append(OcrItem(_marker_box(anchor), spec.unit))
+        anchors.append((center + np.array([0.0, 0.45 * ell.b]))[None])
+        texts.append(spec.unit)
 
     truth = GroundTruth(spec.needle_value, spec.range_min, spec.range_max, spec.unit)
     fixture = GaugeFixture(
         crop_size=spec.crop_size,
-        keypoints=tuple(keypoints),
+        keypoints=notch_positions,
+        keypoint_classes=classes,
         needle_points=needle,
-        ocr_items=tuple(ocr_items),
+        ocr_boxes=_marker_boxes(np.vstack(anchors)),
+        ocr_texts=texts,
         ground_truth=truth,
     )
     return fixture, truth
@@ -275,11 +286,9 @@ def perturb_scene(
     """
     rng = np.random.default_rng(spec.seed)
     w, h = fixture.crop_size
-    keypoints = fixture.keypoint_array()
+    keypoints = fixture.keypoints
     needle = fixture.needle_points
-    boxes = np.array(
-        [[it.box.x, it.box.y, it.box.width, it.box.height] for it in fixture.ocr_items]
-    ).reshape(-1, 4)
+    boxes = fixture.ocr_boxes
     halves = boxes[:, 2:] / 2.0
     centers = boxes[:, :2] + halves
 
@@ -299,37 +308,40 @@ def perturb_scene(
         keypoints = keypoints + rng.normal(0.0, spec.keypoint_noise_sigma, keypoints.shape)
 
     limit = np.array([w, h]) - 1e-6
-    keypoints, corners = (np.clip(p, 0.0, limit).tolist() for p in (keypoints, centers - halves))
-    needle = np.clip(needle, 0.0, limit)
+    keypoints, needle, corners = (
+        np.clip(p, 0.0, limit) for p in (keypoints, needle, centers - halves)
+    )
 
-    keep = np.ones(len(fixture.ocr_items), dtype=bool)
+    boxes = np.column_stack([corners, boxes[:, 2:]])
+    texts, confidences = list(fixture.ocr_texts), fixture.ocr_confidences
     if spec.ocr_dropout_rate > 0:  # random(0) draws nothing
-        keep = rng.random(len(keep)) >= spec.ocr_dropout_rate
+        keep = rng.random(len(texts)) >= spec.ocr_dropout_rate
+        boxes, confidences = boxes[keep], confidences[keep]
+        texts = [text for text, kept in zip(texts, keep) if kept]
+    if spec.digit_corruption_rate > 0:
+        for k, text in enumerate(texts):
+            if any(ch.isdigit() for ch in text) and rng.random() < spec.digit_corruption_rate:
+                texts[k] = _corrupt_digit(text, rng)
 
-    items: list[OcrItem] = []
-    for item, kept, (x, y) in zip(fixture.ocr_items, keep, corners):
-        if not kept:
-            continue
-        text = item.text
-        if spec.digit_corruption_rate > 0 and any(ch.isdigit() for ch in text):
-            if rng.random() < spec.digit_corruption_rate:
-                text = _corrupt_digit(text, rng)
-        items.append(OcrItem(Rect(x, y, item.box.width, item.box.height), text, item.confidence))
-
-    for _ in range(spec.n_outlier_ocr):
+    if spec.n_outlier_ocr:
         margin = FRAME_MARGIN + MARKER_BOX[0] / 2
-        pos = rng.uniform([margin, margin], [w - margin, h - margin])
-        length = int(rng.integers(3, 7))
-        digits = [str(rng.integers(1, 10))] + [str(rng.integers(0, 10)) for _ in range(length - 1)]
-        items.append(OcrItem(_marker_box(pos), "".join(digits)))
+        positions = []
+        for _ in range(spec.n_outlier_ocr):
+            positions.append(rng.uniform([margin, margin], [w - margin, h - margin]))
+            length = int(rng.integers(3, 7))
+            digits = [str(rng.integers(1, 10))]
+            digits += [str(rng.integers(0, 10)) for _ in range(length - 1)]
+            texts.append("".join(digits))
+        boxes = np.vstack([boxes, _marker_boxes(np.array(positions))])
+        confidences = np.concatenate([confidences, np.ones(spec.n_outlier_ocr)])
 
-    return GaugeFixture(
-        crop_size=fixture.crop_size,
-        keypoints=tuple(
-            Keypoint(Point2(x, y), kp.kind) for (x, y), kp in zip(keypoints, fixture.keypoints)
-        ),
+    return replace(
+        fixture,
+        keypoints=keypoints,
         needle_points=needle,
-        ocr_items=tuple(items),
+        ocr_boxes=boxes,
+        ocr_texts=texts,
+        ocr_confidences=confidences,
         ground_truth=fixture.ground_truth if fixture.ground_truth is not None else truth,
     )
 

@@ -6,16 +6,7 @@ import math
 
 import numpy as np
 
-from gaugekit import (
-    Ellipse,
-    GaugeFixture,
-    GroundTruth,
-    Keypoint,
-    KeypointClass,
-    OcrItem,
-    Point2,
-    Rect,
-)
+from gaugekit import Ellipse, GaugeFixture, GroundTruth, KeypointClass
 from gaugekit.synthgauge import SceneSpec
 
 
@@ -66,13 +57,8 @@ def random_fixture(rng: np.random.Generator) -> GaugeFixture:
         kinds.append(KeypointClass.END)
     kinds.extend([KeypointClass.INTERMEDIATE] * int(rng.integers(0, 11)))
     order = rng.permutation(len(kinds)) if kinds else []
-    keypoints = tuple(
-        Keypoint(
-            Point2(rng.uniform(0, w - 1e-3), rng.uniform(0, h - 1e-3)),
-            kinds[int(k)],
-        )
-        for k in order
-    )
+    keypoints = [[rng.uniform(0, w - 1e-3), rng.uniform(0, h - 1e-3)] for _ in order]
+    classes = tuple(kinds[int(k)] for k in order)
 
     n_needle = int(rng.integers(0, 40))
     if n_needle and rng.random() < 0.5:
@@ -87,17 +73,13 @@ def random_fixture(rng: np.random.Generator) -> GaugeFixture:
             [rng.uniform(0, w - 1e-3, n_needle), rng.uniform(0, h - 1e-3, n_needle)]
         )
 
-    items = []
+    boxes, texts, confidences = [], [], []
     for _ in range(int(rng.integers(0, 6))):
         bw = rng.uniform(1, 40)
         bh = rng.uniform(1, 20)
-        items.append(
-            OcrItem(
-                Rect(rng.uniform(0, w - 1e-3), rng.uniform(0, h - 1e-3), bw, bh),
-                str(rng.choice(_FUZZ_TEXT_POOL)),
-                rng.uniform(0, 1),
-            )
-        )
+        boxes.append([rng.uniform(0, w - 1e-3), rng.uniform(0, h - 1e-3), bw, bh])
+        texts.append(str(rng.choice(_FUZZ_TEXT_POOL)))
+        confidences.append(rng.uniform(0, 1))
 
     truth = None
     if rng.random() < 0.5:
@@ -108,7 +90,10 @@ def random_fixture(rng: np.random.Generator) -> GaugeFixture:
     return GaugeFixture(
         crop_size=(w, h),
         keypoints=keypoints,
+        keypoint_classes=classes,
         needle_points=pts,
-        ocr_items=tuple(items),
+        ocr_boxes=boxes,
+        ocr_texts=texts,
+        ocr_confidences=confidences,
         ground_truth=truth,
     )

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from conftest import make_scene_spec, random_fixture
 from gaugekit.errors import InsufficientPoints
 from gaugekit.fixtures import (
     FAILURE_REASONS,
-    GaugeFixture,
     Stage,
     parse_fixture,
     serialize_fixture,
@@ -227,22 +227,12 @@ def test_a7_failure_taxonomy_totality():
         dropped = perturb_scene(fixture, truth, PerturbationSpec(ocr_dropout_rate=1.0))
         assert read_gauge(dropped).failure_reason == "insufficient_markers"
 
-        few_notches = GaugeFixture(
-            crop_size=fixture.crop_size,
-            keypoints=fixture.keypoints[:4],
-            needle_points=fixture.needle_points,
-            ocr_items=fixture.ocr_items,
-            ground_truth=truth,
+        few_notches = replace(
+            fixture, keypoints=fixture.keypoints[:4], keypoint_classes=fixture.keypoint_classes[:4]
         )
         assert read_gauge(few_notches).failure_reason == "insufficient_notches"
 
-        one_needle_point = GaugeFixture(
-            crop_size=fixture.crop_size,
-            keypoints=fixture.keypoints,
-            needle_points=fixture.needle_points[:1],
-            ocr_items=fixture.ocr_items,
-            ground_truth=truth,
-        )
+        one_needle_point = replace(fixture, needle_points=fixture.needle_points[:1])
         assert read_gauge(one_needle_point).failure_reason == "insufficient_needle_points"
 
         rng = np.random.default_rng(12345)

@@ -257,7 +257,7 @@ _SPEC = scene_spec_to_jsonable(make_scene_spec())
         ({"spec": _SPEC, "perturbation": {"seed": 2.7}}, b"seed"),
         ({**_SPEC, "crop_size": [447.5, 448]}, b"crop_size"),
         ({**_SPEC, "range": {"min": 0, "max": math.inf}}, b"range_max must be finite"),
-        ({**_SPEC, "marker_radius_factor": 1e308}, b"box values must be finite"),
+        ({**_SPEC, "marker_radius_factor": 1e308}, b"marker_radius_factor places a marker"),
         (
             {
                 "spec": _SPEC,

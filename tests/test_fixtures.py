@@ -14,7 +14,6 @@ from gaugekit.fixtures import (
     GaugeFixture,
     GaugeReadingReport,
     GroundTruth,
-    Keypoint,
     KeypointClass,
     MarkerUse,
     OcrItem,
@@ -45,10 +44,11 @@ MINIMAL = {
 def test_parse_minimal_document():
     f = parse_fixture(json.dumps(MINIMAL).encode())
     assert f.crop_size == (448, 448)
-    assert len(f.keypoints) == 5
-    assert f.ocr_items == ()
+    assert f.keypoints.shape == (5, 2)
+    assert f.ocr_boxes.shape == (0, 4) and f.ocr_texts == ()
     assert f.ground_truth is None
-    assert f.keypoints[0] == Keypoint(Point2(100, 100), KeypointClass.START)
+    assert f.keypoints[0].tolist() == [100.0, 100.0]
+    assert f.keypoint_classes[0] is KeypointClass.START
 
 
 def test_parse_defaults_confidence_and_ignores_unknown_fields():
@@ -56,7 +56,7 @@ def test_parse_defaults_confidence_and_ignores_unknown_fields():
     doc["ocr"] = [{"box": [10, 10, 20, 10], "text": "5"}]
     doc["some_future_field"] = {"a": 1}
     f = parse_fixture(json.dumps(doc))
-    assert f.ocr_items[0].confidence == 1.0
+    assert f.ocr_confidences.tolist() == [1.0]
 
 
 def test_parse_rejects_duplicate_start():
@@ -173,32 +173,28 @@ _coords = st.floats(min_value=0.0, max_value=447.99, allow_nan=False, width=64)
 
 @st.composite
 def fixtures(draw) -> GaugeFixture:
-    keypoints = []
+    classes = []
     if draw(st.booleans()):
-        keypoints.append(Keypoint(Point2(draw(_coords), draw(_coords)), KeypointClass.START))
+        classes.append(KeypointClass.START)
     if draw(st.booleans()):
-        keypoints.append(Keypoint(Point2(draw(_coords), draw(_coords)), KeypointClass.END))
-    for _ in range(draw(st.integers(0, 6))):
-        keypoints.append(
-            Keypoint(Point2(draw(_coords), draw(_coords)), KeypointClass.INTERMEDIATE)
-        )
+        classes.append(KeypointClass.END)
+    classes += [KeypointClass.INTERMEDIATE] * draw(st.integers(0, 6))
+    keypoints = [[draw(_coords), draw(_coords)] for _ in classes]
     needle = np.array(
         [[draw(_coords), draw(_coords)] for _ in range(draw(st.integers(0, 5)))]
     ).reshape(-1, 2)
-    items = []
+    boxes, texts, confidences = [], [], []
     for _ in range(draw(st.integers(0, 3))):
-        items.append(
-            OcrItem(
-                Rect(
-                    draw(_coords),
-                    draw(_coords),
-                    draw(st.floats(0.5, 60.0, allow_nan=False)),
-                    draw(st.floats(0.5, 30.0, allow_nan=False)),
-                ),
-                draw(st.sampled_from(["5", "-0.4", "bar", "°C", "garbage", ""])),
-                draw(st.floats(0.0, 1.0, allow_nan=False)),
-            )
+        boxes.append(
+            [
+                draw(_coords),
+                draw(_coords),
+                draw(st.floats(0.5, 60.0, allow_nan=False)),
+                draw(st.floats(0.5, 30.0, allow_nan=False)),
+            ]
         )
+        texts.append(draw(st.sampled_from(["5", "-0.4", "bar", "°C", "garbage", ""])))
+        confidences.append(draw(st.floats(0.0, 1.0, allow_nan=False)))
     truth = None
     if draw(st.booleans()):
         lo = draw(st.floats(-1000, 1000, allow_nan=False))
@@ -206,9 +202,12 @@ def fixtures(draw) -> GaugeFixture:
         truth = GroundTruth(lo, lo, lo + span, draw(st.sampled_from(["bar", "psi", ""])))
     return GaugeFixture(
         crop_size=(448, 448),
-        keypoints=tuple(keypoints),
+        keypoints=keypoints,
+        keypoint_classes=tuple(classes),
         needle_points=needle,
-        ocr_items=tuple(items),
+        ocr_boxes=boxes,
+        ocr_texts=texts,
+        ocr_confidences=confidences,
         ground_truth=truth,
     )
 
@@ -324,10 +323,8 @@ def test_stage_declaration_is_the_report_order():
 def test_fixture_invariants_reject_bad_direct_construction():
     with pytest.raises(SchemaError):
         GaugeFixture(
-            keypoints=(
-                Keypoint(Point2(1, 1), KeypointClass.START),
-                Keypoint(Point2(2, 2), KeypointClass.START),
-            )
+            keypoints=[[1, 1], [2, 2]],
+            keypoint_classes=(KeypointClass.START, KeypointClass.START),
         )
     with pytest.raises(SchemaError):
         GaugeFixture(needle_points=[[448.0, 1.0]])
@@ -370,19 +367,34 @@ def test_fixture_invariants_reject_bad_direct_construction():
     with pytest.raises(SchemaError):
         GaugeFixture(crop_size=(True, 448))
     # Fields that hold objects take only their own type.
-    with pytest.raises(ValueError, match="position"):
-        Keypoint((1, 2), KeypointClass.START)
-    with pytest.raises(ValueError, match="kind"):
-        Keypoint(Point2(1, 2), "start")
     with pytest.raises(ValueError, match="box"):
         OcrItem((0, 0, 1, 1), "5")
-    for kwargs, path in [
-        (dict(keypoints=(Keypoint(Point2(1, 1), KeypointClass.START), "x")), "keypoints[1]"),
-        (dict(needle_points=(Point2(1.0, 2.0),)), "needle_points[0]: expected an array"),
-        (dict(ocr_items=({"box": [0, 0, 1, 1], "text": "5"},)), "ocr[0]"),
-        (dict(ground_truth="x"), "ground_truth"),
+    for kwargs, message in [
+        (
+            dict(keypoints=[[1, 1], [2, 2]], keypoint_classes=(KeypointClass.START, "end")),
+            "keypoint_classes[1]: expected KeypointClass, got str",
+        ),
+        (
+            dict(keypoints=[[1, 1]], keypoint_classes=()),
+            "keypoint_classes: expected one per keypoint, 1, got 0",
+        ),
+        (dict(keypoints=[Point2(1.0, 2.0)], keypoint_classes=(KeypointClass.START,)),
+         "keypoints[0]: expected an array, got Point2"),
+        (dict(needle_points=(Point2(1.0, 2.0),)), "needle_points[0]: expected an array, got Point2"),
+        (dict(ocr_boxes=[[0, 0, 1, 1]], ocr_texts=[5]), "ocr[0]: text must be a string"),
+        (dict(ocr_boxes=[[0, 0, 1, 1]]), "ocr_texts: expected one per box, 1, got 0"),
+        (dict(ocr_boxes=[[0, 0, 1]], ocr_texts=["5"]), "ocr[0].box: expected [x, y, width, height]"),
+        (dict(ocr_boxes=[[0, 0, 1, 0]], ocr_texts=["5"]), "ocr[0]: box width and height must be positive"),
+        (
+            dict(ocr_boxes=[[0, 0, 1, 1]], ocr_texts=["5"], ocr_confidences=[1.5]),
+            "ocr[0]: confidence must lie in [0, 1]",
+        ),
+        (dict(ocr_boxes=[[448, 0, 1, 1]], ocr_texts=["5"]), "ocr[0].box: coordinate (448.0, 0.0)"),
+        (dict(ocr_boxes=np.ones((1, 3)), ocr_texts=["5"]), "ocr_boxes: expected shape (K, 4), got (1, 3)"),
+        (dict(ocr_texts="5"), "ocr_texts: expected an array, got str"),
+        (dict(ground_truth="x"), "ground_truth: expected GroundTruth, got str"),
     ]:
-        with pytest.raises(SchemaError, match=re.escape(path)):
+        with pytest.raises(SchemaError, match=re.escape(message)):
             GaugeFixture(**kwargs)
     assert Point2(np.int64(3), np.float32(2.5)) == Point2(3.0, 2.5)
     for _, rows, message in NEEDLE_FAULTS:
@@ -392,18 +404,53 @@ def test_fixture_invariants_reject_bad_direct_construction():
 
 
 def test_fixture_needle_points_are_a_read_only_copy():
-    source = np.array([[200.0, 200.0], [210.0, 190.0]])
-    fixture = GaugeFixture(needle_points=source)
-    assert fixture.needle_points.dtype == np.float64
-    assert fixture.needle_points.shape == (2, 2)
-    with pytest.raises(ValueError):
-        fixture.needle_points[0, 0] = 1.0
-    # The caller's array is copied, not frozen or shared.
-    assert source.flags.writeable
-    source[0, 0] = 5.0
-    assert fixture.needle_points[0, 0] == 200.0
+    # Every array field is a read-only float64 copy: keypoints, needle
+    # pixels, OCR boxes and OCR confidences alike.
+    sources = dict(
+        keypoints=np.array([[100.0, 100.0], [150.0, 80.0]]),
+        needle_points=np.array([[200.0, 200.0], [210.0, 190.0]]),
+        ocr_boxes=np.array([[10.0, 10.0, 20.0, 10.0], [40.0, 10.0, 20.0, 10.0]]),
+        ocr_confidences=np.array([0.5, 1.0]),
+    )
+    fixture = GaugeFixture(
+        keypoint_classes=(KeypointClass.START, KeypointClass.END), ocr_texts=("1", "2"), **sources
+    )
+    for name, source in sources.items():
+        stored = getattr(fixture, name)
+        assert stored.dtype == np.float64 and stored.shape == source.shape, name
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+        # The caller's array is copied, not frozen or shared.
+        assert source.flags.writeable
+        source[0] = 0.25
+        assert stored[0].tolist() != source[0].tolist(), name
+    assert GaugeFixture().keypoints.shape == (0, 2)
     assert GaugeFixture().needle_points.shape == (0, 2)
     assert GaugeFixture(needle_points=[]).needle_points.shape == (0, 2)
+    assert GaugeFixture().ocr_boxes.shape == (0, 4)
+    assert GaugeFixture().ocr_confidences.shape == (0,)
+    assert GaugeFixture(ocr_boxes=[[0, 0, 1, 1]], ocr_texts=["5"]).ocr_confidences.tolist() == [1.0]
+    # Equal values compare and hash equal, whatever form they came in.
+    from_lists = GaugeFixture(
+        keypoints=[[100, 100], [150, 80]],
+        keypoint_classes=[KeypointClass.START, KeypointClass.END],
+        ocr_boxes=[(10, 10, 20, 10)],
+        ocr_texts=["1"],
+        ocr_confidences=[1],
+    )
+    from_arrays = GaugeFixture(
+        keypoints=np.array([[100.0, 100.0], [150.0, 80.0]]),
+        keypoint_classes=(KeypointClass.START, KeypointClass.END),
+        ocr_boxes=np.float32([[10, 10, 20, 10]]),
+        ocr_texts=("1",),
+    )
+    assert from_lists == from_arrays and hash(from_lists) == hash(from_arrays)
+    assert from_lists != GaugeFixture(
+        keypoints=[[100, 100], [150, 80]],
+        keypoint_classes=[KeypointClass.START, KeypointClass.INTERMEDIATE],
+        ocr_boxes=[(10, 10, 20, 10)],
+        ocr_texts=["1"],
+    )
 
 
 def test_fixture_equality_and_hash_compare_needle_values():
@@ -430,3 +477,179 @@ def test_fixture_equality_and_hash_compare_needle_values():
             GaugeFixture(needle_points=rows)
     with pytest.raises(SchemaError, match=re.escape("needle_points: expected shape (M, 2)")):
         GaugeFixture(needle_points=np.array([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the bulk parse against a row-by-row walk
+# ---------------------------------------------------------------------------
+
+
+def _finite_number(v) -> bool:
+    if type(v) not in (int, float):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
+def _walk_first_fault(doc) -> str:
+    """The first fault of a fixture document, checked entry by entry in the
+    order README documents, without numpy: each keypoint and each OCR item as
+    parsed, then keypoint bounds, the needle rows, OCR box bounds and
+    duplicate start or end keypoints. The corpus keeps the schema version,
+    crop_size and ground truth valid."""
+    w, h = 448, 448
+
+    def outside(path, x, y):
+        if not (0.0 <= x < w and 0.0 <= y < h):
+            return f"{path}: coordinate ({float(x)}, {float(y)}) outside [0, {w}) x [0, {h})"
+
+    for i, e in enumerate(doc["keypoints"]):
+        path = f"keypoints[{i}]"
+        if not isinstance(e, dict):
+            return f"{path}: expected an object, got {type(e).__name__}"
+        if "x" not in e or "y" not in e:
+            return f"{path}: missing x or y"
+        if e.get("class") not in ("start", "intermediate", "end"):
+            return f"{path}.class: expected one of start/intermediate/end, got {e.get('class')!r}"
+        if not (_finite_number(e["x"]) and _finite_number(e["y"])):
+            return f"{path}: x and y must be finite"
+    for i, e in enumerate(doc["ocr"]):
+        path = f"ocr[{i}]"
+        if not isinstance(e, dict):
+            return f"{path}: expected an object, got {type(e).__name__}"
+        box = e.get("box")
+        if not isinstance(box, list):
+            return f"{path}.box: expected an array, got {type(box).__name__}"
+        if len(box) != 4:
+            return f"{path}.box: expected [x, y, width, height]"
+        if not all(map(_finite_number, box)):
+            return f"{path}: box values must be finite"
+        if not (box[2] > 0 and box[3] > 0):
+            return f"{path}: box width and height must be positive"
+        if not isinstance(e.get("text", ""), str):
+            return f"{path}: text must be a string"
+        conf = e.get("confidence", 1.0)
+        if not (_finite_number(conf) and 0 <= conf <= 1):
+            return f"{path}: confidence must lie in [0, 1]"
+    for i, e in enumerate(doc["keypoints"]):
+        if fault := outside(f"keypoints[{i}]", e["x"], e["y"]):
+            return fault
+    for i, row in enumerate(doc["needle_points"]):
+        if not (len(row) == 2 and all(map(_finite_number, row))):
+            return f"needle_points[{i}]: x and y must be finite"
+    for i, (x, y) in enumerate(doc["needle_points"]):
+        if fault := outside(f"needle_points[{i}]", x, y):
+            return fault
+    for i, e in enumerate(doc["ocr"]):
+        if fault := outside(f"ocr[{i}].box", e["box"][0], e["box"][1]):
+            return fault
+    for kind in ("start", "end"):
+        if sum(e["class"] == kind for e in doc["keypoints"]) > 1:
+            return f"keypoints: more than one {kind} keypoint"
+    return ""
+
+
+_BAD_NUMBERS = (math.nan, math.inf, -math.inf, 10**400, True, False, "3", None)
+
+
+def _inject_fault(doc, rng) -> None:
+    """One fault of a random kind at a random position of `doc`."""
+    kps, ocr, needle = doc["keypoints"], doc["ocr"], doc["needle_points"]
+    pick = lambda seq: int(rng.integers(len(seq)))  # noqa: E731
+    bad_number = lambda: _BAD_NUMBERS[int(rng.integers(len(_BAD_NUMBERS)))]  # noqa: E731
+    kind = int(rng.integers(11))
+    if kind == 0:  # a non-object entry
+        seq = kps if rng.random() < 0.5 or not ocr else ocr
+        seq[pick(seq)] = [5, "x", [1, 2], None][int(rng.integers(4))]
+    elif kind == 1:  # a missing coordinate
+        e = kps[pick(kps)]
+        if isinstance(e, dict):
+            e.pop("x" if rng.random() < 0.5 else "y", None)
+    elif kind == 2:  # a bad class
+        e = kps[pick(kps)]
+        if isinstance(e, dict):
+            e["class"] = ["middle", None, 3, "START"][int(rng.integers(4))]
+    elif kind in (3, 4):  # a non-finite, bool or string number
+        target = int(rng.integers(4))
+        if target == 0 and isinstance(e := kps[pick(kps)], dict):
+            e["x" if rng.random() < 0.5 else "y"] = bad_number()
+        elif target == 1:
+            needle[pick(needle)][int(rng.integers(2))] = bad_number()
+        elif target == 2 and ocr and isinstance(e := ocr[pick(ocr)], dict):
+            if isinstance(e.get("box"), list) and e["box"]:
+                e["box"][int(rng.integers(len(e["box"])))] = bad_number()
+        elif target == 3 and ocr and isinstance(e := ocr[pick(ocr)], dict):
+            e["confidence"] = bad_number()
+    elif kind == 5:  # a point outside the frame
+        value = [448, -0.5, 1e9][int(rng.integers(3))]
+        target = int(rng.integers(3))
+        if target == 0 and isinstance(e := kps[pick(kps)], dict):
+            e["x" if rng.random() < 0.5 else "y"] = value
+        elif target == 1:
+            needle[pick(needle)][int(rng.integers(2))] = value
+        elif ocr and isinstance(e := ocr[pick(ocr)], dict) and isinstance(e.get("box"), list):
+            e["box"][int(rng.integers(2))] = value
+    elif kind == 6 and ocr and isinstance(e := ocr[pick(ocr)], dict):  # a short or missing box
+        if rng.random() < 0.7 and isinstance(e.get("box"), list):
+            e["box"] = e["box"][:3]
+        else:
+            e.pop("box", None)
+    elif kind == 7 and ocr and isinstance(e := ocr[pick(ocr)], dict):  # a box without area
+        if isinstance(e.get("box"), list) and len(e["box"]) == 4:
+            e["box"][2 + int(rng.integers(2))] = [0, -2.5][int(rng.integers(2))]
+    elif kind == 8 and ocr and isinstance(e := ocr[pick(ocr)], dict):  # a bad confidence
+        e["confidence"] = [1.5, -0.1, "1", None, True][int(rng.integers(5))]
+    elif kind == 9 and ocr and isinstance(e := ocr[pick(ocr)], dict):  # a non-string text
+        e["text"] = [5, None, ["a"], 1.5][int(rng.integers(4))]
+    elif kind == 10 and isinstance(e := kps[pick(kps)], dict):  # a second start or end
+        e["class"] = "start" if rng.random() < 0.5 else "end"
+
+
+def _random_document(rng):
+    n = int(rng.integers(5, 10))
+    classes = ["start", "end"] + ["intermediate"] * (n - 2)
+    return {
+        "schema": 1,
+        "keypoints": [
+            {"x": float(rng.uniform(0, 447)), "y": int(rng.integers(0, 448)), "class": c}
+            for c in classes
+        ],
+        "needle_points": [
+            [float(rng.uniform(0, 447)), float(rng.uniform(0, 447))]
+            for _ in range(int(rng.integers(2, 7)))
+        ],
+        "ocr": [
+            {
+                "box": [float(rng.uniform(0, 400)), float(rng.uniform(0, 400)), 20, 10.5],
+                "text": str(int(rng.integers(100))),
+                **({"confidence": float(rng.uniform())} if rng.random() < 0.5 else {}),
+            }
+            for _ in range(int(rng.integers(0, 6)))
+        ],
+        "ground_truth": {"reading": 1.0, "range_min": 0, "range_max": 10},
+    }
+
+
+def test_bulk_parse_names_the_same_first_fault_as_a_walk():
+    rng = np.random.default_rng(20240611)
+    seen, multiple = set(), 0
+    for _ in range(3000):
+        doc = _random_document(rng)
+        faults = 1 + int(rng.random() < 0.5)
+        for _ in range(faults):
+            _inject_fault(doc, rng)
+        expected = _walk_first_fault(doc)
+        data = json.dumps(doc)
+        if not expected:
+            parse_fixture(data)  # the fault kind found no place to go
+            continue
+        with pytest.raises(SchemaError) as err:
+            parse_fixture(data)
+        assert str(err.value) == expected, data
+        seen.add(expected.split(": ", 1)[1].split(" (")[0].split(",")[0])
+        multiple += faults > 1
+    # The corpus reaches every kind of fault, often two in one document.
+    assert len(seen) >= 12, sorted(seen)
+    assert multiple > 1000

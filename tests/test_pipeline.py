@@ -2,6 +2,7 @@
 ground truth, the failure taxonomy, and frame-change invariance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,7 @@ from gaugekit.errors import SchemaError
 from gaugekit.fixtures import (
     FAILURE_REASONS,
     GaugeFixture,
-    Keypoint,
     KeypointClass,
-    OcrItem,
-    Point2,
-    Rect,
     ScaleSide,
     Stage,
 )
@@ -52,11 +49,12 @@ def test_closed_loop_reads_ground_truth():
 
 def test_too_few_notches_fails_ellipse_stage():
     fixture = GaugeFixture(
-        keypoints=(
-            Keypoint(Point2(100, 100), KeypointClass.START),
-            Keypoint(Point2(150, 80), KeypointClass.INTERMEDIATE),
-            Keypoint(Point2(200, 75), KeypointClass.INTERMEDIATE),
-            Keypoint(Point2(250, 80), KeypointClass.END),
+        keypoints=[[100, 100], [150, 80], [200, 75], [250, 80]],
+        keypoint_classes=(
+            KeypointClass.START,
+            KeypointClass.INTERMEDIATE,
+            KeypointClass.INTERMEDIATE,
+            KeypointClass.END,
         ),
         needle_points=np.array([[200.0, 200.0], [210.0, 190.0]]),
     )
@@ -68,10 +66,8 @@ def test_too_few_notches_fails_ellipse_stage():
 
 def test_collinear_notches_fail_as_degenerate_ellipse():
     fixture = GaugeFixture(
-        keypoints=tuple(
-            Keypoint(Point2(50 + 30 * i, 100 + 20 * i), KeypointClass.INTERMEDIATE)
-            for i in range(6)
-        ),
+        keypoints=[[50 + 30 * i, 100 + 20 * i] for i in range(6)],
+        keypoint_classes=(KeypointClass.INTERMEDIATE,) * 6,
         needle_points=np.array([[200.0, 200.0], [210.0, 190.0]]),
     )
     report = read_gauge(fixture)
@@ -80,14 +76,14 @@ def test_collinear_notches_fail_as_degenerate_ellipse():
 
 def test_single_numeric_marker_fails_ocr_stage():
     fixture, _ = generate_scene(make_scene_spec())
-    numeric = [it for it in fixture.ocr_items if parse_numeric_token(it.text) is not None]
-    unit = [it for it in fixture.ocr_items if parse_numeric_token(it.text) is None]
-    stripped = GaugeFixture(
-        crop_size=fixture.crop_size,
-        keypoints=fixture.keypoints,
-        needle_points=fixture.needle_points,
-        ocr_items=(numeric[0], *unit),
-        ground_truth=fixture.ground_truth,
+    values = [parse_numeric_token(text) for text in fixture.ocr_texts]
+    numeric = [i for i, value in enumerate(values) if value is not None]
+    kept = [numeric[0], *(i for i, value in enumerate(values) if value is None)]
+    stripped = replace(
+        fixture,
+        ocr_boxes=fixture.ocr_boxes[kept],
+        ocr_texts=[fixture.ocr_texts[i] for i in kept],
+        ocr_confidences=fixture.ocr_confidences[kept],
     )
     report = read_gauge(stripped)
     assert report.stage_statuses[Stage.OCR].reason == "insufficient_markers"
@@ -97,13 +93,7 @@ def test_single_numeric_marker_fails_ocr_stage():
 
 def test_too_few_needle_points():
     fixture, _ = generate_scene(make_scene_spec())
-    one_point = GaugeFixture(
-        crop_size=fixture.crop_size,
-        keypoints=fixture.keypoints,
-        needle_points=fixture.needle_points[:1],
-        ocr_items=fixture.ocr_items,
-        ground_truth=fixture.ground_truth,
-    )
+    one_point = replace(fixture, needle_points=fixture.needle_points[:1])
     report = read_gauge(one_point)
     assert report.stage_statuses[Stage.NEEDLE].reason == "insufficient_needle_points"
     assert Stage.OCR not in report.stage_statuses  # pipeline stopped
@@ -111,13 +101,7 @@ def test_too_few_needle_points():
 
 def test_coincident_needle_points_map_to_insufficient():
     fixture, _ = generate_scene(make_scene_spec())
-    stacked = GaugeFixture(
-        crop_size=fixture.crop_size,
-        keypoints=fixture.keypoints,
-        needle_points=np.full((8, 2), 200.0),
-        ocr_items=fixture.ocr_items,
-        ground_truth=fixture.ground_truth,
-    )
+    stacked = replace(fixture, needle_points=np.full((8, 2), 200.0))
     report = read_gauge(stacked)
     assert report.stage_statuses[Stage.NEEDLE].reason == "insufficient_needle_points"
 
@@ -132,13 +116,7 @@ def test_isotropic_needle_blob():
     blob = np.column_stack(
         [224 + radii * np.cos(angles), 224 + radii * np.sin(angles)]
     )
-    fixture = GaugeFixture(
-        crop_size=fixture.crop_size,
-        keypoints=fixture.keypoints,
-        needle_points=blob,
-        ocr_items=fixture.ocr_items,
-        ground_truth=fixture.ground_truth,
-    )
+    fixture = replace(fixture, needle_points=blob)
     report = read_gauge(fixture)
     assert report.stage_statuses[Stage.NEEDLE].reason == "isotropic_needle"
 
@@ -148,13 +126,7 @@ def test_needle_line_missing_scale_circle():
     # A needle segment far in the top-left corner misses the scale entirely.
     i = np.arange(20)
     off_scale = np.column_stack([10.0 + 2 * i, 12.0 + 0.1 * i])
-    fixture = GaugeFixture(
-        crop_size=fixture.crop_size,
-        keypoints=fixture.keypoints,
-        needle_points=off_scale,
-        ocr_items=fixture.ocr_items,
-        ground_truth=fixture.ground_truth,
-    )
+    fixture = replace(fixture, needle_points=off_scale)
     report = read_gauge(fixture)
     assert report.stage_statuses[Stage.NEEDLE].reason == "no_intersection"
 
@@ -162,23 +134,17 @@ def test_needle_line_missing_scale_circle():
 def test_markers_at_single_angle_give_no_consensus():
     scene, _ = generate_scene(make_scene_spec())
     center = np.array([224.0, 224.0])
-    anchor = scene.keypoint_array()[2]
+    anchor = scene.keypoints[2]
     # A marker 1e-10 px off the ray is at one angle too: without the
     # SAME_ANGLE_EPS rule its rounding-sized angle step read about 1e12.
     for offset in (0.0, 1e-10):
-        items = []
+        boxes = []
         for factor, text in ((0.7, "1"), (0.8, "2"), (0.9, "3")):
             pos = center + factor * (anchor - center)
             if text == "2":
                 pos = pos + offset
-            items.append(OcrItem(Rect(pos[0] - 10, pos[1] - 5, 20, 10), text))
-        fixture = GaugeFixture(
-            crop_size=scene.crop_size,
-            keypoints=scene.keypoints,
-            needle_points=scene.needle_points,
-            ocr_items=tuple(items),
-            ground_truth=scene.ground_truth,
-        )
+            boxes.append([pos[0] - 10, pos[1] - 5, 20, 10])
+        fixture = replace(scene, ocr_boxes=boxes, ocr_texts=["1", "2", "3"], ocr_confidences=None)
         for ransac in (True, False):
             config = PipelineConfig(ransac=RansacSettings(enabled=ransac))
             report = read_gauge(fixture, config)
@@ -189,18 +155,10 @@ def test_markers_at_single_angle_give_no_consensus():
 def test_missing_start_notch_uses_gap_fallback():
     fixture, truth = generate_scene(make_scene_spec())
     demoted = tuple(
-        Keypoint(kp.position, KeypointClass.INTERMEDIATE)
-        if kp.kind is KeypointClass.START
-        else kp
-        for kp in fixture.keypoints
+        KeypointClass.INTERMEDIATE if kind is KeypointClass.START else kind
+        for kind in fixture.keypoint_classes
     )
-    fixture = GaugeFixture(
-        crop_size=fixture.crop_size,
-        keypoints=demoted,
-        needle_points=fixture.needle_points,
-        ocr_items=fixture.ocr_items,
-        ground_truth=fixture.ground_truth,
-    )
+    fixture = replace(fixture, keypoint_classes=demoted)
     report = read_gauge(fixture)
     assert report.stage_statuses[Stage.NOTCHES].reason == "ambiguous_orientation"
     # fallback still lands the wrap in the notch-free gap, reading intact
@@ -232,12 +190,7 @@ def test_evaluate_batch_clean_scenes():
 
 def test_evaluate_batch_half_with_too_few_notches():
     good, _ = generate_scene(make_scene_spec())
-    bad = GaugeFixture(
-        keypoints=good.keypoints[:4],
-        needle_points=good.needle_points,
-        ocr_items=good.ocr_items,
-        ground_truth=good.ground_truth,
-    )
+    bad = replace(good, keypoints=good.keypoints[:4], keypoint_classes=good.keypoint_classes[:4])
     summary = evaluate_batch([good, bad, good, bad])
     assert summary.stage_failure_rates["ellipse"] == pytest.approx(0.5)
     assert summary.reading_failure_share == pytest.approx(0.5)
@@ -257,11 +210,7 @@ def test_evaluate_batch_empty_and_missing_ground_truth():
     ]
 
     fixture, _ = generate_scene(make_scene_spec())
-    no_gt = GaugeFixture(
-        keypoints=fixture.keypoints,
-        needle_points=fixture.needle_points,
-        ocr_items=fixture.ocr_items,
-    )
+    no_gt = replace(fixture, ground_truth=None)
     with pytest.raises(SchemaError) as err:
         evaluate_batch([fixture, no_gt])
     assert str(err.value) == "fixtures[1].ground_truth: required for evaluation"
@@ -455,25 +404,34 @@ def test_marker_at_radius_exactly_one_is_on_the_outer_scale(monkeypatch):
 
     monkeypatch.setattr(geometry, "radial_project_to_circle", outside_on_the_circle)
     report = read_gauge(fixture)
-    assert calls == [len(fixture.ocr_items) - 1]  # one projection; the unit is no marker
+    assert calls == [len(fixture.ocr_texts) - 1]  # one projection; the unit is no marker
     assert serialize_report(report) == serialize_report(plain)
 
 
 def _circle_notches(degrees_by_kind):
     keypoints = []
-    for kind, degrees in degrees_by_kind:
+    for _, degrees in degrees_by_kind:
         t = math.radians(degrees)
-        keypoints.append(
-            Keypoint(Point2(224.0 + 100.0 * math.cos(t), 224.0 + 100.0 * math.sin(t)), kind)
-        )
-    return GaugeFixture(keypoints=tuple(keypoints))
+        keypoints.append([224.0 + 100.0 * math.cos(t), 224.0 + 100.0 * math.sin(t)])
+    return GaugeFixture(
+        keypoints=keypoints, keypoint_classes=tuple(kind for kind, _ in degrees_by_kind)
+    )
 
 
-@pytest.mark.parametrize("repeat, reason", [(60.0, None), (61.0, "ambiguous_orientation")])
+@pytest.mark.parametrize(
+    "repeat, reason",
+    [
+        (60.0, None),
+        (61.0, "ambiguous_orientation"),
+        pytest.param(0.0, "ambiguous_orientation", id="start-position-other-class"),
+    ],
+)
 def test_exactly_repeated_notch_votes_once(repeat, reason):
     # Start 0, end 180: the 0->180 arc holds 60 (and the repeat), the other
     # arc holds 240 and 300. Counted once, the exact repeat leaves 1 vs 2;
-    # a distinct notch at 61 makes it 2 vs 2, which is ambiguous.
+    # a distinct notch at 61 makes it 2 vs 2, which is ambiguous. So does an
+    # intermediate notch on the start notch's position: the same (x, y) with
+    # another class is another notch and votes.
     fixture = _circle_notches(
         [
             (KeypointClass.START, 0.0),

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gaugekit.errors import InsufficientPoints, NoConsensus
-from gaugekit.fixtures import OcrItem, Rect
 from gaugekit.scale_model import (
     DEFAULT_UNIT_LEXICON,
     SAME_ANGLE_EPS,
@@ -116,31 +115,30 @@ def test_parse_numeric_token(text, expected):
     assert parse_numeric_token(text) == expected
 
 
-def _item(text, conf=1.0):
-    return OcrItem(Rect(0, 0, 10, 10), text, conf)
+def _unit(*items):
+    """extract_unit over (text, confidence) pairs, confidence 1.0 by default."""
+    pairs = [item if isinstance(item, tuple) else (item, 1.0) for item in items]
+    return extract_unit([t for t, _ in pairs], [c for _, c in pairs])
 
 
 def test_extract_unit_single_hit():
-    items = [_item("0"), _item("2"), _item("4"), _item("bar")]
-    assert extract_unit(items) == "bar"
+    assert _unit("0", "2", "4", "bar") == "bar"
 
 
 def test_extract_unit_absent():
-    assert extract_unit([_item("0"), _item("2")]) is None
-    assert extract_unit([]) is None
-    assert extract_unit([_item("furlongs")]) is None
+    assert _unit("0", "2") is None
+    assert _unit() is None
+    assert _unit("furlongs") is None
 
 
 def test_extract_unit_case_insensitive_max_confidence():
-    items = [_item("PSI", 0.9), _item("psi", 0.6)]
-    assert extract_unit(items) == "psi"
+    assert _unit(("PSI", 0.9), ("psi", 0.6)) == "psi"
     # canonical casing comes from the lexicon
-    assert extract_unit([_item("KPA", 0.8)]) == "kPa"
+    assert _unit(("KPA", 0.8)) == "kPa"
 
 
 def test_extract_unit_confidence_tie_keeps_first():
-    items = [_item("bar", 0.7), _item("psi", 0.7)]
-    assert extract_unit(items) == "bar"
+    assert _unit(("bar", 0.7), ("psi", 0.7)) == "bar"
 
 
 def test_load_unit_lexicon(tmp_path):

@@ -37,8 +37,8 @@ def test_mid_scale_needle_reads_mid_value():
 
 def test_five_notches_one_start_one_end():
     fixture, _ = generate_scene(make_scene_spec(n_major_notches=5))
-    assert len(fixture.keypoints) == 5
-    kinds = [kp.kind for kp in fixture.keypoints]
+    assert fixture.keypoints.shape == (5, 2)
+    kinds = list(fixture.keypoint_classes)
     assert kinds.count(KeypointClass.START) == 1
     assert kinds.count(KeypointClass.END) == 1
     assert kinds.count(KeypointClass.INTERMEDIATE) == 3
@@ -92,9 +92,13 @@ def test_non_finite_spec_values_raise_spec_error():
     # The transform rejects its own non-finite translation before any spec sees it.
     with pytest.raises(ValueError, match="translation"):
         AffineTransform(np.eye(2), [math.inf, 0.0])
-    # A finite factor whose markers overflow to inf is a content error too.
-    with pytest.raises(SchemaError, match="box values must be finite"):
+    # A finite factor whose markers overflow to inf is a content error too,
+    # named by the spec field that placed them.
+    frame = "^spec: scene content leaves the crop frame: "
+    with pytest.raises(SchemaError, match=frame + "marker_radius_factor places a marker"):
         generate_scene(make_scene_spec(marker_radius_factor=1e308))
+    with pytest.raises(SchemaError, match=frame + "second_scale.radius_factor places a marker"):
+        generate_scene(make_scene_spec(second_scale=SecondScale(0.0, 1.0, 1e308)))
 
 
 def test_zero_perturbation_is_byte_identity():
@@ -125,7 +129,7 @@ def test_perturbation_deterministic_given_seed():
 def test_full_dropout_forces_marker_failure():
     fixture, truth = generate_scene(make_scene_spec())
     dropped = perturb_scene(fixture, truth, PerturbationSpec(ocr_dropout_rate=1.0))
-    assert dropped.ocr_items == ()
+    assert dropped.ocr_texts == () and dropped.ocr_boxes.shape == (0, 4)
     report = read_gauge(dropped)
     assert report.stage_statuses[Stage.OCR].reason == "insufficient_markers"
 
@@ -133,9 +137,9 @@ def test_full_dropout_forces_marker_failure():
 def test_outlier_injection_adds_numeric_items():
     fixture, truth = generate_scene(make_scene_spec())
     noisy = perturb_scene(fixture, truth, PerturbationSpec(n_outlier_ocr=4, seed=1))
-    assert len(noisy.ocr_items) == len(fixture.ocr_items) + 4
-    for item in noisy.ocr_items[-4:]:
-        value = parse_numeric_token(item.text)
+    assert len(noisy.ocr_texts) == len(fixture.ocr_texts) + 4
+    for text in noisy.ocr_texts[-4:]:
+        value = parse_numeric_token(text)
         assert value is not None and 100 <= value <= 999999
 
 
@@ -145,14 +149,14 @@ def test_digit_corruption_changes_one_digit():
         fixture, truth, PerturbationSpec(digit_corruption_rate=1.0, seed=5)
     )
     changed = 0
-    for before, after in zip(fixture.ocr_items, corrupted.ocr_items):
-        if before.text == after.text:
+    for before, after in zip(fixture.ocr_texts, corrupted.ocr_texts):
+        if before == after:
             continue
         changed += 1
-        assert len(before.text) == len(after.text)
-        diffs = [k for k, (x, y) in enumerate(zip(before.text, after.text)) if x != y]
+        assert len(before) == len(after)
+        diffs = [k for k, (x, y) in enumerate(zip(before, after)) if x != y]
         assert len(diffs) == 1
-        assert before.text[diffs[0]].isdigit() and after.text[diffs[0]].isdigit()
+        assert before[diffs[0]].isdigit() and after[diffs[0]].isdigit()
     assert changed > 0
 
 
