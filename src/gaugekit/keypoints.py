@@ -3,11 +3,11 @@
 Notch detectors hand over per-pixel probability maps; decoding collects the
 pixels above 0.5 (strictly) and runs flat-kernel mean-shift on their indices
 to one sub-pixel mode per notch. Each mode's window, a disc of the
-bandwidth, is read as row segments from row prefix sums of the thresholded
-mask: an iteration costs O(support x bandwidth), not O(support^2), and the
-modes equal those of the all-pairs window bit for bit. The renderer builds
-the same kind of map from known centers so decode quality is testable
-without any model.
+bandwidth, is read as row segments from prefix sums kept only for rows that
+hold support; each distinct mode is shifted once per iteration, in blocks.
+Cost and memory follow the support, not the map, and the modes equal those
+of the all-pairs window bit for bit. The renderer builds the same kind of
+map from known centers so decode quality is testable without any model.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .geometry import finite_float, positive_int_size
 DETECTION_THRESHOLD = 0.5
 CONVERGENCE_SHIFT = 1e-3
 MAX_ITERATIONS = 100
+_BLOCK = 512  # modes per `_window_sums` call: more outgrow the cache, costing above linear
 
 
 @dataclass(frozen=True)
@@ -80,58 +81,71 @@ def extract_keypoints_meanshift(heatmap: Heatmap, bandwidth: float) -> list[np.n
     Converged modes closer than bandwidth/2 merge. Returns (x, y) modes
     sorted lexicographically; empty when nothing clears the threshold.
 
-    Each window is read as row segments from row prefix sums of the
-    thresholded mask (see `_window_sums`), so one iteration costs
-    O(support x bandwidth) rather than O(support^2).
+    Cost and memory follow the support: prefix sums cover only rows that
+    hold support (`_support_prefix`), and an iteration reads the window of
+    each distinct moving mode once, as row segments in blocks of _BLOCK
+    modes (`_window_sums`): O(distinct modes x bandwidth), not O(support^2).
     """
     message = f"bandwidth must be a positive number, got {bandwidth!r}"
     if finite_float(bandwidth, message) <= 0:
         raise ValueError(message)
     mask = heatmap.values > DETECTION_THRESHOLD
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
     if rows.size == 0:
         return []
-    prefix = _row_prefix(mask)
+    prefix = _support_prefix(mask)
     modes = np.column_stack([cols, rows]).astype(float)
-    # A mode that did not move is a fixed point (same window, same mean),
-    # so only the moving ones are recomputed.
-    moving = np.ones(len(modes), dtype=bool)
+    # A mode that did not move is a fixed point (same window, same mean), so
+    # only the moving ones are recomputed, and those that coincide only once:
+    # a sort of their complex view (x, then y) finds the distinct ones.
+    moving = np.arange(len(modes))
     for _ in range(MAX_ITERATIONS):
-        counts, sums = _window_sums(modes[moving], bandwidth, prefix)
-        shifted = sums / counts[:, None]
-        shift = np.abs(shifted - modes[moving])
-        modes[moving] = shifted
+        current = modes[moving]
+        keys = current.view(np.complex128).ravel()
+        order = np.argsort(keys)
+        ranked = keys[order]
+        first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        distinct = current[order[first]]
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        for i in range(0, len(distinct), _BLOCK):
+            counts, sums = _window_sums(distinct[i : i + _BLOCK], bandwidth, prefix)
+            distinct[i : i + _BLOCK] = sums / counts[:, None]
+        modes[moving] = shifted = distinct[inverse]
+        shift = np.abs(shifted - current)
         if float(shift.max()) < CONVERGENCE_SHIFT:
             break
-        moving[moving] = shift.max(axis=1) != 0.0
+        moving = moving[shift.max(axis=1) != 0.0]
 
     # Deterministic merge: visit modes in lexicographic order, grouping
-    # everything within half a bandwidth of the group seed.
+    # everything still free within half a bandwidth of the group seed.
     order = np.lexsort((modes[:, 1], modes[:, 0]))
     modes = modes[order]
     merge2 = (bandwidth / 2.0) ** 2
-    taken = np.zeros(len(modes), dtype=bool)
+    free = np.ones(len(modes), dtype=bool)
     results = []
-    for i in range(len(modes)):
-        if taken[i]:
-            continue
-        group = ((modes - modes[i]) ** 2).sum(axis=1) <= merge2
-        group &= ~taken
-        taken |= group
+    while free.any():
+        group = ((modes - modes[int(free.argmax())]) ** 2).sum(axis=1) <= merge2
+        group &= free
+        free &= ~group
         results.append(modes[group].mean(axis=0))
     results.sort(key=lambda p: (p[0], p[1]))
     return results
 
 
-def _row_prefix(mask: np.ndarray) -> np.ndarray:
-    """prefix[y, k] = (count, column-index sum) of the mask's pixels in row y
-    left of column k; the extra all-zero last row stands in for rows off
-    the map."""
+def _support_prefix(mask: np.ndarray):
+    """table[row_of[y], k] = (count, column-index sum) of the mask's pixels in
+    row y left of column k, stored only for rows that hold support; the
+    others and row_of's extra entry (rows off the map) share one zero row."""
     height, width = mask.shape
-    prefix = np.zeros((height + 1, width + 1, 2), dtype=np.int64)
-    np.cumsum(mask, axis=1, out=prefix[:height, 1:, 0])
-    np.cumsum(mask * np.arange(width), axis=1, out=prefix[:height, 1:, 1])
-    return prefix
+    support_rows = np.flatnonzero(mask.any(axis=1))
+    compact = mask[support_rows]
+    table = np.zeros((len(support_rows) + 1, width + 1, 2), dtype=np.int64)
+    np.cumsum(compact, axis=1, out=table[:-1, 1:, 0])
+    np.cumsum(compact * np.arange(width), axis=1, out=table[:-1, 1:, 1])
+    row_of = np.full(height + 1, len(support_rows), dtype=np.intp)
+    row_of[support_rows] = np.arange(len(support_rows))
+    return table, row_of
 
 
 def _window_sums(modes, bandwidth, prefix):
@@ -145,11 +159,12 @@ def _window_sums(modes, bandwidth, prefix):
     puts each segment end within one column of the test's own boundary
     (rounding can still leave it one short), so the test itself, applied
     from one column outside the estimate inwards, fixes the exact end. The
-    prefix sums then give the segment's count and column sum; its row sum
+    `_support_prefix` sums give the segment's count and column sum; its row sum
     is count * y. Integer sums are exact, so the means equal those of the
     all-pairs window bit for bit. Cost: O(len(modes) x bandwidth).
     """
-    height, width = prefix.shape[0] - 1, prefix.shape[1] - 1
+    table, row_of = prefix
+    height, width = len(row_of) - 1, table.shape[1] - 1
     bw2 = bandwidth * bandwidth
     n_rows = int(min(2.0 * bandwidth + 3.0, height))
     mx, my = modes[:, :1], modes[:, 1:]
@@ -171,7 +186,7 @@ def _window_sums(modes, bandwidth, prefix):
     row = np.where(ys < height, ys, height).astype(np.intp)
     lo = np.clip(lo.astype(np.intp), 0, width)
     hi = np.clip(hi.astype(np.intp) + 1, lo, width)
-    flat, base = prefix.reshape(-1, 2), row * (width + 1)
+    flat, base = table.reshape(-1, 2), row_of[row] * (width + 1)
     segments = np.take(flat, base + hi, axis=0) - np.take(flat, base + lo, axis=0)
     counts = segments[..., 0]
     sums = np.column_stack([segments[..., 1].sum(axis=1), (counts * row).sum(axis=1)])

@@ -327,7 +327,7 @@ def perturb_scene(
         margin = FRAME_MARGIN + MARKER_BOX[0] / 2
         positions = []
         for _ in range(spec.n_outlier_ocr):
-            positions.append(rng.uniform([margin, margin], [w - margin, h - margin]))
+            positions.append((rng.uniform(margin, w - margin), rng.uniform(margin, h - margin)))
             length = int(rng.integers(3, 7))
             digits = [str(rng.integers(1, 10))]
             digits += [str(rng.integers(0, 10)) for _ in range(length - 1)]

@@ -3,10 +3,15 @@ intensity-weighted centroid of the thresholded pixels as an oracle, and the
 row-segment decoder checked bit for bit against the all-pairs one."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaugekit
 from gaugekit import keypoints
 from gaugekit.keypoints import (
     CONVERGENCE_SHIFT,
@@ -235,6 +240,56 @@ def test_row_segment_decoder_matches_all_pairs_bit_for_bit(kind):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (kind, bandwidth)
 
 
+BLOCK_CASES = [
+    ("noise", 1.0),
+    ("noise", math.sqrt(13.0)),
+    ("binary", 2.5),
+    ("binary", 6.0),
+    ("blobs", math.sqrt(13.0)),
+    ("blobs", 6.0),
+]
+
+
+@pytest.mark.parametrize("kind, bandwidth", BLOCK_CASES)
+def test_row_segment_decoder_matches_all_pairs_over_several_blocks(kind, bandwidth):
+    # 500-1100 support pixels: more distinct modes than one block of
+    # `_window_sums` holds, and many that coincide once they converge.
+    rng = np.random.default_rng([15, BLOCK_CASES.index((kind, bandwidth))])
+    if kind == "noise":
+        values = rng.uniform(size=(40, 44))
+    elif kind == "binary":
+        values = (rng.uniform(size=(40, 44)) < 0.4).astype(float)
+    else:
+        values = render_gaussian_heatmap((64, 64), rng.uniform(6, 58, (6, 2)), sigma=5.0).values
+    assert keypoints._BLOCK < (values > DETECTION_THRESHOLD).sum() <= 1100
+    heatmap = Heatmap(values)
+    expected, _ = all_pairs_meanshift(heatmap, bandwidth)
+    got = extract_keypoints_meanshift(heatmap, bandwidth)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_decoding_leaves_numpy_ma_unimported():
+    # np.unique without index outputs imports numpy.ma on its first call
+    # (numpy 2.x), which doubles the first decode in a fresh interpreter.
+    code = (
+        "import sys\n"
+        "from gaugekit.keypoints import extract_keypoints_meanshift, render_gaussian_heatmap\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "heatmap = render_gaussian_heatmap((64, 48), [(20.0, 30.0), (41.5, 12.0)], sigma=4.0)\n"
+        "assert len(extract_keypoints_meanshift(heatmap, 6.0)) == 2\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(gaugekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after == "False"
+
+
 def test_row_segment_decoder_matches_all_pairs_at_iteration_cap():
     # A dithered ramp of density: modes creep up the gradient in small
     # steps and are still moving when MAX_ITERATIONS runs out.
@@ -260,6 +315,6 @@ def test_window_keeps_a_rim_pixel_its_row_estimate_misses(mode, bandwidth, pixel
     mask = np.zeros((18, 16), dtype=bool)
     mask[pixel[1], pixel[0]] = True
     counts, sums = keypoints._window_sums(
-        np.array([mode]), bandwidth, keypoints._row_prefix(mask)
+        np.array([mode]), bandwidth, keypoints._support_prefix(mask)
     )
     assert counts.tolist() == [1] and sums.tolist() == [list(pixel)]
