@@ -640,19 +640,9 @@ def serialize_fixture(fixture: GaugeFixture) -> bytes:
     return json.dumps(_fixture_jsonable(fixture), ensure_ascii=False).encode("utf-8")
 
 
-def _round_tree(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return float(format(obj, ".9g"))
-    if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_tree(v) for v in obj]
-    return obj
-
-
-def rounded_json(doc: Any) -> bytes:
-    """UTF-8 JSON of `doc` with every real rounded to 9 significant digits."""
-    return json.dumps(_round_tree(doc), ensure_ascii=False).encode("utf-8")
+def _round9(value):
+    """A float rounded to 9 significant digits; None, an int or a str passes as it is."""
+    return float(format(value, ".9g")) if isinstance(value, float) else value
 
 
 def serialize_report(report: GaugeReadingReport) -> bytes:
@@ -666,32 +656,37 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
         for stage, status in report.stage_statuses.items()
     }
 
-    e = report.fitted_ellipse
+    e, line = report.fitted_ellipse, report.needle_line
     doc = {
         "schema": SCHEMA_VERSION,
         "stage_statuses": statuses,
         "ellipse": None
         if e is None
-        else {"center": [e.cx, e.cy], "a": e.a, "b": e.b, "theta": e.theta},
-        "needle_line": None
-        if report.needle_line is None
         else {
-            "point": [report.needle_line.px, report.needle_line.py],
-            "direction": [report.needle_line.dx, report.needle_line.dy],
+            "center": [_round9(e.cx), _round9(e.cy)],
+            "a": _round9(e.a),
+            "b": _round9(e.b),
+            "theta": _round9(e.theta),
         },
-        "wrap_angle": report.wrap_angle,
-        "needle_relative_angle": report.needle_relative_angle,
+        "needle_line": None
+        if line is None
+        else {
+            "point": [_round9(line.px), _round9(line.py)],
+            "direction": [_round9(line.dx), _round9(line.dy)],
+        },
+        "wrap_angle": _round9(report.wrap_angle),
+        "needle_relative_angle": _round9(report.needle_relative_angle),
         "markers": [
             {
                 "scale": m.scale.value,
-                "angle": m.angle,
-                "value": m.value,
+                "angle": _round9(m.angle),
+                "value": _round9(m.value),
                 "inlier": m.inlier,
                 "text": m.text,
             }
             for m in report.markers_used
         ],
-        "readings": [{"scale": r.scale.value, "value": r.value} for r in report.readings],
+        "readings": [{"scale": r.scale.value, "value": _round9(r.value)} for r in report.readings],
         "unit": report.unit,
     }
-    return rounded_json(doc)
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8")

@@ -274,6 +274,10 @@ def _conic_to_geometric(A, B, C, D, E, F) -> Ellipse:
     raise DegenerateConfiguration("conic has no real ellipse points")
 
 
+# C1^-1 of the constraint 4AC - B^2, as weights on the reduced scatter's reversed rows.
+_CONSTRAINT_INVERSE = np.array([[0.5], [-1.0], [0.5]])
+
+
 def fit_ellipse_direct(points) -> Ellipse:
     """Direct least-squares ellipse fit (Halir & Flusser's numerically stable
     variant of Fitzgibbon's method).
@@ -293,44 +297,40 @@ def fit_ellipse_direct(points) -> Ellipse:
     if n < 5:
         raise InsufficientPoints(f"ellipse fit needs at least 5 points, got {n}")
 
-    mean = pts.mean(axis=0)
+    # sum / n is numpy's mean to the bit (add.reduce, then one division).
+    mean = pts.sum(axis=0) / n
     centered = pts - mean
-    scale = math.sqrt(float((centered**2).sum(axis=1).mean()))
+    scale = math.sqrt(float((centered**2).sum(axis=1).sum() / n))
     if scale == 0.0:
         raise DegenerateConfiguration("all points coincide")
     normalized = centered / scale
     sing = np.linalg.svd(normalized, compute_uv=False)
     if sing[1] < 1e-10 * sing[0]:
         raise DegenerateConfiguration("points are collinear")
-    x = normalized[:, 0]
-    y = normalized[:, 1]
+    x, y = normalized.T
 
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones(n)])
-    s1 = d1.T @ d1
-    s2 = d1.T @ d2
-    s3 = d2.T @ d2
+    # One scatter of the design rows [x^2, xy, y^2, x, y, 1]; S1, S2, S3 are its blocks.
+    design = np.array([x * x, x * y, y * y, x, y, np.ones(n)])
+    scatter = design @ design.T
+    s1, s2, s3 = scatter[:3, :3], scatter[:3, 3:], scatter[3:, 3:]
     try:
         t = -np.linalg.solve(s3, s2.T)
     except np.linalg.LinAlgError:
         raise DegenerateConfiguration("points are collinear or otherwise rank-deficient") from None
     m = s1 + s2 @ t
-    m = np.vstack([m[2] / 2.0, -m[1], m[0] / 2.0])
+    m = m[::-1] * _CONSTRAINT_INVERSE  # rows m[2] / 2, -m[1], m[0] / 2
 
     evals, evecs = np.linalg.eig(m)
-    quad = None
     for i in range(3):
         if abs(evals[i].imag) > 1e-9 * (1.0 + abs(evals[i].real)):
             continue
         vec = np.real(evecs[:, i])
         if 4.0 * vec[0] * vec[2] - vec[1] ** 2 > 0:
-            quad = vec
             break
-    if quad is None:
+    else:
         raise DegenerateConfiguration("eigensystem yields no valid ellipse")
-    lin = t @ quad
 
-    geom = _conic_to_geometric(quad[0], quad[1], quad[2], lin[0], lin[1], lin[2])
+    geom = _conic_to_geometric(*vec.tolist(), *(t @ vec).tolist())
     # Normalization was isotropic, so the geometric undo is a similarity.
     return Ellipse(
         geom.cx * scale + mean[0],
@@ -369,7 +369,7 @@ def odr_fit_line(points) -> Line:
         raise ValueError("expected an (N, 2) array of points")
     if pts.shape[0] < 2:
         raise InsufficientPoints(f"line fit needs at least 2 points, got {pts.shape[0]}")
-    centroid = pts.mean(axis=0)
+    centroid = pts.sum(axis=0) / pts.shape[0]
     centered = pts - centroid
     (sxx, sxy), (_, syy) = (centered.T @ centered).tolist()
     lo, hi, ux, uy = _sym_eig2(sxx, sxy, syy)

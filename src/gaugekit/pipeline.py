@@ -7,6 +7,7 @@ fatal stage so each failed report carries exactly one failure reason.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,9 +33,9 @@ from .fixtures import (
     ScaleSide,
     Stage,
     StageStatus,
+    _round9,
     load_json,
     present_fields,
-    rounded_json,
 )
 
 
@@ -281,12 +282,13 @@ class EvalSummary:
         return (self.n_fixtures - self.n_readings) / self.n_fixtures if self.n_fixtures else 0.0
 
     def to_jsonable(self) -> dict:
+        """The summary as JSON values, every real rounded to 9 significant digits."""
         return {
             "n_fixtures": self.n_fixtures,
             "n_readings": self.n_readings,
-            "reading_failure_share": self.reading_failure_share,
-            "full_re_mean_percent": self.full_re_mean,
-            "stage_failure_rates": dict(self.stage_failure_rates),
+            "reading_failure_share": _round9(self.reading_failure_share),
+            "full_re_mean_percent": _round9(self.full_re_mean),
+            "stage_failure_rates": {k: _round9(v) for k, v in self.stage_failure_rates.items()},
         }
 
     def to_table(self) -> str:
@@ -355,4 +357,4 @@ def evaluate_batch(
 
 def serialize_summary(summary: EvalSummary) -> bytes:
     """Deterministic JSON for an evaluation summary (9 significant digits)."""
-    return rounded_json(summary.to_jsonable())
+    return json.dumps(summary.to_jsonable(), ensure_ascii=False).encode("utf-8")

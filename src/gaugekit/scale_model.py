@@ -9,6 +9,7 @@ linear map while discarding misread or unrelated numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -202,7 +203,7 @@ def _ols(angles: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     NoConsensus when every angle lies within SAME_ANGLE_EPS of the others."""
     if float(angles.max() - angles.min()) <= SAME_ANGLE_EPS:
         raise NoConsensus("all pairs lie at one angle")
-    a_mean, v_mean = float(angles.mean()), float(values.mean())
+    a_mean, v_mean = float(angles.sum() / len(angles)), float(values.sum() / len(values))
     da = angles - a_mean
     slope = float(da @ (values - v_mean)) / float(da @ da)
     return slope, v_mean - slope * a_mean
@@ -222,11 +223,12 @@ def least_squares_fit_linear(pairs) -> LinearScaleModel:
     return LinearScaleModel(slope, intercept, tuple(range(len(arr))))
 
 
+@functools.lru_cache(maxsize=64)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j in row-major order, thinned evenly to MAX_PAIRS.
 
     Pair k of the n(n-1)/2 lies in the last row whose start is <= k, so only
-    the n-1 row starts and the chosen pairs are ever built.
+    the n-1 row starts and the chosen pairs are ever built, once per n, read-only.
     """
     total = n * (n - 1) // 2
     count = min(total, MAX_PAIRS)
@@ -234,7 +236,9 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(n - 1, dtype=np.int64)
     starts = rows * (2 * n - rows - 1) // 2
     i = np.searchsorted(starts, k, side="right") - 1
-    return i, k - starts[i] + i + 1
+    j = k - starts[i] + i + 1
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
@@ -257,8 +261,7 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
         raise InsufficientPoints(f"need at least 2 pairs, got {n}")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    angles = arr[:, 0]
-    values = arr[:, 1]
+    angles, values = arr.T
 
     i, j = _pair_indices(n)
     dx = angles[j] - angles[i]
@@ -283,4 +286,4 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
     else:
         slope, intercept = float(slopes[best]), float(intercepts[best])
         inliers = np.nonzero(consensus)[0]
-    return LinearScaleModel(slope, intercept, tuple(int(k) for k in inliers))
+    return LinearScaleModel(slope, intercept, tuple(inliers.tolist()))

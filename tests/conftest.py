@@ -78,7 +78,7 @@ def random_fixture(rng: np.random.Generator) -> GaugeFixture:
         bw = rng.uniform(1, 40)
         bh = rng.uniform(1, 20)
         boxes.append([rng.uniform(0, w - 1e-3), rng.uniform(0, h - 1e-3), bw, bh])
-        texts.append(str(rng.choice(_FUZZ_TEXT_POOL)))
+        texts.append(_FUZZ_TEXT_POOL[int(rng.integers(0, len(_FUZZ_TEXT_POOL)))])
         confidences.append(rng.uniform(0, 1))
 
     truth = None
