@@ -5,9 +5,9 @@ gauge as read-only float arrays with their labels: notch keypoints and
 their classes, sampled needle-mask pixels, OCR text boxes with their texts
 and confidences, and optional ground truth. All coordinates live in the
 crop frame (origin top-left, y down) and must fall inside [0, crop_size)
-per axis. GaugeFixture checks every value rule in bulk on construction, so
-a fixture built in code obeys the same rules as a parsed one; parse_fixture
-checks only the document's shape.
+per axis. GaugeFixture validates every value on construction, in one place,
+so a fixture built in code obeys the same rules as a parsed one and names
+the same first fault; parse_fixture checks only the document's shape.
 
 Documents carry a top-level "schema": 1 field, the JSON integer 1 (not
 true, 1.0 or "1"). Unknown fields are ignored so fixtures written by newer
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Any, Mapping, Optional
@@ -44,7 +45,8 @@ class KeypointClass(enum.Enum):
     END = "end"
 
 
-# Point2, Rect and OcrItem are on no fixture path; perfbench/tracing.py wraps their __post_init__.
+# Point2, Rect and OcrItem are on no fixture path. perfbench/tracing.py wraps
+# their __post_init__ by name, so they go at the next change to the benchmark.
 @dataclass(frozen=True)
 class Point2:
     x: float
@@ -106,133 +108,119 @@ class GroundTruth:
             raise ValueError("unit must be a string")
 
 
-def _check_type(value, cls, path: str):
-    if not isinstance(value, cls):
-        raise SchemaError(path, f"expected {cls.__name__}, got {type(value).__name__}")
-
-
-# The row shape of each array field and the array shape its errors name.
+# Per array field: the row shape, the array shape its errors name and the
+# path of a row's fault.
 _ARRAY_FIELDS = {
-    "keypoints": ((2,), "(N, 2)"),
-    "needle_points": ((2,), "(M, 2)"),
-    "ocr_boxes": ((4,), "(K, 4)"),
-    "ocr_confidences": ((), "(K,)"),
+    "keypoints": ((2,), "(N, 2)", "keypoints[{}]"),
+    "needle_points": ((2,), "(M, 2)", "needle_points[{}]"),
+    "ocr_boxes": ((4,), "(K, 4)", "ocr[{}].box"),
+    "ocr_confidences": ((), "(K,)", None),
 }
 # Shared read-only empties: an absent field costs no numpy call.
-_EMPTY = {name: np.empty((0, *row)) for name, (row, _) in _ARRAY_FIELDS.items()}
+_EMPTY = {name: np.empty((0, *row)) for name, (row, *_) in _ARRAY_FIELDS.items()}
 for _empty in _EMPTY.values():
     _empty.setflags(write=False)
+# The least x, y, width and height of a box: corners from 0, extents positive
+# (5e-324 is the least positive float).
+_BOX_LOW = np.array([0.0, 0.0, 5e-324, 5e-324])
 
 
-def _has_rows(values: np.ndarray, row: tuple) -> bool:
-    return values.ndim == len(row) + 1 and values.shape[1:] == row
+def _plain(values, row: tuple) -> bool:
+    """Whether list or tuple `values` holds only Python ints and floats, in
+    lists or tuples of the field's arity when `row` is not empty."""
+    if row:
+        if not (set(map(type, values)) <= {list, tuple} and set(map(len, values)) == set(row)):
+            return False
+        values = chain.from_iterable(values)
+    return set(map(type, values)) <= {float, int}
 
 
-def _float_array(values, name: str, scan: bool = True) -> Optional[np.ndarray]:
-    """`values`, array field `name`, as a new float64 array, or None.
+def _number(value) -> float:
+    """`value` as a float for the finite rule to judge: NaN unless is_number
+    accepts it, inf for an int beyond the float range."""
+    if not is_number(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
-    An int or float ndarray of the field's shape is copied, whatever its
-    dtype. A list or tuple of Python ints and floats (rows of them for a
-    2-D field) takes one type scan and one np.array call; without `scan`,
-    any numbers pass. Everything else gives None.
+
+def _float_rows(values, name: str) -> tuple[np.ndarray, Optional[SchemaError]]:
+    """Array field `name` as a new float64 array, and the fault that ends it.
+
+    An int or float ndarray of the field's shape is copied whole, and so is a
+    list or tuple of Python ints and floats (rows of them for a 2-D field),
+    after one type scan. Any other list or tuple is walked in Python up to
+    its first row that is not a list or tuple of the field's arity, each
+    value taken by _number. The fault is a SchemaError for that row, or for
+    the whole field when it is no such array; None when every row converts.
     """
-    row = _ARRAY_FIELDS[name][0]
+    row, shape, row_path = _ARRAY_FIELDS[name]
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
-            return None
-        if not values.size:
-            return _EMPTY[name]
-        if not _has_rows(values, row):
-            return None
-    elif not isinstance(values, (list, tuple)):
-        return None
-    elif not values:
-        return _EMPTY[name]
-    elif scan:
-        items = values
-        if row:
-            if not (set(map(type, values)) <= {list, tuple} and set(map(len, values)) == set(row)):
-                return None
-            items = chain.from_iterable(values)
-        if not set(map(type, items)) <= {float, int}:
-            return None
-    try:
-        return np.array(values, dtype=np.float64)  # always a copy
-    except OverflowError:  # an int beyond the float range
-        return None
-
-
-def _inside(values: np.ndarray, low, high) -> bool:
-    """Whether low <= v < high for every v in `values` (never for NaN)."""
-    if not values.size:
-        return True
-    inside = (values >= low) & (values < high)
-    return np.count_nonzero(inside) == inside.size
-
-
-def _rows(values, name: str) -> list:
-    """The rows of array field `name` as a list; SchemaError unless `values`
-    is a list or tuple, or an int or float ndarray of the field's shape."""
-    row, shape = _ARRAY_FIELDS[name]
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind not in "iuf":
-            raise SchemaError(name, f"expected an int or float array, got {values.dtype}")
-        if values.size and not _has_rows(values, row):
-            raise SchemaError(name, f"expected shape {shape}, got {values.shape}")
-        return values.reshape(-1, *row).tolist()
+            dtype = f"expected an int or float array, got {values.dtype}"
+            return _EMPTY[name], SchemaError(name, dtype)
+        if not (values.ndim == len(row) + 1 and values.shape[1:] == row):
+            return _EMPTY[name], SchemaError(name, f"expected shape {shape}, got {values.shape}")
+        return values.astype(np.float64), None
     if not isinstance(values, (list, tuple)):
-        raise SchemaError(name, f"expected an array, got {type(values).__name__}")
-    return list(values)
+        return _EMPTY[name], SchemaError(name, f"expected an array, got {type(values).__name__}")
+    if not values:
+        return _EMPTY[name], None
+    if _plain(values, row):
+        try:
+            return np.array(values, dtype=np.float64), None
+        except OverflowError:  # an int beyond the float range, walked below
+            pass
+    rows, fault = [], None
+    for i, value in enumerate(values):
+        if row and not isinstance(value, (list, tuple)):
+            fault = SchemaError(row_path.format(i), f"expected an array, got {type(value).__name__}")
+            break
+        if row and len(value) != row[0]:
+            arity = "[x, y]" if row[0] == 2 else "[x, y, width, height]"
+            fault = SchemaError(row_path.format(i), f"expected {arity}")
+            break
+        rows.append([_number(v) for v in value] if row else _number(value))
+    return np.array(rows, dtype=np.float64).reshape(-1, *row), fault
 
 
-def _check_row(row, width: int, shape_path: str, value_path: str, message: str) -> list:
-    """`row` as a list of floats; SchemaError unless it is a list or tuple
-    of `width` finite numbers: a wrong shape under `shape_path`, a bad value
-    under `value_path`."""
-    if not isinstance(row, (list, tuple)):
-        raise SchemaError(shape_path, f"expected an array, got {type(row).__name__}")
-    if len(row) != width:
-        arity = "[x, y]" if width == 2 else "[x, y, width, height]"
-        raise SchemaError(shape_path, f"expected {arity}")
-    try:
-        return [finite_float(v, message) for v in row]
-    except ValueError as exc:
-        raise SchemaError(value_path, str(exc)) from None
+def _within(values: np.ndarray, low, high) -> tuple[np.ndarray, bool]:
+    """The mask low <= v < high over `values`, False for NaN, and whether it
+    holds everywhere. An empty `values` is its own mask, at no numpy call."""
+    if not values.size:
+        return values, True
+    mask = (values >= low) & (values < high)
+    return mask, np.count_nonzero(mask) == mask.size
 
 
-def _check_points(values, name: str) -> list:
-    """The rows of point field `name` as lists of floats; SchemaError for the
-    field or for its first row that is not two finite numbers."""
-    return [
-        _check_row(row, 2, f"{name}[{i}]", f"{name}[{i}]", POINT_FAULT)
-        for i, row in enumerate(_rows(values, name))
-    ]
+def _first_false(mask) -> int:
+    """The index of the first row of boolean `mask` (an array or a list)
+    that holds a False; its length when none does."""
+    rows = np.asarray(mask, dtype=bool)
+    if rows.ndim == 2:
+        rows = rows.all(axis=1)
+    return len(rows) if rows.all() else int(rows.argmin())
 
 
-def _check_ocr_item(i: int, box, text, confidence) -> list:
-    """The box of OCR item `i` as a list of floats; SchemaError for the
-    item's first fault: box shape, box values, box size, text, confidence."""
-    path = f"ocr[{i}]"
-    box = _check_row(box, 4, f"{path}.box", path, BOX_FAULT)
-    if not (box[2] > 0 and box[3] > 0):
-        raise SchemaError(path, BOX_SIZE_FAULT)
-    if not isinstance(text, str):
-        raise SchemaError(path, TEXT_FAULT)
-    try:
-        if not 0.0 <= finite_float(confidence, CONFIDENCE_FAULT) <= 1.0:
-            raise ValueError(CONFIDENCE_FAULT)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
-    return box
+def _raise_point_fault(rows: np.ndarray, fault: Optional[SchemaError], path: str) -> None:
+    """SchemaError naming `path` with the first of the point `rows` that is
+    not finite; else `fault`, the fault that ended them, if any."""
+    bad = _first_false(np.isfinite(rows))
+    if bad < len(rows):
+        raise SchemaError(path.format(bad), POINT_FAULT)
+    if fault is not None:
+        raise fault
 
 
-def _check_inside(rows: list, size: tuple[int, int], path: str) -> None:
-    """SchemaError naming `path` with the first of `rows` whose x and y
-    lie outside [0, width) x [0, height)."""
-    w, h = size
-    for i, (x, y, *_) in enumerate(rows):
-        if not (0.0 <= x < w and 0.0 <= y < h):
-            raise SchemaError(path.format(i), f"coordinate ({x}, {y}) outside [0, {w}) x [0, {h})")
+def _raise_outside(rows: np.ndarray, inside: np.ndarray, path: str, size: tuple[int, int]) -> None:
+    """SchemaError naming `path` with the first of `rows` whose x and y the
+    mask `inside` rejects."""
+    bad = _first_false(inside)
+    if bad < len(rows):
+        (x, y), (w, h) = rows[bad, :2].tolist(), size
+        raise SchemaError(path.format(bad), f"coordinate ({x}, {y}) outside [0, {w}) x [0, {h})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,58 +246,28 @@ class GaugeFixture:
     ground_truth: Optional[GroundTruth] = None
 
     def __post_init__(self):
+        """The one validator: SchemaError for the first fault in the order
+        README documents, each value rule evaluated once, as a mask."""
         if self.ocr_confidences is None and isinstance(self.ocr_texts, (list, tuple)):
             object.__setattr__(self, "ocr_confidences", [1.0] * len(self.ocr_texts))
-        converted = self._converted()
-        if converted is None:  # some value needs a closer look
-            self._raise_first_fault()
-            converted = self._converted(scan=False)  # numpy scalars pass the checks
-        for name, value in zip(self.__dataclass_fields__, converted):
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        for kind in (KeypointClass.START, KeypointClass.END):
-            if self.keypoint_classes.count(kind) > 1:
-                raise SchemaError("keypoints", f"more than one {kind.value} keypoint")
-
-    def _converted(self, scan: bool = True) -> Optional[tuple]:
-        """The fields but ground_truth, in order, when every value plainly
-        obeys its rule: one type scan per column and one bounds test per
-        kind of value. None when any value needs a closer look."""
-        arrays = [
-            _float_array(getattr(self, name), name, scan)
-            for name in ("keypoints", "needle_points", "ocr_boxes", "ocr_confidences")
-        ]
+        keypoints, kp_fault = _float_rows(self.keypoints, "keypoints")
+        needle, needle_fault = _float_rows(self.needle_points, "needle_points")
+        boxes, box_fault = _float_rows(self.ocr_boxes, "ocr_boxes")
+        confidences, conf_fault = _float_rows(self.ocr_confidences, "ocr_confidences")
         classes, texts, truth = self.keypoint_classes, self.ocr_texts, self.ground_truth
         try:
-            size = positive_int_size(self.crop_size)
-        except ValueError:
-            return None
-        if any(a is None for a in arrays) or not (
-            isinstance(classes, (list, tuple))
-            and isinstance(texts, (list, tuple))
-            and (truth is None or isinstance(truth, GroundTruth))
-        ):
-            return None
-        keypoints, needle, boxes, confidences = arrays
-        if not (
-            len(classes) == len(keypoints)
-            and len(texts) == len(boxes) == len(confidences)
-            and set(map(type, classes)) <= {KeypointClass}
-            and (not scan or set(map(type, texts)) <= {str})
-            and _inside(np.concatenate([keypoints, needle, boxes[:, :2]]), 0.0, size)
-            and _inside(boxes[:, 2:], 5e-324, np.inf)
-            and all(0.0 <= c <= 1.0 for c in confidences.tolist())
-        ):
-            return None
-        return size, keypoints, tuple(classes), needle, boxes, tuple(texts), confidences
+            size, size_fault = positive_int_size(self.crop_size), None
+        except ValueError as exc:  # raised before any bounds fault, so (0, 0) never shows
+            size, size_fault = (0, 0), SchemaError("crop_size", str(exc))
+        # One mask per value rule, False for every non-finite value: points
+        # inside the crop; box corners inside and extents positive;
+        # confidences in [0, 1]. A finite test is made only where one fails.
+        inside, points_ok = _within(np.concatenate([keypoints, needle]), 0.0, size)
+        box_inside, boxes_ok = _within(boxes, _BOX_LOW, (*size, np.inf, np.inf))
+        in_unit = [0.0 <= c <= 1.0 for c in confidences.tolist()]
 
-    def _raise_first_fault(self) -> None:
-        """SchemaError for the first fault in the documented order: keypoint
-        values and classes, OCR items, ground truth, crop_size, keypoint
-        bounds, needle rows, OCR box bounds."""
-        keypoints = _check_points(self.keypoints, "keypoints")
-        classes, texts = self.keypoint_classes, self.ocr_texts
+        if kp_fault or not points_ok:
+            _raise_point_fault(keypoints, kp_fault, "keypoints[{}]")
         for name, column in (("keypoint_classes", classes), ("ocr_texts", texts)):
             if not isinstance(column, (list, tuple)):
                 raise SchemaError(name, f"expected an array, got {type(column).__name__}")
@@ -317,23 +275,48 @@ class GaugeFixture:
             count = f"expected one per keypoint, {len(keypoints)}, got {len(classes)}"
             raise SchemaError("keypoint_classes", count)
         for i, kind in enumerate(classes):
-            _check_type(kind, KeypointClass, f"keypoint_classes[{i}]")
-        boxes = _rows(self.ocr_boxes, "ocr_boxes")
-        confidences = _rows(self.ocr_confidences, "ocr_confidences")
-        for name, column in (("ocr_texts", texts), ("ocr_confidences", confidences)):
-            if len(column) != len(boxes):
-                raise SchemaError(name, f"expected one per box, {len(boxes)}, got {len(column)}")
-        boxes = [_check_ocr_item(i, *item) for i, item in enumerate(zip(boxes, texts, confidences))]
-        if self.ground_truth is not None:
-            _check_type(self.ground_truth, GroundTruth, "ground_truth")
-        try:
-            size = positive_int_size(self.crop_size)
-        except ValueError as exc:
-            raise SchemaError("crop_size", str(exc)) from None
-        _check_inside(keypoints, size, "keypoints[{}]")
-        needle = _check_points(self.needle_points, "needle_points")
-        _check_inside(needle, size, "needle_points[{}]")
-        _check_inside(boxes, size, "ocr[{}].box")
+            if not isinstance(kind, KeypointClass):
+                got = f"expected KeypointClass, got {type(kind).__name__}"
+                raise SchemaError(f"keypoint_classes[{i}]", got)
+        for fault in (box_fault, conf_fault):  # a fault of a whole field comes before its items
+            if fault is not None and fault.path in _ARRAY_FIELDS:
+                raise fault
+        n_boxes = len(self.ocr_boxes)
+        for name, column in (("ocr_texts", texts), ("ocr_confidences", self.ocr_confidences)):
+            if len(column) != n_boxes:
+                raise SchemaError(name, f"expected one per box, {n_boxes}, got {len(column)}")
+        is_text = [isinstance(text, str) for text in texts]
+        if box_fault or not (boxes_ok and all(in_unit) and all(is_text)):
+            # Each OCR item whole before the next: box shape, box values, box
+            # size, text, confidence. The box rows stop at box_fault's item.
+            item, _, message = min(
+                (_first_false(np.isfinite(boxes)), 0, BOX_FAULT),
+                (_first_false(box_inside[:, 2:]), 1, BOX_SIZE_FAULT),
+                (_first_false(is_text), 2, TEXT_FAULT),
+                (_first_false(in_unit), 3, CONFIDENCE_FAULT),
+            )
+            if box_fault is not None and item >= len(boxes):
+                raise box_fault
+            if item < n_boxes:
+                raise SchemaError(f"ocr[{item}]", message)
+        if truth is not None and not isinstance(truth, GroundTruth):
+            raise SchemaError("ground_truth", f"expected GroundTruth, got {type(truth).__name__}")
+        if size_fault is not None:
+            raise size_fault
+        if needle_fault or not (points_ok and boxes_ok):
+            _raise_outside(keypoints, inside[: len(keypoints)], "keypoints[{}]", size)
+            _raise_point_fault(needle, needle_fault, "needle_points[{}]")
+            _raise_outside(needle, inside[len(keypoints) :], "needle_points[{}]", size)
+            _raise_outside(boxes, box_inside[:, :2], "ocr[{}].box", size)
+        classes = tuple(classes)
+        for kind in (KeypointClass.START, KeypointClass.END):
+            if classes.count(kind) > 1:
+                raise SchemaError("keypoints", f"more than one {kind.value} keypoint")
+        values = (size, keypoints, classes, needle, boxes, tuple(texts), confidences)
+        for name, value in zip(self.__dataclass_fields__, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return (
@@ -520,47 +503,57 @@ def load_json(data: bytes | str) -> Any:
 
 
 _KEYPOINT_CLASSES = {kind.value: kind for kind in KeypointClass}
+# Stands in for what parse_fixture rejects itself; GaugeFixture takes it nowhere.
+_REJECTED = object()
 
 
-def _entry_columns(keypoints, ocr) -> Optional[dict]:
-    """GaugeFixture's keypoint and OCR arguments gathered from the decoded
-    entries, unchecked values included; None when an entry has the wrong
-    shape, a missing key or an unknown class."""
-    if type(keypoints) is not list or type(ocr) is not list:
-        return None
+def _fixture_arguments(root: dict) -> tuple[dict, Optional[SchemaError], Optional[str]]:
+    """GaugeFixture's arguments from fixture document `root`, values
+    unchecked, with parse_fixture's own first fault and the path under which
+    GaugeFixture rejects _REJECTED (None and None when there is no fault).
+
+    That fault is the first entry that is not an object with the keys its
+    column needs, or else a ground truth GroundTruth rejects. _REJECTED ends
+    the entry's column; for the ground truth, which comes right after the
+    OCR items in the fault order, it ends the OCR column.
+    """
+    points, classes, boxes, texts, confidences = [], [], [], [], []
+    args = dict(
+        keypoints=points,
+        keypoint_classes=classes,
+        ocr_boxes=boxes,
+        ocr_texts=texts,
+        ocr_confidences=confidences,
+        **present_entries(root, "crop_size", "needle_points"),
+    )
     try:
-        return dict(
-            keypoints=[[e["x"], e["y"]] for e in keypoints],
-            keypoint_classes=tuple([_KEYPOINT_CLASSES[e["class"]] for e in keypoints]),
-            ocr_boxes=[e.get("box") for e in ocr],
-            ocr_texts=[e.get("text", "") for e in ocr],
-            ocr_confidences=[e.get("confidence", 1.0) for e in ocr],
-        )
-    except (KeyError, TypeError, AttributeError):
-        return None
-
-
-def _first_entry_fault(keypoints, ocr) -> Optional[SchemaError]:
-    """The first fault of the keypoint and OCR entries in document order,
-    each entry checked whole (shape, class, values) before the next."""
+        for i, entry in enumerate(as_list(root.get("keypoints", []), "keypoints")):
+            if type(entry) is not dict or "x" not in entry or "y" not in entry:
+                as_object(entry, f"keypoints[{i}]")
+                raise SchemaError(f"keypoints[{i}]", "missing x or y")
+            kind = entry.get("class")
+            if not (isinstance(kind, str) and kind in _KEYPOINT_CLASSES):
+                known = f"expected one of start/intermediate/end, got {kind!r}"
+                raise SchemaError(f"keypoints[{i}].class", known)
+            points.append([entry["x"], entry["y"]])
+            classes.append(_KEYPOINT_CLASSES[kind])
+    except SchemaError as fault:
+        points.append(_REJECTED)
+        return args, fault, f"keypoints[{len(points) - 1}]"
     try:
-        for i, entry in enumerate(as_list(keypoints, "keypoints")):
-            path = f"keypoints[{i}]"
-            obj = as_object(entry, path)
-            if "x" not in obj or "y" not in obj:
-                raise SchemaError(path, "missing x or y")
-            if not isinstance(obj.get("class"), str) or obj["class"] not in _KEYPOINT_CLASSES:
-                raise SchemaError(
-                    f"{path}.class",
-                    f"expected one of start/intermediate/end, got {obj.get('class')!r}",
-                )
-            _check_row([obj["x"], obj["y"]], 2, path, path, POINT_FAULT)
-        for i, entry in enumerate(as_list(ocr, "ocr")):
-            obj = as_object(entry, f"ocr[{i}]")
-            _check_ocr_item(i, obj.get("box"), obj.get("text", ""), obj.get("confidence", 1.0))
-    except SchemaError as exc:
-        return exc
-    return None
+        for i, entry in enumerate(as_list(root.get("ocr", []), "ocr")):
+            if type(entry) is not dict:
+                as_object(entry, f"ocr[{i}]")
+            boxes.append(entry.get("box"))
+            texts.append(entry.get("text", ""))
+            confidences.append(entry.get("confidence", 1.0))
+        args["ground_truth"] = _parse_ground_truth(root.get("ground_truth"))
+    except SchemaError as fault:
+        boxes.append(_REJECTED)
+        texts.append("")
+        confidences.append(1.0)
+        return args, fault, f"ocr[{len(boxes) - 1}].box"
+    return args, None, None
 
 
 def parse_fixture(data: bytes | str) -> GaugeFixture:
@@ -575,20 +568,13 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
     if not (is_number(version, integer=True) and version == SCHEMA_VERSION):
         raise SchemaError("schema", f"expected schema version {SCHEMA_VERSION}")
 
-    # The entries go to GaugeFixture as columns, which it checks in bulk.
-    # A fault found here may follow a bad value in an earlier entry, so the
-    # entries are then walked for the first fault in document order.
-    keypoints, ocr = root.get("keypoints", []), root.get("ocr", [])
-    columns = _entry_columns(keypoints, ocr)
-    if columns is None:
-        raise _first_entry_fault(keypoints, ocr)
+    # GaugeFixture validates the document's values. It names a fault that
+    # comes before parse's own, or rejects the _REJECTED standing in for it.
+    args, fault, rejected = _fixture_arguments(root)
     try:
-        ground_truth = _parse_ground_truth(root.get("ground_truth"))
+        return GaugeFixture(**args)
     except SchemaError as exc:
-        raise _first_entry_fault(keypoints, ocr) or exc from None
-    return GaugeFixture(
-        ground_truth=ground_truth, **columns, **present_entries(root, "crop_size", "needle_points")
-    )
+        raise (fault if exc.path == rejected else exc) from None
 
 
 def _parse_ground_truth(doc) -> Optional[GroundTruth]:

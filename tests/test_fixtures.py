@@ -393,6 +393,29 @@ def test_fixture_invariants_reject_bad_direct_construction():
         (dict(ocr_boxes=np.ones((1, 3)), ocr_texts=["5"]), "ocr_boxes: expected shape (K, 4), got (1, 3)"),
         (dict(ocr_texts="5"), "ocr_texts: expected an array, got str"),
         (dict(ground_truth="x"), "ground_truth: expected GroundTruth, got str"),
+        # An empty array is checked for its shape too.
+        (dict(needle_points=np.empty((5, 0))), "needle_points: expected shape (M, 2), got (5, 0)"),
+        (dict(needle_points=np.empty((0, 3))), "needle_points: expected shape (M, 2), got (0, 3)"),
+        (dict(needle_points=np.empty((0,))), "needle_points: expected shape (M, 2), got (0,)"),
+        (
+            dict(keypoints=np.empty((3, 0)), keypoint_classes=(KeypointClass.INTERMEDIATE,) * 3),
+            "keypoints: expected shape (N, 2), got (3, 0)",
+        ),
+        # numpy scalars inside lists are judged by the same rules.
+        (dict(needle_points=[(np.float64("nan"), 1)]), "needle_points[0]: x and y must be finite"),
+        (dict(needle_points=[(np.bool_(True), 1)]), "needle_points[0]: x and y must be finite"),
+        (
+            dict(needle_points=[(1, 1), (np.float32(500), 1)]),
+            "needle_points[1]: coordinate (500.0, 1.0) outside [0, 448) x [0, 448)",
+        ),
+        (
+            dict(ocr_boxes=[[0, 0, 1, 1]], ocr_texts=["5"], ocr_confidences=[np.float64(1.5)]),
+            "ocr[0]: confidence must lie in [0, 1]",
+        ),
+        (
+            dict(ocr_boxes=[[0, 0, np.float32(0), 1]], ocr_texts=["5"]),
+            "ocr[0]: box width and height must be positive",
+        ),
     ]:
         with pytest.raises(SchemaError, match=re.escape(message)):
             GaugeFixture(**kwargs)
@@ -632,9 +655,30 @@ def _random_document(rng):
     }
 
 
+def _direct_columns(doc):
+    """GaugeFixture's arguments built in code from a corpus document whose
+    keypoint entries are objects with x, y and a known class and whose OCR
+    entries are objects; None for any other document."""
+    kps, ocr = doc["keypoints"], doc["ocr"]
+    if not all(
+        isinstance(e, dict) and "x" in e and "y" in e and e.get("class") in ("start", "intermediate", "end")
+        for e in kps
+    ) or not all(isinstance(e, dict) for e in ocr):
+        return None
+    return dict(
+        keypoints=[[e["x"], e["y"]] for e in kps],
+        keypoint_classes=[KeypointClass(e["class"]) for e in kps],
+        needle_points=doc["needle_points"],
+        ocr_boxes=[e.get("box") for e in ocr],
+        ocr_texts=[e.get("text", "") for e in ocr],
+        ocr_confidences=[e.get("confidence", 1.0) for e in ocr],
+        ground_truth=GroundTruth(**doc["ground_truth"]),
+    )
+
+
 def test_bulk_parse_names_the_same_first_fault_as_a_walk():
     rng = np.random.default_rng(20240611)
-    seen, multiple = set(), 0
+    seen, multiple, direct = set(), 0, 0
     for _ in range(3000):
         doc = _random_document(rng)
         faults = 1 + int(rng.random() < 0.5)
@@ -642,14 +686,24 @@ def test_bulk_parse_names_the_same_first_fault_as_a_walk():
             _inject_fault(doc, rng)
         expected = _walk_first_fault(doc)
         data = json.dumps(doc)
+        columns = _direct_columns(doc)
         if not expected:
             parse_fixture(data)  # the fault kind found no place to go
+            if columns is not None:
+                GaugeFixture(**columns)
             continue
         with pytest.raises(SchemaError) as err:
             parse_fixture(data)
         assert str(err.value) == expected, data
+        # Built in code from the same columns, the fixture names the same fault.
+        if columns is not None:
+            with pytest.raises(SchemaError) as err:
+                GaugeFixture(**columns)
+            assert str(err.value) == expected, data
+            direct += 1
         seen.add(expected.split(": ", 1)[1].split(" (")[0].split(",")[0])
         multiple += faults > 1
     # The corpus reaches every kind of fault, often two in one document.
     assert len(seen) >= 12, sorted(seen)
     assert multiple > 1000
+    assert direct > 1500, direct
