@@ -8,12 +8,11 @@ least one input, 2 usage or I/O error, 3 bad input (SchemaError).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import GaugeKitError, SchemaError
-from .fixtures import as_list, as_object, load_json, parse_fixture
+from .fixtures import SCHEMA_VERSION, as_list, as_object, dump_json, load_json, parse_fixture
 from .fixtures import serialize_fixture, serialize_report
 from .pipeline import PipelineConfig, evaluate_batch, read_gauge, serialize_summary
 from .synthgauge import generate_scene, parse_perturbation_spec, parse_scene_spec, perturb_scene
@@ -29,20 +28,43 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _cannot_read(path, exc: OSError) -> int:
-    return _fail(EXIT_IO, f"cannot read {path}: {exc}")
+class _Exit(Exception):
+    """Ends the command: args are the exit code and the message for stderr."""
+
+
+def _read(path, reader):
+    """reader(path), the one way an input file is read. An OSError ends the
+    command with exit 2 as "cannot read <file>: <error>", a SchemaError
+    with exit 3 as "<file>: <error>"."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise _Exit(EXIT_IO, f"cannot read {path}: {exc}") from None
+    except SchemaError as exc:
+        raise _Exit(EXIT_SCHEMA, f"{path}: {exc}") from None
+
+
+def _fixture(path):
+    return parse_fixture(Path(path).read_bytes())
+
+
+def _json_object(path) -> dict:
+    return as_object(load_json(Path(path).read_bytes()), "$")
+
+
+def _manifest_paths(path) -> list[str]:
+    """The fixture paths a manifest lists, as given in its "fixtures" array."""
+    paths = as_list(_json_object(path).get("fixtures"), "fixtures")
+    for k, rel in enumerate(paths):
+        if not isinstance(rel, str) or "\0" in rel:
+            raise SchemaError(f"fixtures[{k}]", "expected a file path string")
+    return paths
 
 
 def _cmd_read(args, cfg: PipelineConfig) -> int:
     any_reading_failure = False
     for path in args.paths:
-        try:
-            fixture = parse_fixture(Path(path).read_bytes())
-        except OSError as exc:
-            return _cannot_read(path, exc)
-        except SchemaError as exc:
-            return _fail(EXIT_SCHEMA, f"{path}: {exc}")
-        report = read_gauge(fixture, cfg)
+        report = read_gauge(_read(path, _fixture), cfg)
         if not report.readings:
             any_reading_failure = True
         if args.table:
@@ -60,27 +82,9 @@ def _cmd_read(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
-    manifest_path = Path(args.manifest)
-    try:
-        doc = as_object(load_json(manifest_path.read_bytes()), "$")
-        paths = as_list(doc.get("fixtures"), "fixtures")
-        for k, rel in enumerate(paths):
-            if not isinstance(rel, str) or "\0" in rel:
-                raise SchemaError(f"fixtures[{k}]", "expected a file path string")
-    except OSError as exc:
-        return _cannot_read(args.manifest, exc)
-    except SchemaError as exc:
-        return _fail(EXIT_SCHEMA, f"{args.manifest}: {exc}")
-
-    fixtures = []
-    for rel in paths:
-        fpath = manifest_path.parent / rel
-        try:
-            fixtures.append(parse_fixture(fpath.read_bytes()))
-        except OSError as exc:
-            return _cannot_read(fpath, exc)
-        except SchemaError as exc:
-            return _fail(EXIT_SCHEMA, f"{fpath}: {exc}")
+    folder = Path(args.manifest).parent
+    paths = _read(args.manifest, _manifest_paths)
+    fixtures = [_read(folder / rel, _fixture) for rel in paths]
     try:
         summary = evaluate_batch(fixtures, cfg)
     except SchemaError as exc:
@@ -99,8 +103,10 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _scene_pairs(doc) -> list[tuple[str, dict, dict | None]]:
-    """(error prefix, spec, perturbation or None) for each scene of `doc`."""
+def _scene_pairs(path) -> list[tuple[str, dict, dict | None]]:
+    """(error prefix, spec, perturbation or None) for each scene of the
+    scene source at `path`."""
+    doc = _json_object(path)
     if "scenes" in doc:
         scenes = as_list(doc["scenes"], "scenes")
         entries = [as_object(entry, f"scenes[{k}]") for k, entry in enumerate(scenes)]
@@ -116,14 +122,8 @@ def _scene_pairs(doc) -> list[tuple[str, dict, dict | None]]:
 def _cmd_generate(args) -> int:
     # Build every fixture before writing any file, so a bad entry leaves
     # no partial output behind.
-    try:
-        pairs = _scene_pairs(as_object(load_json(Path(args.source).read_bytes()), "$"))
-    except OSError as exc:
-        return _cannot_read(args.source, exc)
-    except SchemaError as exc:
-        return _fail(EXIT_SCHEMA, f"{args.source}: {exc}")
     fixtures = []
-    for index, (where, spec_doc, pert_doc) in enumerate(pairs):
+    for index, (where, spec_doc, pert_doc) in enumerate(_read(args.source, _scene_pairs)):
         try:
             fixture, truth = generate_scene(parse_scene_spec(spec_doc))
             if pert_doc is not None:
@@ -146,10 +146,8 @@ def _cmd_generate(args) -> int:
             (out_dir / name).write_bytes(serialize_fixture(fixture) + b"\n")
             names.append(name)
             print(out_dir / name)
-        manifest = {"schema": 1, "fixtures": names}
-        (out_dir / "manifest.json").write_bytes(
-            json.dumps(manifest, ensure_ascii=False).encode("utf-8") + b"\n"
-        )
+        manifest = {"schema": SCHEMA_VERSION, "fixtures": names}
+        (out_dir / "manifest.json").write_bytes(dump_json(manifest) + b"\n")
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
     return EXIT_OK
@@ -187,13 +185,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             return _cmd_generate(args)
-        try:
-            cfg = PipelineConfig() if args.config is None else PipelineConfig.from_file(args.config)
-        except OSError as exc:
-            return _cannot_read(args.config, exc)
-        except SchemaError as exc:
-            return _fail(EXIT_SCHEMA, f"{args.config}: {exc}")
+        cfg = PipelineConfig()
+        if args.config is not None:
+            cfg = _read(args.config, PipelineConfig.from_file)
         return (_cmd_read if args.command == "read" else _cmd_eval)(args, cfg)
+    except _Exit as stop:
+        return _fail(*stop.args)
     except GaugeKitError as exc:  # pragma: no cover - safety net
         return _fail(EXIT_SCHEMA, str(exc))
 

@@ -472,6 +472,24 @@ def as_object(value: Any, path: str) -> dict:
     return value
 
 
+def require(doc: Any, path: str) -> Any:
+    """The value under the last key of the dotted JSON `path` in `doc`;
+    SchemaError naming the path when `doc` is no object or lacks that key."""
+    key = path.rpartition(".")[2]
+    if not isinstance(doc, dict) or key not in doc:
+        raise SchemaError(path, "missing required field")
+    return doc[key]
+
+
+def build_value(cls, path: str, **kwargs):
+    """cls(**kwargs), the one way a JSON reader builds a value type: the
+    ValueError of a value it rejects becomes a SchemaError under `path`."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
 def present_entries(obj: dict, *keys: str) -> dict:
     """The entries of `obj` under those of `keys` it has, as keyword
     arguments, so absent keys keep the defaults of the fields they fill."""
@@ -500,6 +518,13 @@ def load_json(data: bytes | str) -> Any:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
+
+
+def dump_json(doc: Any) -> bytes:
+    """`doc` as UTF-8 JSON, non-ASCII text kept as it is; every document
+    gaugekit writes (fixtures, reports, summaries, manifests) is encoded
+    here."""
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
 
 
 _KEYPOINT_CLASSES = {kind.value: kind for kind in KeypointClass}
@@ -580,14 +605,10 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
 def _parse_ground_truth(doc) -> Optional[GroundTruth]:
     if doc is None:
         return None
-    obj = as_object(doc, "ground_truth")
+    kwargs = present_fields(GroundTruth, doc, "ground_truth")
     for key in ("reading", "range_min", "range_max"):
-        if key not in obj:
-            raise SchemaError(f"ground_truth.{key}", "missing required field")
-    try:
-        return GroundTruth(**present_entries(obj, "reading", "range_min", "range_max", "unit"))
-    except ValueError as exc:
-        raise SchemaError("ground_truth", str(exc)) from None
+        require(kwargs, f"ground_truth.{key}")
+    return build_value(GroundTruth, "ground_truth", **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +633,13 @@ def _fixture_jsonable(f: GaugeFixture) -> dict:
     }
     if f.ground_truth is not None:
         gt = f.ground_truth
-        doc["ground_truth"] = {
-            "reading": gt.reading,
-            "range_min": gt.range_min,
-            "range_max": gt.range_max,
-            "unit": gt.unit,
-        }
+        doc["ground_truth"] = {key.name: getattr(gt, key.name) for key in fields(gt)}
     return doc
 
 
 def serialize_fixture(fixture: GaugeFixture) -> bytes:
     """Serialize a fixture; floats keep full precision so parse round-trips exactly."""
-    return json.dumps(_fixture_jsonable(fixture), ensure_ascii=False).encode("utf-8")
+    return dump_json(_fixture_jsonable(fixture))
 
 
 def _round9(value):
@@ -675,4 +691,4 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
         "readings": [{"scale": r.scale.value, "value": _round9(r.value)} for r in report.readings],
         "unit": report.unit,
     }
-    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    return dump_json(doc)

@@ -7,7 +7,6 @@ fatal stage so each failed report carries exactly one failure reason.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +33,8 @@ from .fixtures import (
     Stage,
     StageStatus,
     _round9,
+    build_value,
+    dump_json,
     load_json,
     present_fields,
 )
@@ -79,16 +80,9 @@ class PipelineConfig:
         unreadable unit lexicon."""
         kwargs = present_fields(cls, doc, "config")
         if "ransac" in kwargs:
-            try:
-                kwargs["ransac"] = RansacSettings(
-                    **present_fields(RansacSettings, kwargs["ransac"], "ransac")
-                )
-            except ValueError as exc:
-                raise SchemaError("ransac", str(exc)) from None
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise SchemaError("config", str(exc)) from None
+            ransac = present_fields(RansacSettings, kwargs["ransac"], "ransac")
+            kwargs["ransac"] = build_value(RansacSettings, "ransac", **ransac)
+        return build_value(cls, "config", **kwargs)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -357,4 +351,4 @@ def evaluate_batch(
 
 def serialize_summary(summary: EvalSummary) -> bytes:
     """Deterministic JSON for an evaluation summary (9 significant digits)."""
-    return json.dumps(summary.to_jsonable(), ensure_ascii=False).encode("utf-8")
+    return dump_json(summary.to_jsonable())

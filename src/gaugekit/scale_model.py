@@ -150,6 +150,9 @@ def wrap_around_angle(
 # pixel, yet far above the rounding that separates markers on one ray.
 SAME_ANGLE_EPS = 1e-9
 
+# Least inlier cutoff of default_inlier_threshold, for degenerate spans.
+INLIER_THRESHOLD_FLOOR = 1e-9
+
 # Most two-point models one fit scores. A side with up to 20 markers has at
 # most 190 pairs and scores them all; larger sets are thinned evenly.
 MAX_PAIRS = 200
@@ -172,22 +175,22 @@ class LinearScaleModel:
         return self.slope * rel_angle + self.intercept
 
 
-def default_inlier_threshold(values, fraction: float, floor: float = 1e-9) -> float:
+def default_inlier_threshold(values, fraction: float) -> float:
     """Inlier cutoff as a fraction of a robust estimate of the value span.
 
     The span is estimated as four median absolute deviations: that matches
     the true max-min span for evenly spread scale values but stays put when
     a misread digit or a detected serial number lands among the candidates.
     Deriving the cutoff from the raw max-min span would let a single huge
-    outlier inflate it until nothing gets rejected. Floored for degenerate
-    (single-value) spans.
+    outlier inflate it until nothing gets rejected. Floored at
+    INLIER_THRESHOLD_FLOOR for degenerate (single-value) spans.
     """
     values = [float(v) for v in values]
     if not values:
-        return floor
+        return INLIER_THRESHOLD_FLOOR
     center = _median(values)
     mad = _median([abs(v - center) for v in values])
-    return max(fraction * 4.0 * mad, floor)
+    return max(fraction * 4.0 * mad, INLIER_THRESHOLD_FLOOR)
 
 
 def _median(values: list[float]) -> float:

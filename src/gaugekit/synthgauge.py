@@ -14,7 +14,7 @@ report a bad document as SchemaError naming its path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -26,8 +26,10 @@ from .fixtures import (
     GroundTruth,
     KeypointClass,
     as_object,
+    build_value,
     present_entries,
     present_fields,
+    require,
 )
 from .geometry import (
     TAU, AffineTransform, Ellipse, finite_float, is_number, normalize_angle, positive_int_size
@@ -265,8 +267,7 @@ def _fit_to_frame(pts: np.ndarray, crop: tuple[int, int]) -> Optional[AffineTran
         return None
     extent = hi - lo
     avail = size - 2 * FRAME_MARGIN
-    with np.errstate(divide="ignore"):
-        ratios = np.where(extent > 0, avail / np.maximum(extent, 1e-12), np.inf)
+    ratios = np.where(extent > 0, avail / np.maximum(extent, 1e-12), np.inf)
     scale = min(1.0, float(ratios.min()))
     mid = (lo + hi) / 2
     return AffineTransform(scale * np.eye(2), size / 2 - scale * mid)
@@ -358,21 +359,12 @@ def _corrupt_digit(text: str, rng: np.random.Generator) -> str:
 # JSON documents
 # ---------------------------------------------------------------------------
 
-def _require(doc, path: str) -> Any:
-    """The value under the last key of the dotted JSON `path` in `doc`;
-    SchemaError naming the path when `doc` is no object or lacks that key."""
-    key = path.rpartition(".")[2]
-    if not isinstance(doc, dict) or key not in doc:
-        raise SchemaError(path, "missing required field")
-    return doc[key]
-
-
 def _number(doc, path: str, integer: bool = False):
-    """The value at `path` in `doc` (see _require); SchemaError naming the path
+    """The value at `path` in `doc` (see require); SchemaError naming the path
     unless it is a JSON number (a JSON integer if `integer`), so bools and
     numeric strings fail. For spec fields that sit under another name in
     the JSON."""
-    value = _require(doc, path)
+    value = require(doc, path)
     if not is_number(value, integer):
         raise SchemaError(path, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
     return value
@@ -383,46 +375,47 @@ def parse_scene_spec(doc) -> SceneSpec:
     their defaults. SchemaError names the JSON path of a missing or mistyped
     field, or "spec" for a value SceneSpec or SecondScale rejects."""
     doc = as_object(doc, "spec")
-    e = _require(doc, "ellipse")
-    center = _require(e, "ellipse.center")
+    e = require(doc, "ellipse")
+    center = require(e, "ellipse.center")
     if not (isinstance(center, list) and len(center) == 2 and all(map(is_number, center))):
         raise SchemaError("ellipse.center", f"must be two numbers [x, y], got {center!r}")
-    try:
-        ellipse = Ellipse(
-            *center,
-            _number(e, "ellipse.a"),
-            _number(e, "ellipse.b"),
-            **({"theta": _number(e, "ellipse.theta")} if "theta" in e else {}),
+    ellipse = build_value(
+        Ellipse,
+        "ellipse",
+        cx=center[0],
+        cy=center[1],
+        a=_number(e, "ellipse.a"),
+        b=_number(e, "ellipse.b"),
+        **({"theta": _number(e, "ellipse.theta")} if "theta" in e else {}),
+    )
+    arc = require(doc, "scale_arc")
+    rng_doc = require(doc, "range")
+    second = None
+    if doc.get("second_scale") is not None:
+        s = doc["second_scale"]
+        s_range = require(s, "second_scale.range")
+        second = build_value(
+            SecondScale,
+            "spec",
+            range_min=_number(s_range, "second_scale.range.min"),
+            range_max=_number(s_range, "second_scale.range.max"),
+            radius_factor=_number(s, "second_scale.radius_factor"),
         )
-    except ValueError as exc:
-        raise SchemaError("ellipse", str(exc)) from None
-    arc = _require(doc, "scale_arc")
-    rng_doc = _require(doc, "range")
-    try:
-        second = None
-        if doc.get("second_scale") is not None:
-            s = doc["second_scale"]
-            s_range = _require(s, "second_scale.range")
-            second = SecondScale(
-                _number(s_range, "second_scale.range.min"),
-                _number(s_range, "second_scale.range.max"),
-                _number(s, "second_scale.radius_factor"),
-            )
-        return SceneSpec(
-            ellipse=ellipse,
-            arc_start=_number(arc, "scale_arc.start_angle"),
-            arc_end=_number(arc, "scale_arc.end_angle"),
-            direction=_number(arc, "scale_arc.direction", integer=True),
-            range_min=_number(rng_doc, "range.min"),
-            range_max=_number(rng_doc, "range.max"),
-            unit=rng_doc.get("unit", ""),
-            n_major_notches=_require(doc, "n_major_notches"),
-            needle_value=_require(doc, "needle_value"),
-            second_scale=second,
-            **present_entries(doc, "crop_size", "marker_radius_factor", "n_needle_points"),
-        )
-    except ValueError as exc:
-        raise SchemaError("spec", str(exc)) from None
+    return build_value(
+        SceneSpec,
+        "spec",
+        ellipse=ellipse,
+        arc_start=_number(arc, "scale_arc.start_angle"),
+        arc_end=_number(arc, "scale_arc.end_angle"),
+        direction=_number(arc, "scale_arc.direction", integer=True),
+        range_min=_number(rng_doc, "range.min"),
+        range_max=_number(rng_doc, "range.max"),
+        unit=rng_doc.get("unit", ""),
+        n_major_notches=require(doc, "n_major_notches"),
+        needle_value=require(doc, "needle_value"),
+        second_scale=second,
+        **present_entries(doc, "crop_size", "marker_radius_factor", "n_needle_points"),
+    )
 
 
 def scene_spec_to_jsonable(spec: SceneSpec) -> dict:
@@ -463,25 +456,19 @@ def parse_perturbation_spec(doc) -> PerturbationSpec:
     kwargs = present_fields(PerturbationSpec, doc, "perturbation")
     if kwargs.get("affine") is not None:
         a = kwargs["affine"]
-        linear = _require(a, "affine.linear")
-        try:
-            kwargs["affine"] = AffineTransform(linear, a.get("translation", [0.0, 0.0]))
-        except ValueError as exc:
-            raise SchemaError("affine", str(exc)) from None
-    try:
-        return PerturbationSpec(**kwargs)
-    except ValueError as exc:
-        raise SchemaError("perturbation", str(exc)) from None
+        linear = require(a, "affine.linear")
+        translation = a.get("translation", [0.0, 0.0])
+        kwargs["affine"] = build_value(
+            AffineTransform, "affine", linear=linear, translation=translation
+        )
+    return build_value(PerturbationSpec, "perturbation", **kwargs)
 
 
 def perturbation_to_jsonable(spec: PerturbationSpec) -> dict:
+    """Every field of `spec` in declaration order, `affine` last and only
+    when set."""
     doc: dict[str, Any] = {
-        "keypoint_noise_sigma": spec.keypoint_noise_sigma,
-        "ocr_dropout_rate": spec.ocr_dropout_rate,
-        "n_outlier_ocr": spec.n_outlier_ocr,
-        "digit_corruption_rate": spec.digit_corruption_rate,
-        "rotation": spec.rotation,
-        "seed": spec.seed,
+        key.name: getattr(spec, key.name) for key in fields(spec) if key.name != "affine"
     }
     if spec.affine is not None:
         doc["affine"] = {
@@ -560,12 +547,8 @@ def sample_affine(
     overall = rng.uniform(*AFFINE_SCALE_RANGE)
     s = np.array([overall * math.sqrt(cond), overall / math.sqrt(cond)])
     alpha, beta = rng.uniform(0.0, TAU, size=2)
-
-    def rot(t):
-        c, si = math.cos(t), math.sin(t)
-        return np.array([[c, -si], [si, c]])
-
-    linear = rot(alpha) @ np.diag(s) @ rot(beta)
+    rotate = AffineTransform.rotation
+    linear = rotate(alpha).linear @ np.diag(s) @ rotate(beta).linear
     if allow_reflection and rng.random() < 0.5:
         linear = np.diag([1.0, -1.0]) @ linear
     translation = rng.uniform(-AFFINE_MAX_TRANSLATION, AFFINE_MAX_TRANSLATION, size=2)
