@@ -2,12 +2,14 @@
 
 Notch detectors hand over per-pixel probability maps; decoding collects the
 pixels above 0.5 (strictly) and runs flat-kernel mean-shift on their indices
-to one sub-pixel mode per notch. Each mode's window, a disc of the
-bandwidth, is read as row segments from prefix sums kept only for rows that
-hold support; each distinct mode is shifted once per iteration, in blocks.
-Cost and memory follow the support, not the map, and the modes equal those
-of the all-pairs window bit for bit. The renderer builds the same kind of
-map from known centers so decode quality is testable without any model.
+to one sub-pixel mode per notch. Windows, discs of the bandwidth, are read
+as row segments from prefix sums kept only for rows that hold support. The
+first shift reads every seed pixel's window through one disc stencil built
+once per call; later shifts move each distinct moving mode once, in blocks;
+the merge walks the distinct converged values, not every mode. Cost and
+memory follow the support, not the map, and the modes equal those of the
+all-pairs window bit for bit. The renderer builds the same kind of map from
+known centers so decode quality is testable without any model.
 """
 
 from __future__ import annotations
@@ -82,9 +84,13 @@ def extract_keypoints_meanshift(heatmap: Heatmap, bandwidth: float) -> list[np.n
     sorted lexicographically; empty when nothing clears the threshold.
 
     Cost and memory follow the support: prefix sums cover only rows that
-    hold support (`_support_prefix`), and an iteration reads the window of
-    each distinct moving mode once, as row segments in blocks of _BLOCK
-    modes (`_window_sums`): O(distinct modes x bandwidth), not O(support^2).
+    hold support (`_support_prefix`). Iteration 1 shifts the seeds through
+    one disc stencil (`_stencil_sums`); each later iteration reads the
+    window of each distinct moving mode once, as row segments in blocks of
+    _BLOCK modes (`_window_sums`): O(distinct modes x bandwidth), not
+    O(support^2). The merge groups the distinct converged values, each
+    weighted by how often it occurs, so a group costs O(distinct values),
+    not O(seeds).
     """
     message = f"bandwidth must be a positive number, got {bandwidth!r}"
     if finite_float(bandwidth, message) <= 0:
@@ -94,43 +100,98 @@ def extract_keypoints_meanshift(heatmap: Heatmap, bandwidth: float) -> list[np.n
     if rows.size == 0:
         return []
     prefix = _support_prefix(mask)
-    modes = np.column_stack([cols, rows]).astype(float)
-    # A mode that did not move is a fixed point (same window, same mean), so
-    # only the moving ones are recomputed, and those that coincide only once:
-    # a sort of their complex view (x, then y) finds the distinct ones.
+    # Iteration 1 is the seed shift. After it, a mode that did not move is a
+    # fixed point (same window, same mean), so only the moving ones are
+    # recomputed, and those that coincide only once (`_distinct`).
+    counts, sums = _stencil_sums(cols, rows, bandwidth, prefix)
+    modes = sums / counts[:, None]
+    shift = np.abs(modes - np.column_stack([cols, rows])).max(axis=1)
     moving = np.arange(len(modes))
-    for _ in range(MAX_ITERATIONS):
+    for _ in range(MAX_ITERATIONS - 1):
+        if float(shift.max()) < CONVERGENCE_SHIFT:
+            break
+        moving = moving[shift != 0.0]
         current = modes[moving]
-        keys = current.view(np.complex128).ravel()
-        order = np.argsort(keys)
-        ranked = keys[order]
-        first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-        distinct = current[order[first]]
-        inverse = np.empty(len(keys), dtype=np.intp)
-        inverse[order] = np.cumsum(first) - 1
+        distinct, inverse = _distinct(current)
         for i in range(0, len(distinct), _BLOCK):
             counts, sums = _window_sums(distinct[i : i + _BLOCK], bandwidth, prefix)
             distinct[i : i + _BLOCK] = sums / counts[:, None]
         modes[moving] = shifted = distinct[inverse]
-        shift = np.abs(shifted - current)
-        if float(shift.max()) < CONVERGENCE_SHIFT:
-            break
-        moving = moving[shift.max(axis=1) != 0.0]
+        shift = np.abs(shifted - current).max(axis=1)
 
     # Deterministic merge: visit modes in lexicographic order, grouping
-    # everything still free within half a bandwidth of the group seed.
-    order = np.lexsort((modes[:, 1], modes[:, 0]))
-    modes = modes[order]
+    # everything still free within half a bandwidth of the group seed. Equal
+    # modes always share a group, so the walk runs over the distinct values;
+    # each value repeated as often as it occurs gives the group's modes in
+    # sorted order, so its mean has the bits of the mean over the modes.
+    values, inverse = _distinct(modes)
+    counts = np.bincount(inverse)
     merge2 = (bandwidth / 2.0) ** 2
-    free = np.ones(len(modes), dtype=bool)
+    free = np.ones(len(values), dtype=bool)
     results = []
     while free.any():
-        group = ((modes - modes[int(free.argmax())]) ** 2).sum(axis=1) <= merge2
+        group = ((values - values[int(free.argmax())]) ** 2).sum(axis=1) <= merge2
         group &= free
         free &= ~group
-        results.append(modes[group].mean(axis=0))
+        results.append(np.repeat(values[group], counts[group], axis=0).mean(axis=0))
     results.sort(key=lambda p: (p[0], p[1]))
     return results
+
+
+def _distinct(points):
+    """The distinct rows of a C-contiguous (n, 2) float array in
+    lexicographic order (one sort of its complex view: x, then y), and for
+    each row the index of its value among them."""
+    keys = points.view(np.complex128).ravel()
+    order = np.argsort(keys)
+    ranked = keys[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return points[order[first]], inverse
+
+
+def _stencil_sums(cols, rows, bandwidth, prefix):
+    """`_window_sums` of the integer pixels (cols[i], rows[i]), the seeds.
+
+    Around an integer pixel the window is one disc stencil: row offset dy
+    holds the columns within half(|dy|) of it, half(d) being the largest
+    integer dx with dx**2 + d**2 <= bandwidth**2, decided once per call by
+    `_window_sums`' own float test (squares of small integers are exact).
+    Rows off the map read the shared zero row of `_support_prefix`, so no
+    bound or rounding step remains, and seeds, distinct by construction,
+    need no dedupe. Cost: O(len(cols) x bandwidth), in blocks of _BLOCK.
+    """
+    table, row_of = prefix
+    height, width = len(row_of) - 1, table.shape[1] - 1
+    # No offset beyond `bandwidth` passes (b < n rounds b * b below n * n),
+    # and by monotone rounding a row's passing columns are a prefix of dx,
+    # the rows holding any a prefix of dy.
+    dy = np.arange(int(min(bandwidth, height - 1)) + 1.0)
+    dx = np.arange(int(min(bandwidth, width)) + 1.0)
+    half = (dx**2 + dy[:, None] ** 2 <= bandwidth * bandwidth).sum(axis=1) - 1
+    half = half[half >= 0]
+    reach = len(half) - 1
+    half = np.concatenate((half[:0:-1], half))
+    offsets = np.arange(-reach, reach + 1)
+    # row_base[y + reach]: where row y's prefix starts in `flat`, the zero
+    # row's for a row off the map.
+    zero = np.full(reach, row_of[-1])
+    row_base = np.concatenate((zero, row_of[:-1], zero)) * (width + 1)
+    flat = table.reshape(-1, 2)
+    counts = np.empty(len(cols), dtype=np.int64)
+    sums = np.empty((len(cols), 2), dtype=np.int64)
+    for i in range(0, len(cols), _BLOCK):
+        x, y = cols[i : i + _BLOCK, None], rows[i : i + _BLOCK, None]
+        base = row_base[y + (offsets + reach)]
+        lo = np.maximum(x - half, 0)
+        hi = np.minimum(x + half + 1, width)
+        segments = np.take(flat, base + hi, axis=0) - np.take(flat, base + lo, axis=0)
+        row_counts = segments[..., 0]
+        counts[i : i + _BLOCK] = row_counts.sum(axis=1)
+        sums[i : i + _BLOCK, 0] = segments[..., 1].sum(axis=1)
+        sums[i : i + _BLOCK, 1] = (row_counts * (y + offsets)).sum(axis=1)
+    return counts, sums
 
 
 def _support_prefix(mask: np.ndarray):

@@ -87,8 +87,13 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Config from a UTF-8 JSON file; see load_json and from_json for
-        the errors. OSError passes."""
-        return cls.from_json(load_json(Path(path).read_bytes()))
+        the errors. A relative unit_lexicon_path names a file beside the
+        config, as a manifest's fixture paths do. OSError passes."""
+        doc = load_json(Path(path).read_bytes())
+        lexicon_path = doc.get("unit_lexicon_path") if isinstance(doc, dict) else None
+        if isinstance(lexicon_path, str):
+            doc = {**doc, "unit_lexicon_path": str(Path(path).parent / lexicon_path)}
+        return cls.from_json(doc)
 
 
 def _wrap_and_notch_status(

@@ -3,11 +3,14 @@ thin shell over the library (outputs diffed against direct library calls)."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gaugekit
 from conftest import make_scene_spec
 from gaugekit.fixtures import parse_fixture, serialize_fixture, serialize_report
 from gaugekit.pipeline import evaluate_batch, read_gauge, serialize_summary
@@ -15,10 +18,15 @@ from gaugekit.synthgauge import generate_scene, scene_spec_to_jsonable
 
 
 def run_cli(*args, cwd=None):
+    # The package's own folder goes first on the path, so any working
+    # directory runs the gaugekit under test.
+    src = str(Path(gaugekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "gaugekit", *args],
         capture_output=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -176,6 +184,21 @@ def test_old_config_with_meanshift_key_still_loads(tmp_path, scene_file):
     proc = run_cli("read", str(scene_file), "--config", str(cfg))
     assert proc.returncode == 0
     assert proc.stdout == serialize_report(read_gauge(parse_fixture(scene_file.read_bytes()))) + b"\n"
+
+
+def test_relative_unit_lexicon_path_is_beside_the_config(tmp_path):
+    # Run from the config's parent folder and from the config's own folder:
+    # either way "units.txt" is the file beside the config.
+    folder = tmp_path / "sub"
+    folder.mkdir()
+    fixture, _ = generate_scene(make_scene_spec(unit="kn"))  # not a built-in unit
+    (folder / "f.json").write_bytes(serialize_fixture(fixture))
+    (folder / "units.txt").write_text("kn\n", encoding="utf-8")
+    (folder / "cfg.json").write_text('{"unit_lexicon_path": "units.txt"}', encoding="utf-8")
+    for cwd, prefix in ((tmp_path, "sub/"), (folder, "")):
+        proc = run_cli("read", prefix + "f.json", "--config", prefix + "cfg.json", cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["unit"] == "kn"
 
 
 def _write_generation_manifest(tmp_path, n=4, perturb=True):

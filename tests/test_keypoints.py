@@ -318,3 +318,74 @@ def test_window_keeps_a_rim_pixel_its_row_estimate_misses(mode, bandwidth, pixel
         np.array([mode]), bandwidth, keypoints._support_prefix(mask)
     )
     assert counts.tolist() == [1] and sums.tolist() == [list(pixel)]
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_seed_stencil_sums_match_window_sums(kind):
+    # Every pixel of the map is a seed, the border ones included, against
+    # each kind of bandwidth `random_bandwidth` draws: sub-pixel, whole,
+    # half and square-root radii (pixels exactly on the rim), larger than
+    # the map, and a fresh draw of it.
+    rng = np.random.default_rng([19, MAP_KINDS.index(kind)])
+    for _ in range(60):
+        values = random_map(rng, kind)
+        height, width = values.shape
+        prefix = keypoints._support_prefix(values > DETECTION_THRESHOLD)
+        rows, cols = np.divmod(np.arange(values.size), width)
+        seeds = np.column_stack([cols, rows]).astype(float)
+        whole = int(rng.integers(1, 9))
+        for bandwidth in (
+            float(rng.uniform(0.05, 1.0)),
+            float(whole),
+            whole + 0.5,
+            math.sqrt(rng.integers(1, 400)),
+            float(rng.uniform(1.0, 3.0) * math.hypot(height, width)),
+            random_bandwidth(rng, values.shape),
+        ):
+            counts, sums = keypoints._stencil_sums(cols, rows, bandwidth, prefix)
+            expected_counts, expected_sums = keypoints._window_sums(seeds, bandwidth, prefix)
+            assert counts.tolist() == expected_counts.tolist(), (kind, bandwidth)
+            assert sums.tolist() == expected_sums.tolist(), (kind, bandwidth)
+
+
+def test_seed_stencil_sums_match_window_sums_over_several_blocks():
+    values = np.random.default_rng(19).uniform(size=(40, 44))
+    prefix = keypoints._support_prefix(values > DETECTION_THRESHOLD)
+    rows, cols = np.divmod(np.arange(values.size), values.shape[1])
+    assert keypoints._BLOCK < values.size
+    for bandwidth in (0.5, math.sqrt(13.0), 6.0, 100.0):
+        counts, sums = keypoints._stencil_sums(cols, rows, bandwidth, prefix)
+        expected = keypoints._window_sums(np.column_stack([cols, rows]).astype(float), bandwidth, prefix)
+        assert counts.tolist() == expected[0].tolist()
+        assert sums.tolist() == expected[1].tolist()
+
+
+def test_merge_of_repeated_distinct_modes_matches_all_pairs(monkeypatch):
+    # A band two rows thick: the seeds of each column converge together onto
+    # its midline, and each merge group spans several such columns, so a
+    # group holds distinct converged values that each occur more than once.
+    values = np.zeros((12, 34))
+    values[5:7, 3:31] = 1.0
+    heatmap, bandwidth = Heatmap(values), 4.0
+    calls = []
+    distinct = keypoints._distinct
+    monkeypatch.setattr(keypoints, "_distinct", lambda p: calls.append(p.copy()) or distinct(p))
+    got = extract_keypoints_meanshift(heatmap, bandwidth)
+    expected, converged = all_pairs_meanshift(heatmap, bandwidth)
+    assert converged
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    # The last call sorts the converged modes for the merge. Walk the
+    # greedy groups over them and count, per group, the distinct values
+    # that occur more than once.
+    modes = calls[-1]
+    modes = modes[np.lexsort((modes[:, 1], modes[:, 0]))]
+    taken = np.zeros(len(modes), dtype=bool)
+    repeated = []
+    for i in range(len(modes)):
+        if taken[i]:
+            continue
+        group = (((modes - modes[i]) ** 2).sum(axis=1) <= (bandwidth / 2.0) ** 2) & ~taken
+        taken |= group
+        members = [tuple(m) for m in modes[group]]
+        repeated.append(sum(members.count(v) > 1 for v in set(members)))
+    assert max(repeated) >= 2
