@@ -2,6 +2,7 @@
 intensity-weighted centroid of the thresholded pixels as an oracle, and the
 row-segment decoder checked bit for bit against the all-pairs one."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -389,3 +390,230 @@ def test_merge_of_repeated_distinct_modes_matches_all_pairs(monkeypatch):
         members = [tuple(m) for m in modes[group]]
         repeated.append(sum(members.count(v) > 1 for v in set(members)))
     assert max(repeated) >= 2
+
+
+def test_heatmap_keeps_a_read_only_copy_of_the_callers_array():
+    values = np.full((3, 3), 0.9)
+    heatmap = Heatmap(values)
+    values[0, 0] = 7.0
+    assert heatmap.values[0, 0] == 0.9
+    assert heatmap.values.dtype == np.float64 and not heatmap.values.flags.writeable
+    with pytest.raises(ValueError):
+        heatmap.values[1, 1] = 0.1
+    # A read-only float64 array that owns its data, such as the renderer's,
+    # is kept as it is rather than copied again.
+    rendered = render_gaussian_heatmap((8, 6), [(3.0, 2.0)], sigma=1.0)
+    assert not rendered.values.flags.writeable
+    assert Heatmap(rendered.values).values is rendered.values
+    view = np.full((3, 3), 0.9)[:, :2]
+    view.setflags(write=False)
+    assert Heatmap(view).values.base is None
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200, 5e-324])
+def test_render_with_a_vanishing_sigma_is_its_limit(sigma):
+    # At 1e-160, 2 sigma^2 is subnormal and -d2 / (2 sigma^2) overflows; below
+    # ~1e-162 it is 0 and the centre's pixel used to give 0/0.
+    on_pixel = render_gaussian_heatmap((5, 4), [(2.0, 3.0), (1.5, 1.0)], sigma).values
+    expected = np.zeros((4, 5))
+    expected[3, 2] = 1.0
+    assert on_pixel.tolist() == expected.tolist()
+    assert extract_keypoints_meanshift(Heatmap(on_pixel), 1.0)[0].tolist() == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("bandwidth", [1.4e154, 1e200, sys.float_info.max])
+def test_extract_accepts_a_huge_bandwidth(bandwidth):
+    # Every window holds the whole map: the seeds meet at the centre, which
+    # becomes an anchor whose reach is computed with bandwidth**2 = inf.
+    modes = extract_keypoints_meanshift(Heatmap(np.ones((3, 3))), bandwidth)
+    assert [m.tolist() for m in modes] == [[1.0, 1.0]]
+
+
+def decode_counting_anchor_hits(monkeypatch, heatmap, bandwidth):
+    """The decoded modes, and how many modes took an anchor's shift."""
+    hits = []
+    covering = keypoints._Anchors.covering
+
+    def counted(self, points):
+        near = covering(self, points)
+        hits.append(int((near >= 0).sum()))
+        return near
+
+    monkeypatch.setattr(keypoints._Anchors, "covering", counted)
+    return extract_keypoints_meanshift(heatmap, bandwidth), sum(hits)
+
+
+def assert_matches_all_pairs_with_anchors(monkeypatch, values, bandwidth):
+    heatmap = Heatmap(values)
+    got, hits = decode_counting_anchor_hits(monkeypatch, heatmap, bandwidth)
+    expected, _ = all_pairs_meanshift(heatmap, bandwidth)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), bandwidth
+    return hits
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_reach_holds_the_window_just_inside_and_not_just_outside(kind):
+    # Against every support pixel, for points anywhere on the map: the
+    # reach is the least |distance - bandwidth| capped at bandwidth, less
+    # the slack; a point just inside it reads the same window, and one
+    # stepped just past it, toward or away from the pixel that sets it,
+    # moves that pixel across the rim.
+    rng = np.random.default_rng([20, MAP_KINDS.index(kind)])
+    checked = 0
+    for _ in range(40):
+        values = random_map(rng, kind)
+        mask = values > DETECTION_THRESHOLD
+        if not mask.any():
+            continue
+        height, width = values.shape
+        rows, cols = np.nonzero(mask)
+        support = np.column_stack([cols, rows]).astype(float)
+        prefix = keypoints._support_prefix(mask)
+        bandwidth = float(rng.choice([rng.uniform(1.0, 8.0), rng.integers(1, 6) + 0.5]))
+        points = rng.uniform(size=(12, 2)) * [width - 1, height - 1]
+        reach = keypoints._reach(points, bandwidth, prefix, cols)
+        slack = bandwidth * 2.0**-32
+        for point, r in zip(points, reach):
+            distance = np.sqrt(((support - point) ** 2).sum(axis=1))
+            gap = np.abs(distance - bandwidth)
+            assert r == min(gap.min(), bandwidth) - slack
+            if r <= 0:
+                continue
+            for angle in rng.uniform(0.0, 2 * math.pi, 4):
+                inside = point + r * (1 - 2.0**-20) * np.array([math.cos(angle), math.sin(angle)])
+                got = keypoints._window_sums(np.array([inside, point]), bandwidth, prefix)
+                assert got[0][0] == got[0][1] and got[1][0].tolist() == got[1][1].tolist()
+            pixel = support[gap.argmin()]
+            if gap.min() >= bandwidth:
+                continue
+            toward = (pixel - point) / np.linalg.norm(pixel - point)
+            sign = -1.0 if distance[gap.argmin()] <= bandwidth else 1.0
+            past = point + sign * (r + 2 * slack + 1e-7 * bandwidth) * toward
+            was_in = ((pixel - point) ** 2).sum() <= bandwidth * bandwidth
+            is_in = ((pixel - past) ** 2).sum() <= bandwidth * bandwidth
+            assert was_in != is_in
+            checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("gap", [0.05, 0.2, 0.5, 1.0])
+def test_anchors_of_blobs_whose_windows_nearly_touch_match_all_pairs(monkeypatch, gap):
+    # Blob support reaches ~2.35 px at sigma 2; windows of 3 px around two
+    # centres 6 + gap apart nearly touch, so each blob's pixels sit just
+    # beyond the other's centroid window and set its reach.
+    hits = 0
+    for dy in (0.0, 0.3, 0.5):
+        centres = [(10.2, 12.0), (16.2 + gap, 12.0 + dy), (10.2 + 3.0, 18.0 + gap)]
+        values = render_gaussian_heatmap((30, 28), centres, sigma=2.0).values
+        hits += assert_matches_all_pairs_with_anchors(monkeypatch, values, 3.0)
+    assert hits > 0
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
+def test_anchors_of_blobs_on_the_map_border_match_all_pairs(monkeypatch, sigma):
+    hits = 0
+    for centres in (
+        [(0.0, 9.0), (20.0, 0.0)],
+        [(0.0, 0.0), (23.0, 15.0)],
+        [(23.5, 7.2), (11.4, 15.5)],
+    ):
+        values = render_gaussian_heatmap((24, 16), centres, sigma).values
+        hits += assert_matches_all_pairs_with_anchors(monkeypatch, values, 1.5 * sigma)
+    assert hits > 0
+
+
+RIM_CASES = [
+    # A block whose centroid is an anchor (seeds that see the block but not
+    # the pixel share it), and a pixel exactly `bandwidth` from it.
+    ("whole", (slice(9, 12), slice(9, 12)), (14, 10), 4.0, (10.0, 10.0)),
+    ("half", (slice(9, 12), slice(9, 13)), (14, 10), 3.5, (10.5, 10.0)),
+    ("root", (slice(9, 12), slice(9, 12)), (12, 13), math.sqrt(13.0), (10.0, 10.0)),
+]
+
+
+@pytest.mark.parametrize("name, block, pixel, bandwidth, anchor", RIM_CASES)
+def test_a_pixel_on_an_anchors_rim_disables_it(monkeypatch, name, block, pixel, bandwidth, anchor):
+    values = np.zeros((20, 22))
+    values[block] = 1.0
+    values[pixel[1], pixel[0]] = 1.0
+    made = []
+    init = keypoints._Anchors.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(keypoints._Anchors, "__init__", recorded)
+    assert_matches_all_pairs_with_anchors(monkeypatch, values, bandwidth)
+    (anchors,) = made
+    at = [i for i, p in enumerate(anchors.points.tolist()) if p == list(anchor)]
+    assert len(at) == 1 and anchors.reach[at[0]] <= 0.0
+
+
+def test_anchor_step_stays_within_its_bound_on_a_pathological_map(monkeypatch):
+    # Noise with a bandwidth near the map's size: most windows hold most of
+    # the map, so many seeds share values and the anchors are many. Each
+    # anchor stands for at least two modes of the first window pass, the
+    # reach is computed once over min(4 * bandwidth + 3, height) rows per
+    # anchor, and each lookup takes only that pass's distinct modes: the
+    # anchor step stays O(distinct modes x bandwidth).
+    values = np.random.default_rng(7).uniform(size=(36, 40))
+    bandwidth = 33.0
+    calls = {"reach": [], "covering": [], "distinct": []}
+    reach, covering, distinct = keypoints._reach, keypoints._Anchors.covering, keypoints._distinct
+    monkeypatch.setattr(
+        keypoints, "_reach", lambda p, *a: calls["reach"].append(len(p)) or reach(p, *a)
+    )
+    monkeypatch.setattr(
+        keypoints._Anchors,
+        "covering",
+        lambda self, p: calls["covering"].append(len(p)) or covering(self, p),
+    )
+    monkeypatch.setattr(
+        keypoints, "_distinct", lambda p: calls["distinct"].append(len(p)) or distinct(p)
+    )
+    heatmap = Heatmap(values)
+    got = extract_keypoints_meanshift(heatmap, bandwidth)
+    expected, _ = all_pairs_meanshift(heatmap, bandwidth)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    (anchors,) = calls["reach"]
+    first_pass = calls["covering"][0]
+    assert 10 <= anchors and 2 * anchors <= first_pass
+    # One lookup per window pass, each over no more than the modes it dedupes.
+    assert len(calls["covering"]) == len(calls["distinct"]) - 1
+    assert all(n <= m for n, m in zip(calls["covering"], calls["distinct"]))
+
+
+def notch_map(seed: int, sigma: float) -> Heatmap:
+    """A 448 x 448 map of 15 notches on a 270-340 degree arc, as a gauge
+    detector would give, neighbours 40 px or more apart."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 2 * math.pi) + np.linspace(0.0, math.radians(rng.uniform(270, 340)), 15)
+    a = rng.uniform(120.0, 150.0)
+    centres = np.column_stack([224.0 + a * np.cos(t), 224.0 + 0.85 * a * np.sin(t)])
+    return render_gaussian_heatmap((448, 448), centres, sigma)
+
+
+def test_notch_maps_decode_to_the_same_bytes():
+    # sha256 of the modes of nine fixed maps, taken before the anchors were
+    # added; any change to a single bit of a mode shows here.
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for sigma in (2.0, 4.0, 6.0):
+            modes = extract_keypoints_meanshift(notch_map(seed, sigma), 1.5 * sigma)
+            assert len(modes) == 15
+            digest.update(np.asarray(modes).tobytes())
+    assert digest.hexdigest() == "d12fdf844ad2079354f1bf3149c6ab647de3d8954687799ed94d463953156660"
+
+
+def test_window_reads_per_decode_stay_bounded(monkeypatch):
+    # 2516 modes went through `_window_sums` on this map before modes within
+    # an anchor's reach took its shift; about 620 do now. The bound catches
+    # the shortcut switching off.
+    read = []
+    window_sums = keypoints._window_sums
+    monkeypatch.setattr(
+        keypoints, "_window_sums", lambda m, *a: read.append(len(m)) or window_sums(m, *a)
+    )
+    assert len(extract_keypoints_meanshift(notch_map(1, 6.0), 9.0)) == 15
+    assert sum(read) < 1000
