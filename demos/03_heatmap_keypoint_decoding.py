@@ -20,7 +20,8 @@ true_centers = [
 ]
 true_centers = [(x + 80, y + 40) for x, y in true_centers]
 heatmap = render_gaussian_heatmap((256, 192), true_centers, sigma=2.0)
-print(f"heatmap {heatmap.width}x{heatmap.height}, "
+height, width = heatmap.values.shape
+print(f"heatmap {width}x{height}, "
       f"{int((heatmap.values > 0.5).sum())} pixels above threshold")
 
 decoded = extract_keypoints_meanshift(heatmap, bandwidth=6.0)

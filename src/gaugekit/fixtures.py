@@ -116,10 +116,6 @@ _ARRAY_FIELDS = {
     "ocr_boxes": ((4,), "(K, 4)", "ocr[{}].box"),
     "ocr_confidences": ((), "(K,)", None),
 }
-# Shared read-only empties: an absent field costs no numpy call.
-_EMPTY = {name: np.empty((0, *row)) for name, (row, *_) in _ARRAY_FIELDS.items()}
-for _empty in _EMPTY.values():
-    _empty.setflags(write=False)
 # The least x, y, width and height of a box: corners from 0, extents positive
 # (5e-324 is the least positive float).
 _BOX_LOW = np.array([0.0, 0.0, 5e-324, 5e-324])
@@ -160,14 +156,16 @@ def _float_rows(values, name: str) -> tuple[np.ndarray, Optional[SchemaError]]:
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
             dtype = f"expected an int or float array, got {values.dtype}"
-            return _EMPTY[name], SchemaError(name, dtype)
+            return np.empty((0, *row)), SchemaError(name, dtype)
         if not (values.ndim == len(row) + 1 and values.shape[1:] == row):
-            return _EMPTY[name], SchemaError(name, f"expected shape {shape}, got {values.shape}")
+            got = f"expected shape {shape}, got {values.shape}"
+            return np.empty((0, *row)), SchemaError(name, got)
         return values.astype(np.float64), None
     if not isinstance(values, (list, tuple)):
-        return _EMPTY[name], SchemaError(name, f"expected an array, got {type(values).__name__}")
+        got = f"expected an array, got {type(values).__name__}"
+        return np.empty((0, *row)), SchemaError(name, got)
     if not values:
-        return _EMPTY[name], None
+        return np.empty((0, *row)), None
     if _plain(values, row):
         try:
             return np.array(values, dtype=np.float64), None
@@ -188,9 +186,7 @@ def _float_rows(values, name: str) -> tuple[np.ndarray, Optional[SchemaError]]:
 
 def _within(values: np.ndarray, low, high) -> tuple[np.ndarray, bool]:
     """The mask low <= v < high over `values`, False for NaN, and whether it
-    holds everywhere. An empty `values` is its own mask, at no numpy call."""
-    if not values.size:
-        return values, True
+    holds everywhere."""
     mask = (values >= low) & (values < high)
     return mask, np.count_nonzero(mask) == mask.size
 

@@ -101,9 +101,7 @@ class Ellipse:
             theta += math.pi / 2
         if b <= 0:
             raise ValueError("ellipse axes must be positive")
-        theta = theta % math.pi
-        if theta >= math.pi:
-            theta -= math.pi
+        theta = theta % math.pi % math.pi
         for name, value in (("cx", cx), ("cy", cy), ("a", a), ("b", b), ("theta", theta)):
             object.__setattr__(self, name, value)
 

@@ -35,37 +35,20 @@ class Heatmap:
     """Row-major grid of detection scores, all within [0, 1].
 
     Keeps a read-only float64 copy of `values`, so later writes to the
-    caller's array never reach it. An array that is already read-only
-    float64 and owns its data, such as the renderer's, is kept as it is:
-    nothing writes to it without first setting its flag back.
+    caller's array never reach it.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = self.values
-        if not (
-            isinstance(values, np.ndarray)
-            and values.dtype == np.float64
-            and values.flags.owndata
-            and not values.flags.writeable
-        ):
-            values = np.array(values, dtype=float)
-            values.setflags(write=False)
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
         if values.ndim != 2:
             raise ValueError("heatmap values must be a 2-D grid")
         # NaN fails both comparisons, so this also rejects non-finite values.
         if not ((values >= 0.0) & (values <= 1.0)).all():
             raise ValueError("heatmap values must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", values)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
 
 def render_gaussian_heatmap(size: tuple[int, int], centers, sigma: float) -> Heatmap:
@@ -97,7 +80,6 @@ def render_gaussian_heatmap(size: tuple[int, int], centers, sigma: float) -> Hea
                 np.maximum(values, np.exp(-d2 / spread), out=values)
         else:
             np.maximum(values, d2 == 0.0, out=values)
-    values.setflags(write=False)
     return Heatmap(values)
 
 

@@ -7,6 +7,7 @@ fatal stage so each failed report carries exactly one failure reason.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,7 +174,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     except NoIntersection:
         statuses[Stage.NEEDLE] = StageStatus("no_intersection")
         return finish(needle_line=needle_img)
-    needle_rel = geometry.normalize_angle(geometry.parametric_angle(tip) - wrap)
+    needle_rel = float(geometry.normalize_angle(geometry.parametric_angle(tip) - wrap))
     statuses[Stage.NEEDLE] = StageStatus()
 
     # Project numeric OCR detections onto the circle; the rest are unit
@@ -210,11 +211,14 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
                     model = scale_model.ransac_fit_linear(pairs, threshold)
                 else:
                     model = scale_model.least_squares_fit_linear(pairs)
+                reading = model.value_at(needle_rel)  # Python floats: an overflow is inf
+                if not math.isfinite(reading):
+                    raise NoConsensus("the reading overflows")
             except NoConsensus:
                 no_consensus = True
             else:
                 inliers = set(model.inliers)
-                readings.append(Reading(side, model.value_at(needle_rel)))
+                readings.append(Reading(side, reading))
         marker_uses.extend(
             MarkerUse(side, a, value, k in inliers, text)
             for k, (a, (text, value)) in enumerate(zip(angles.tolist(), group))

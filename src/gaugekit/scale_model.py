@@ -203,13 +203,18 @@ def _median(values: list[float]) -> float:
 
 def _ols(angles: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Least-squares (slope, intercept) in the centred closed form; raises
-    NoConsensus when every angle lies within SAME_ANGLE_EPS of the others."""
+    NoConsensus when every angle lies within SAME_ANGLE_EPS of the others,
+    or when the fit overflows (values near the float limit)."""
     if float(angles.max() - angles.min()) <= SAME_ANGLE_EPS:
         raise NoConsensus("all pairs lie at one angle")
-    a_mean, v_mean = float(angles.sum() / len(angles)), float(values.sum() / len(values))
-    da = angles - a_mean
-    slope = float(da @ (values - v_mean)) / float(da @ da)
-    return slope, v_mean - slope * a_mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_mean, v_mean = float(angles.sum() / len(angles)), float(values.sum() / len(values))
+        da = angles - a_mean
+        slope = float(da @ (values - v_mean)) / float(da @ da)
+    intercept = v_mean - slope * a_mean
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise NoConsensus("the least-squares fit overflows")
+    return slope, intercept
 
 
 def least_squares_fit_linear(pairs) -> LinearScaleModel:
@@ -217,7 +222,7 @@ def least_squares_fit_linear(pairs) -> LinearScaleModel:
 
     Exists as the non-robust baseline; every pair counts as an inlier
     regardless of residual. Raises InsufficientPoints (<2 pairs) or
-    NoConsensus (all angles within SAME_ANGLE_EPS).
+    NoConsensus (all angles within SAME_ANGLE_EPS, or a fit that overflows).
     """
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if len(arr) < 2:
@@ -251,12 +256,12 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
     MAX_PAIRS if there are more), keeps the largest consensus (the first
     pair in row-major order on ties), then refits by least squares on that
     consensus. Inliers are the pairs within `threshold` of the refit line;
-    should the refit drop below two supporters, the minimal model and its
-    consensus stand.
+    should the refit drop below two supporters, which only rounding can do
+    (a threshold near its floor), the minimal model and its consensus stand.
 
     Only pairs more than SAME_ANGLE_EPS apart in angle define a model.
     Raises InsufficientPoints (<2 pairs) or NoConsensus (no model reaches
-    two supporters, e.g. all pairs at one angle).
+    two supporters, e.g. all pairs at one angle, or the refit overflows).
     """
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     n = len(arr)
@@ -283,7 +288,8 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
 
     consensus = support[best]
     slope, intercept = _ols(angles[consensus], values[consensus])
-    final = np.abs(values - (slope * angles + intercept)) <= threshold
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = np.abs(values - (slope * angles + intercept)) <= threshold
     if int(final.sum()) >= 2:
         inliers = np.nonzero(final)[0]
     else:

@@ -400,11 +400,16 @@ def test_heatmap_keeps_a_read_only_copy_of_the_callers_array():
     assert heatmap.values.dtype == np.float64 and not heatmap.values.flags.writeable
     with pytest.raises(ValueError):
         heatmap.values[1, 1] = 0.1
-    # A read-only float64 array that owns its data, such as the renderer's,
-    # is kept as it is rather than copied again.
     rendered = render_gaussian_heatmap((8, 6), [(3.0, 2.0)], sigma=1.0)
     assert not rendered.values.flags.writeable
-    assert Heatmap(rendered.values).values is rendered.values
+    # A caller's read-only array is copied too: setting its flag back and
+    # writing to it leaves the checked values as they were.
+    frozen = np.full((3, 3), 0.9)
+    frozen.setflags(write=False)
+    heatmap = Heatmap(frozen)
+    frozen.setflags(write=True)
+    frozen[0, 0] = 7.0
+    assert heatmap.values[0, 0] == 0.9
     view = np.full((3, 3), 0.9)[:, :2]
     view.setflags(write=False)
     assert Heatmap(view).values.base is None

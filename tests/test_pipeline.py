@@ -1,6 +1,7 @@
 """End-to-end pipeline behaviour: closed-loop accuracy against generated
 ground truth, the failure taxonomy, and frame-change invariance."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from gaugekit.fixtures import (
     KeypointClass,
     ScaleSide,
     Stage,
+    serialize_report,
 )
 from gaugekit.geometry import Ellipse
 from gaugekit.pipeline import (
@@ -150,6 +152,27 @@ def test_markers_at_single_angle_give_no_consensus():
             report = read_gauge(fixture, config)
             assert report.stage_statuses[Stage.OCR].reason == "no_consensus", (offset, ransac)
             assert report.readings == ()
+
+
+def test_huge_marker_numbers_give_a_finite_report():
+    # 308-digit markers are finite, but the refit's sums overflow: the side
+    # gives no_consensus with no inliers, not an Infinity reading (nor, as
+    # pyproject makes warnings errors, a RuntimeWarning).
+    spec = sample_scene_spec(np.random.default_rng(5), dual_scale_probability=0.0)
+    fixture, _ = generate_scene(spec)
+    n = spec.n_major_notches
+    texts = [str(2 * k) + "0" * 307 for k in range(n)] + list(fixture.ocr_texts[n:])
+    huge = replace(fixture, ocr_texts=texts)
+
+    def reject(constant):
+        raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+    for ransac in (True, False):
+        report = read_gauge(huge, PipelineConfig(ransac=RansacSettings(enabled=ransac)))
+        json.loads(serialize_report(report), parse_constant=reject)
+        assert report.failure_reason == "no_consensus"
+        assert len(report.markers_used) == n
+        assert not any(marker.inlier for marker in report.markers_used)
 
 
 def test_missing_start_notch_uses_gap_fallback():

@@ -212,6 +212,26 @@ def test_ransac_collinear_equals_ols():
     assert model.intercept == pytest.approx(ols.intercept, abs=1e-12)
 
 
+def test_ransac_keeps_the_minimal_model_when_rounding_drops_the_refit():
+    # In exact arithmetic the refit keeps two of its consensus within the
+    # threshold; at the 1e-9 floor the rounding of the refit loses both, and
+    # the winning pair's own model stands (a fuzzed fixture reaches this).
+    pairs = [[5.476936234039407, 42.0], [5.486460081014411, 50234.0], [3.7099009314055618, 42.0]]
+    model = ransac_fit_linear(pairs, threshold=1e-9)
+    slope = (50234.0 - 42.0) / (5.486460081014411 - 5.476936234039407)
+    assert model.inliers == (0, 1)
+    assert (model.slope, model.intercept) == (slope, 42.0 - slope * 5.476936234039407)
+
+
+def test_fits_that_overflow_give_no_consensus():
+    # Values near the float limit: their sum overflows, so no fit is finite.
+    pairs = [(1.0, 1.6e308), (2.0, 1.7e308), (3.0, 1.6e308), (4.0, 1.7e308)]
+    with pytest.raises(NoConsensus):
+        least_squares_fit_linear(pairs)
+    with pytest.raises(NoConsensus):
+        ransac_fit_linear(pairs, threshold=1e307)
+
+
 def test_ransac_insufficient_markers():
     with pytest.raises(InsufficientPoints):
         ransac_fit_linear([(1.0, 2.0)], threshold=1.0)

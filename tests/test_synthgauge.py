@@ -99,6 +99,13 @@ def test_non_finite_spec_values_raise_spec_error():
         generate_scene(make_scene_spec(marker_radius_factor=1e308))
     with pytest.raises(SchemaError, match=frame + "second_scale.radius_factor places a marker"):
         generate_scene(make_scene_spec(second_scale=SecondScale(0.0, 1.0, 1e308)))
+    # An ellipse near the frame's left edge puts the unit label outside it,
+    # and one further left the needle, each named as the part it placed.
+    for cx, part in ((8.0, "ellipse places the unit label"),
+                     (-20.0, "ellipse and needle_value place the needle")):
+        spec = make_scene_spec(ellipse=Ellipse(cx, 224.0, 150.0, 120.0), arc_start=-0.8, arc_end=0.8)
+        with pytest.raises(SchemaError, match=frame + part + " outside it$"):
+            generate_scene(spec)
 
 
 def test_zero_perturbation_is_byte_identity():
