@@ -104,6 +104,8 @@ class GroundTruth:
             object.__setattr__(self, name, value)
         if not self.range_max > self.range_min:
             raise ValueError("range_max must exceed range_min")
+        if not math.isfinite(self.range_max - self.range_min):
+            raise ValueError("range_max - range_min must be finite")
         if not isinstance(self.unit, str):
             raise ValueError("unit must be a string")
 
@@ -168,7 +170,13 @@ def _float_rows(values, name: str) -> tuple[np.ndarray, Optional[SchemaError]]:
         return np.empty((0, *row)), None
     if _plain(values, row):
         try:
-            return np.array(values, dtype=np.float64), None
+            if not row:
+                return np.array(values, dtype=np.float64), None
+            # The rows read flat, each value converted as np.array converts it,
+            # without np.array's walk to find the nesting.
+            count = len(values) * row[0]
+            flat = np.fromiter(chain.from_iterable(values), np.float64, count)
+            return flat.reshape(-1, *row), None
         except OverflowError:  # an int beyond the float range, walked below
             pass
     rows, fault = [], None
@@ -362,12 +370,14 @@ FAILURE_REASONS = frozenset(
     }
 )
 
+# Every stage in report order, as a tuple: iterating the Enum class costs more.
+_STAGES = tuple(Stage)
 # Stages whose failure stops the pipeline; notch-orientation trouble only
 # degrades to a fallback wrap-around point.
 FATAL_STAGES = (Stage.ELLIPSE, Stage.NEEDLE, Stage.OCR)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageStatus:
     """Outcome of one stage: ok without a reason, failed with one."""
 
@@ -389,13 +399,13 @@ class ScaleSide(enum.Enum):
     INNER = "inner"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reading:
     scale: ScaleSide
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkerUse:
     """One numeric OCR detection as consumed by the scale model.
 
@@ -423,7 +433,7 @@ class GaugeReadingReport:
 
     def __post_init__(self):
         statuses = self.stage_statuses  # kept in Stage order, whatever the recording order
-        object.__setattr__(self, "stage_statuses", {s: statuses[s] for s in Stage if s in statuses})
+        object.__setattr__(self, "stage_statuses", {s: statuses[s] for s in _STAGES if s in statuses})
         object.__setattr__(self, "markers_used", tuple(self.markers_used))
         object.__setattr__(self, "readings", tuple(self.readings))
         if self.readings:

@@ -95,7 +95,7 @@ class Ellipse:
 
     def __post_init__(self):
         values = (self.cx, self.cy, self.a, self.b, self.theta)
-        cx, cy, a, b, theta = (finite_float(v, "ellipse parameters must be finite") for v in values)
+        cx, cy, a, b, theta = [finite_float(v, "ellipse parameters must be finite") for v in values]
         if a < b:
             a, b = b, a
             theta += math.pi / 2
@@ -146,7 +146,7 @@ class Line:
 
     def __post_init__(self):
         message = "line point and direction must be finite"
-        px, py, dx, dy = (finite_float(v, message) for v in (self.px, self.py, self.dx, self.dy))
+        px, py, dx, dy = [finite_float(v, message) for v in (self.px, self.py, self.dx, self.dy)]
         norm = math.hypot(dx, dy)
         if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("line direction must be nonzero and finite")
@@ -183,8 +183,8 @@ class AffineTransform:
             ((a, b), (c, d)), (tx, ty) = linear, translation
         except (TypeError, ValueError):
             raise ValueError("expected a 2x2 linear part and a 2-vector translation") from None
-        a, b, c, d = (finite_float(v, "affine linear part must be finite") for v in (a, b, c, d))
-        tx, ty = (finite_float(v, "affine translation must be finite") for v in (tx, ty))
+        a, b, c, d = [finite_float(v, "affine linear part must be finite") for v in (a, b, c, d)]
+        tx, ty = [finite_float(v, "affine translation must be finite") for v in (tx, ty)]
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             raise ValueError("affine transform must be invertible")
@@ -250,14 +250,20 @@ def _sym_eig2(sxx: float, sxy: float, syy: float) -> tuple[float, float, float, 
 
 def _conic_to_geometric(A, B, C, D, E, F) -> Ellipse:
     """Geometric form of the conic A x^2 + B xy + C y^2 + D x + E y + F = 0;
-    DegenerateConfiguration unless it is a real ellipse.
+    DegenerateConfiguration unless it is a real ellipse."""
+    return Ellipse(*_conic_parameters(*[float(v) for v in (A, B, C, D, E, F)]))
+
+
+def _conic_parameters(A, B, C, D, E, F) -> tuple[float, float, float, float, float]:
+    """(cx, cy, a, b, theta) of the real ellipse that the conic with float
+    coefficients A..F describes, a >= b > 0 and theta not yet folded into
+    [0, pi); DegenerateConfiguration unless there is one.
 
     The centre solves the 2x2 gradient system by Cramer's rule; the conic's
     value there, -k, fixes the axes, a^2 = k / lo and b^2 = k / hi, from the
     eigenvalues of the quadratic part. The major axis runs along the
     eigenvector of lo, perpendicular to the (ux, uy) of hi.
     """
-    A, B, C, D, E, F = (float(v) for v in (A, B, C, D, E, F))
     if A + C < 0:  # the same conic, with a quadratic part of positive trace
         A, B, C, D, E, F = -A, -B, -C, -D, -E, -F
     det = A * C - 0.25 * B * B
@@ -268,7 +274,9 @@ def _conic_to_geometric(A, B, C, D, E, F) -> Ellipse:
         k = -(F + 0.5 * D * cx + 0.5 * E * cy)
         a_sq, b_sq = k / lo, k / hi
         if b_sq > 0 and math.isfinite(a_sq):
-            return Ellipse(cx, cy, math.sqrt(a_sq), math.sqrt(b_sq), math.atan2(ux, -uy))
+            a, b, theta = math.sqrt(a_sq), math.sqrt(b_sq), math.atan2(ux, -uy)
+            # Ellipse's own swap, made before any scaling can round a and b equal.
+            return (cx, cy, a, b, theta) if a >= b else (cx, cy, b, a, theta + math.pi / 2)
     raise DegenerateConfiguration("conic has no real ellipse points")
 
 
@@ -302,14 +310,21 @@ def fit_ellipse_direct(points) -> Ellipse:
     if scale == 0.0:
         raise DegenerateConfiguration("all points coincide")
     normalized = centered / scale
-    sing = np.linalg.svd(normalized, compute_uv=False)
-    if sing[1] < 1e-10 * sing[0]:
-        raise DegenerateConfiguration("points are collinear")
     x, y = normalized.T
 
     # One scatter of the design rows [x^2, xy, y^2, x, y, 1]; S1, S2, S3 are its blocks.
     design = np.array([x * x, x * y, y * y, x, y, np.ones(n)])
     scatter = design @ design.T
+    # The SVD rule alone judges collinearity. The scatter's [[Sxx, Sxy],
+    # [Sxy, Syy]] block settles the verdict when lo >= 1e-8 * hi: the smaller
+    # singular value is then at least about 1e-4 of the larger, far above
+    # the rule's 1e-10. Below that bar, or on a NaN, the SVD decides.
+    (sxx, sxy), (_, syy) = scatter[3:5, 3:5].tolist()
+    lo, hi, _, _ = _sym_eig2(sxx, sxy, syy)
+    if not lo >= 1e-8 * hi:
+        sing = np.linalg.svd(normalized, compute_uv=False)
+        if sing[1] < 1e-10 * sing[0]:
+            raise DegenerateConfiguration("points are collinear")
     s1, s2, s3 = scatter[:3, :3], scatter[:3, 3:], scatter[3:, 3:]
     try:
         t = -np.linalg.solve(s3, s2.T)
@@ -319,24 +334,21 @@ def fit_ellipse_direct(points) -> Ellipse:
     m = m[::-1] * _CONSTRAINT_INVERSE  # rows m[2] / 2, -m[1], m[0] / 2
 
     evals, evecs = np.linalg.eig(m)
-    for i in range(3):
-        if abs(evals[i].imag) > 1e-9 * (1.0 + abs(evals[i].real)):
+    for i, value in enumerate(evals.tolist()):
+        if abs(value.imag) > 1e-9 * (1.0 + abs(value.real)):
             continue
         vec = np.real(evecs[:, i])
-        if 4.0 * vec[0] * vec[2] - vec[1] ** 2 > 0:
+        quadratic = vec.tolist()
+        if 4.0 * quadratic[0] * quadratic[2] - quadratic[1] ** 2 > 0:
             break
     else:
         raise DegenerateConfiguration("eigensystem yields no valid ellipse")
 
-    geom = _conic_to_geometric(*vec.tolist(), *(t @ vec).tolist())
-    # Normalization was isotropic, so the geometric undo is a similarity.
-    return Ellipse(
-        geom.cx * scale + mean[0],
-        geom.cy * scale + mean[1],
-        geom.a * scale,
-        geom.b * scale,
-        geom.theta,
-    )
+    cx, cy, a, b, theta = _conic_parameters(*quadratic, *(t @ vec).tolist())
+    mx, my = mean.tolist()
+    # Normalization was isotropic, so the geometric undo is a similarity;
+    # Ellipse checks and folds the result as it would the normalized one.
+    return Ellipse(cx * scale + mx, cy * scale + my, a * scale, b * scale, theta)
 
 
 def circularize(ellipse: Ellipse) -> AffineTransform:
@@ -435,12 +447,13 @@ def needle_tip(line: Line, pixels) -> np.ndarray:
     scale); an exact tie goes to the smaller parametric angle. Raises
     NoIntersection when the line misses the circle.
     """
-    params = line.project_parameter(pixels)
+    point, direction = line.point, line.direction
+    params = (np.atleast_2d(np.asarray(pixels, dtype=float)) - point) @ direction
     lo, hi = float(params.min()), float(params.max())
     roots = line_circle_intersections(line)
     best = [t for t in roots if lo - SEGMENT_SLACK <= t <= hi + SEGMENT_SLACK]
     if len(best) != 1:
         ends = [min(abs(t - lo), abs(t - hi)) for t in roots]
         best = [t for t, e in zip(roots, ends) if e == min(ends)]
-    tips = [line.point + t * line.direction for t in best]
+    tips = [point + t * direction for t in best]
     return tips[0] if len(tips) == 1 else min(tips, key=parametric_angle)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -97,6 +98,10 @@ class PipelineConfig:
         return cls.from_json(doc)
 
 
+# The configuration read_gauge and evaluate_batch use when given none.
+_DEFAULT_CONFIG = PipelineConfig()
+
+
 def _wrap_and_notch_status(
     fixture: GaugeFixture, transform: geometry.AffineTransform
 ) -> tuple[float, StageStatus]:
@@ -117,9 +122,10 @@ def _wrap_and_notch_status(
 
 
 def _back_map_line(line: geometry.Line, inverse: geometry.AffineTransform) -> geometry.Line:
-    p = inverse.apply(line.point)
-    q = inverse.apply(line.point + line.direction)
-    return geometry.Line(p[0], p[1], q[0] - p[0], q[1] - p[1])
+    point = line.point
+    px, py = inverse.apply(point).tolist()
+    qx, qy = inverse.apply(point + line.direction).tolist()
+    return geometry.Line(px, py, qx - px, qy - py)
 
 
 def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -> GaugeReadingReport:
@@ -131,7 +137,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     needle angle. Each stage's outcome lands in the report; the first fatal
     failure ends the run with everything computed so far.
     """
-    cfg = config or PipelineConfig()
+    cfg = config or _DEFAULT_CONFIG
     statuses: dict[Stage, StageStatus] = {}
 
     try:
@@ -187,7 +193,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     directed = centers.any(axis=1)  # a marker at the ellipse center has no direction
     markers = [(texts[i], values[i]) for i, keep in zip(numeric, directed) if keep]
     on_circle, radius = geometry.radial_project_to_circle(centers[directed])
-    rel_angles = geometry.normalize_angle(geometry.parametric_angle(on_circle) - wrap)
+    rel_angles = geometry.normalize_angle(geometry.parametric_angle(on_circle) - wrap).tolist()
     confidences = fixture.ocr_confidences.tolist()
     others = [i for i, value in enumerate(values) if value is None]
     unit = scale_model.extract_unit(
@@ -197,14 +203,15 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     readings: list[Reading] = []
     marker_uses: list[MarkerUse] = []
     no_consensus = False
-    outer = radius >= 1.0
-    for side, on_side in ((ScaleSide.OUTER, outer), (ScaleSide.INNER, ~outer)):
-        group = [m for m, keep in zip(markers, on_side) if keep]
-        angles = rel_angles[on_side]
+    outer = (radius >= 1.0).tolist()
+    for side, outside in ((ScaleSide.OUTER, True), (ScaleSide.INNER, False)):
+        on_side = [k for k, o in enumerate(outer) if o is outside]
+        group = [markers[k] for k in on_side]
+        angles = [rel_angles[k] for k in on_side]
         values = [value for _, value in group]
         inliers: set[int] = set()
         if len(group) >= 2:
-            pairs = np.column_stack([angles, values])
+            pairs = np.array(list(zip(angles, values)))
             threshold = scale_model.default_inlier_threshold(values, cfg.ransac.threshold_fraction)
             try:
                 if cfg.ransac.enabled:
@@ -221,7 +228,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
                 readings.append(Reading(side, reading))
         marker_uses.extend(
             MarkerUse(side, a, value, k in inliers, text)
-            for k, (a, (text, value)) in enumerate(zip(angles.tolist(), group))
+            for k, (a, (text, value)) in enumerate(zip(angles, group))
         )
 
     # A side with two or more markers either yields a reading or lacks consensus.
@@ -241,10 +248,14 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
 def compute_relative_error(
     predicted: float, truth: float, range_min: float, range_max: float
 ) -> float:
-    """Reading error as a percentage of the full scale range."""
+    """Reading error as a percentage of the full scale range, saturated at
+    the largest float so that it stays a JSON number."""
     if not range_max > range_min:
         raise ValueError(f"range_max {range_max} must exceed range_min {range_min}")
-    return 100.0 * abs(predicted - truth) / (range_max - range_min)
+    width = range_max - range_min
+    if not math.isfinite(width):
+        raise ValueError("range_max - range_min must be finite")
+    return min(100.0 * abs(predicted - truth) / width, sys.float_info.max)
 
 
 def matched_reading(report: GaugeReadingReport, gt) -> Optional[float]:
@@ -321,7 +332,7 @@ def evaluate_batch(
     to an accurate reading is not charged). An empty batch yields an empty
     summary.
     """
-    cfg = config or PipelineConfig()
+    cfg = config or _DEFAULT_CONFIG
     for i, f in enumerate(fixtures):
         if f.ground_truth is None:
             raise SchemaError(f"fixtures[{i}].ground_truth", "required for evaluation")
@@ -350,10 +361,14 @@ def evaluate_batch(
             if error is None or error > cfg.failure_error_threshold_percent:
                 stage_failures[stage] += 1
 
+    full_re_mean = None
+    if full_errors:
+        with np.errstate(over="ignore"):  # a sum beyond the floats saturates below
+            full_re_mean = min(float(np.mean(full_errors)), sys.float_info.max)
     return EvalSummary(
         n_fixtures=n,
         n_readings=n_readings,
-        full_re_mean=float(np.mean(full_errors)) if full_errors else None,
+        full_re_mean=full_re_mean,
         stage_failure_rates={s.value: stage_failures[s] / n for s in Stage},
     )
 

@@ -78,7 +78,7 @@ def extract_unit(
     markers) and `confidences` theirs. Matching is case-insensitive; the
     lexicon's canonical casing is returned. Ties keep the earliest text.
     """
-    canonical = {u.strip().lower(): u for u in lexicon}
+    canonical = _canonical_units(tuple(lexicon))
     best: Optional[str] = None
     best_conf = -1.0
     for text, confidence in zip(texts, confidences):
@@ -87,6 +87,13 @@ def extract_unit(
             best = match
             best_conf = confidence
     return best
+
+
+@functools.lru_cache(maxsize=16)
+def _canonical_units(lexicon: tuple[str, ...]) -> dict[str, str]:
+    """Each unit of `lexicon` under its stripped lower-case form, built once
+    per lexicon; the last of units that share a form wins."""
+    return {u.strip().lower(): u for u in lexicon}
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +279,27 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
     angles, values = arr.T
 
     i, j = _pair_indices(n)
-    dx = angles[j] - angles[i]
+    angles_i, values_i = angles[i], values[i]
+    dx = angles[j] - angles_i
     valid = np.abs(dx) > SAME_ANGLE_EPS
     with np.errstate(invalid="ignore", over="ignore"):
-        slopes = np.where(valid, (values[j] - values[i]) / np.where(valid, dx, 1.0), 0.0)
-        intercepts = values[i] - slopes * angles[i]
+        slopes = np.where(valid, (values[j] - values_i) / np.where(valid, dx, 1.0), 0.0)
+        intercepts = values_i - slopes * angles_i
         residuals = np.abs(
             values[None, :] - (slopes[:, None] * angles[None, :] + intercepts[:, None])
         )
-    support = residuals <= threshold
-    counts = np.where(valid, support.sum(axis=1), -1)
-    best = int(np.argmax(counts))  # argmax keeps the first of tied pairs
-    if counts[best] < 2:
-        raise NoConsensus("no two-point model reached a consensus of two pairs")
+        support = residuals <= threshold
+        counts = np.where(valid, support.sum(axis=1), -1)
+        best = int(counts.argmax())  # argmax keeps the first of tied pairs
+        if counts[best] < 2:
+            raise NoConsensus("no two-point model reached a consensus of two pairs")
 
-    consensus = support[best]
-    slope, intercept = _ols(angles[consensus], values[consensus])
-    with np.errstate(over="ignore", invalid="ignore"):
+        consensus = support[best]
+        slope, intercept = _ols(angles[consensus], values[consensus])
         final = np.abs(values - (slope * angles + intercept)) <= threshold
-    if int(final.sum()) >= 2:
-        inliers = np.nonzero(final)[0]
+    if np.count_nonzero(final) >= 2:
+        inliers = final.nonzero()[0]
     else:
         slope, intercept = float(slopes[best]), float(intercepts[best])
-        inliers = np.nonzero(consensus)[0]
+        inliers = consensus.nonzero()[0]
     return LinearScaleModel(slope, intercept, tuple(inliers.tolist()))

@@ -64,6 +64,8 @@ class SecondScale:
             _finite_field(self, name, "second_scale: range and radius_factor must be finite")
         if not self.range_max > self.range_min:
             raise ValueError("second_scale: range_max must exceed range_min")
+        if not math.isfinite(self.range_max - self.range_min):
+            raise ValueError("second_scale: range_max - range_min must be finite")
         if self.radius_factor <= 0:
             raise ValueError("second_scale: radius_factor must be positive")
 
@@ -101,6 +103,8 @@ class SceneSpec:
             raise ValueError("a scale needs at least 5 major notches")
         if not self.range_max > self.range_min:
             raise ValueError("range_max must exceed range_min")
+        if not math.isfinite(self.range_max - self.range_min):
+            raise ValueError("range_max - range_min must be finite")
         if not self.range_min <= self.needle_value <= self.range_max:
             raise ValueError("needle_value must lie within the range")
         if self.marker_radius_factor <= 0:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import pickle
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -311,6 +313,24 @@ def test_stage_status_is_its_reason():
         StageStatus(False, "no_consensus")
 
 
+def test_report_values_are_slotted_and_still_copy_hash_and_pickle():
+    values = (
+        StageStatus(),
+        StageStatus("no_consensus"),
+        Reading(ScaleSide.OUTER, 1.5),
+        MarkerUse(ScaleSide.INNER, 0.5, 2.0, True),
+    )
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value) and replace(value) == value
+    with pytest.raises(FrozenInstanceError):
+        values[0].reason = "no_consensus"
+    # replace builds through __post_init__, so it checks the reason too.
+    with pytest.raises(ValueError, match="unknown failure reason"):
+        replace(values[0], reason="cosmic_rays")
+
+
 def test_stage_declaration_is_the_report_order():
     assert [s.value for s in Stage] == ["notches", "ellipse", "needle", "ocr"]
     doc = json.loads(serialize_report(_ok_report()))
@@ -474,6 +494,55 @@ def test_fixture_needle_points_are_a_read_only_copy():
         ocr_boxes=[(10, 10, 20, 10)],
         ocr_texts=["1"],
     )
+
+
+@pytest.mark.parametrize(
+    "column, rows",
+    [
+        pytest.param(
+            "ocr_boxes", [[0, 1, 2**53 + 1, 2**64 + 3], [2, 3, 2**63 + 1, 4]], id="ints-above-2**53"
+        ),
+        pytest.param("ocr_boxes", [[-0.0, 0.0, 1, 1], [0, -0.0, 2.5, 3]], id="negative-zero"),
+        pytest.param("ocr_boxes", [[0, 0, 5e-324, 1.7976931348623157e308]], id="float-extremes"),
+        pytest.param("needle_points", [[1, 2.5], [3.25, 4], [5, 6]], id="mixed-int-float"),
+        pytest.param("keypoints", [(1, 2), [3.5, 4.0], (5, 6.25)], id="tuple-rows"),
+    ],
+)
+def test_list_columns_are_bit_equal_to_numpy_arrays_of_their_rows(column, rows):
+    # A column of Python numbers converts as np.array would convert it, bit for bit.
+    extra = {
+        "ocr_boxes": {"ocr_texts": ["5"] * len(rows)},
+        "keypoints": {"keypoint_classes": (KeypointClass.INTERMEDIATE,) * len(rows)},
+    }.get(column, {})
+    stored = getattr(GaugeFixture(**{column: rows}, **extra), column)
+    expected = np.array(rows, dtype=np.float64)
+    assert stored.shape == expected.shape and stored.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        pytest.param(
+            dict(ocr_boxes=[[0, 0, 1, 1], [0, 0, 2, 10**400]], ocr_texts=["5", "6"]),
+            "ocr[1]: box values must be finite",
+            id="box",
+        ),
+        pytest.param(
+            dict(keypoints=[[1, 1], [-(10**400), 2]], keypoint_classes=(KeypointClass.INTERMEDIATE,) * 2),
+            "keypoints[1]: x and y must be finite",
+            id="keypoint",
+        ),
+        pytest.param(
+            dict(needle_points=[(1, 1), (2, 2), (3, 10**400)]),
+            "needle_points[2]: x and y must be finite",
+            id="needle-tuple",
+        ),
+    ],
+)
+def test_list_column_int_beyond_the_floats_names_its_row(kwargs, message):
+    with pytest.raises(SchemaError) as err:
+        GaugeFixture(**kwargs)
+    assert str(err.value) == message
 
 
 def test_fixture_equality_and_hash_compare_needle_values():

@@ -278,3 +278,55 @@ def test_fit_ellipse_collinearity_verdicts_follow_the_svd_rule():
     # The sweep straddles the rule, and the weaker test would fail it.
     assert 100 < collinear < 500
     assert scatter_would_miss > 0
+
+
+def test_fit_ellipse_consults_the_svd_wherever_the_scatter_leaves_collinearity_in_doubt(
+    monkeypatch,
+):
+    """The fit skips the SVD only where its design scatter settles the
+    verdict, lo >= 1e-8 * hi on the [[Sxx, Sxy], [Sxy, Syy]] block: over a
+    sweep whose singular-value ratio spans 1e-12 to 1, every verdict equals
+    the inline SVD rule, and the SVD runs for every set below that bar."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rng = np.random.default_rng(2207)
+    below = collinear = skipped = 0
+    for _ in range(1500):
+        n = int(rng.integers(5, 15))
+        t = rng.uniform(-100.0, 100.0, n)
+        d = rng.normal(size=2)
+        d /= np.linalg.norm(d)
+        off = rng.normal(0.0, 100.0 * 10.0 ** rng.uniform(-12, 0), n)
+        pts = rng.uniform(-1e3, 1e3, 2) + np.outer(t, d) + np.outer(off, [-d[1], d[0]])
+        # The fit's own normalization and design scatter, operation for operation.
+        mean = pts.sum(axis=0) / n
+        centered = pts - mean
+        normalized = centered / math.sqrt(float((centered**2).sum(axis=1).sum() / n))
+        x, y = normalized.T
+        design = np.array([x * x, x * y, y * y, x, y, np.ones(n)])
+        scatter = design @ design.T
+        (sxx, sxy), (_, syy) = scatter[3:5, 3:5].tolist()
+        lo, hi, _, _ = geometry._sym_eig2(sxx, sxy, syy)
+        sing = svd(normalized, compute_uv=False)
+        is_collinear = sing[1] < 1e-10 * sing[0]
+
+        before = len(calls)
+        try:
+            fit_ellipse_direct(pts)
+            verdict = False
+        except DegenerateConfiguration as exc:
+            verdict = str(exc) == "points are collinear"
+        assert verdict == is_collinear, (n, sing.tolist())
+        if not lo >= 1e-8 * hi:
+            below += 1
+            assert len(calls) == before + 1
+        skipped += len(calls) == before
+        collinear += is_collinear
+    # The sweep crosses both the 1e-8 bar and the rule itself.
+    assert 100 < below < 1400 and 100 < collinear < below and skipped > 100

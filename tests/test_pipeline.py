@@ -3,6 +3,7 @@ ground truth, the failure taxonomy, and frame-change invariance."""
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,12 @@ from gaugekit.errors import SchemaError
 from gaugekit.fixtures import (
     FAILURE_REASONS,
     GaugeFixture,
+    GroundTruth,
     KeypointClass,
     ScaleSide,
     Stage,
+    parse_fixture,
+    serialize_fixture,
     serialize_report,
 )
 from gaugekit.geometry import Ellipse
@@ -27,6 +31,7 @@ from gaugekit.pipeline import (
     evaluate_batch,
     matched_reading,
     read_gauge,
+    serialize_summary,
 )
 from gaugekit.scale_model import parse_numeric_token
 from gaugekit.synthgauge import (
@@ -195,6 +200,33 @@ def test_relative_error_examples():
     assert compute_relative_error(2.0, 1.0, 0.0, 1.6) == pytest.approx(62.5)
     with pytest.raises(ValueError, match="range_max"):
         compute_relative_error(1.0, 1.0, 5.0, 5.0)
+
+
+def test_eval_summary_is_strict_json_at_the_float_limits():
+    # A finite reading over a range of width 1e-307 is off by more than the
+    # largest float in percent: the error saturates there, and so does a
+    # mean whose sum overflows, so the summary stays RFC 8259 JSON.
+    fixture, _ = generate_scene(make_scene_spec())
+    narrow = replace(fixture, ground_truth=GroundTruth(0.0, 0.0, 1e-307))
+
+    def reject(constant):
+        raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+    for batch in ([narrow], [narrow, narrow]):
+        doc = json.loads(serialize_summary(evaluate_batch(batch)), parse_constant=reject)
+        assert doc["full_re_mean_percent"] == float(format(sys.float_info.max, ".9g"))
+    assert compute_relative_error(1e308, -1e308, 0.0, 1e-300) == sys.float_info.max
+    # A range whose width range_max - range_min overflows is no ground truth.
+    message = "range_max - range_min must be finite"
+    with pytest.raises(ValueError, match=message):
+        GroundTruth(-1.7e308, -1.7e308, 1.7e308)
+    with pytest.raises(ValueError, match=message):
+        compute_relative_error(0.0, 0.0, -1.7e308, 1.7e308)
+    doc = json.loads(serialize_fixture(fixture))
+    doc["ground_truth"] = {"reading": -1.7e308, "range_min": -1.7e308, "range_max": 1.7e308}
+    with pytest.raises(SchemaError) as err:
+        parse_fixture(json.dumps(doc))
+    assert str(err.value) == f"ground_truth: {message}"
 
 
 def test_evaluate_batch_clean_scenes():

@@ -89,6 +89,13 @@ def test_non_finite_spec_values_raise_spec_error():
     for values in ((0.0, math.inf, 1.1), (math.nan, 1.0, 1.1), (0.0, 1.0, math.nan)):
         with pytest.raises(ValueError, match="second_scale"):
             SecondScale(*values)
+    # Finite ends whose width overflows make no scale, nor the ground truth
+    # generate_scene would build from it.
+    width = "range_max - range_min must be finite"
+    with pytest.raises(ValueError, match=f"^{width}$"):
+        make_scene_spec(range_min=-1.7e308, range_max=1.7e308)
+    with pytest.raises(ValueError, match=f"^second_scale: {width}$"):
+        SecondScale(-1.7e308, 1.7e308, 1.1)
     # The transform rejects its own non-finite translation before any spec sees it.
     with pytest.raises(ValueError, match="translation"):
         AffineTransform(np.eye(2), [math.inf, 0.0])
