@@ -44,6 +44,10 @@ class KeypointClass(enum.Enum):
     INTERMEDIATE = "intermediate"
     END = "end"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # fits; Enum's own hashes the name in Python on every dict lookup.
+    __hash__ = object.__hash__
+
 
 # Point2, Rect and OcrItem are on no fixture path. perfbench/tracing.py wraps
 # their __post_init__ by name, so they go at the next change to the benchmark.
@@ -355,6 +359,8 @@ class Stage(enum.Enum):
     NEEDLE = "needle"
     OCR = "ocr"
 
+    __hash__ = object.__hash__  # as KeypointClass's
+
 
 # The only failure reasons a report may carry.
 FAILURE_REASONS = frozenset(
@@ -397,6 +403,8 @@ class StageStatus:
 class ScaleSide(enum.Enum):
     OUTER = "outer"
     INNER = "inner"
+
+    __hash__ = object.__hash__  # as KeypointClass's
 
 
 @dataclass(frozen=True, slots=True)
@@ -526,11 +534,15 @@ def load_json(data: bytes | str) -> Any:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
 
 
+# What json.dumps(doc, ensure_ascii=False) builds on every call, built once.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def dump_json(doc: Any) -> bytes:
     """`doc` as UTF-8 JSON, non-ASCII text kept as it is; every document
     gaugekit writes (fixtures, reports, summaries, manifests) is encoded
     here."""
-    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    return _ENCODER.encode(doc).encode("utf-8")
 
 
 _KEYPOINT_CLASSES = {kind.value: kind for kind in KeypointClass}
@@ -621,6 +633,9 @@ def _parse_ground_truth(doc) -> Optional[GroundTruth]:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
+_GROUND_TRUTH_FIELDS = tuple(key.name for key in fields(GroundTruth))
+
+
 def _fixture_jsonable(f: GaugeFixture) -> dict:
     doc: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
@@ -639,7 +654,7 @@ def _fixture_jsonable(f: GaugeFixture) -> dict:
     }
     if f.ground_truth is not None:
         gt = f.ground_truth
-        doc["ground_truth"] = {key.name: getattr(gt, key.name) for key in fields(gt)}
+        doc["ground_truth"] = {name: getattr(gt, name) for name in _GROUND_TRUTH_FIELDS}
     return doc
 
 

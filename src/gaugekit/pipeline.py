@@ -307,7 +307,11 @@ class EvalSummary:
 
     def to_table(self) -> str:
         def fmt(v):
-            return "-" if v is None else f"{v:.4f}"
+            # Exponent form from a million percent on: a saturated mean would
+            # print 309 digits in fixed point.
+            if v is None:
+                return "-"
+            return f"{v:.4f}" if abs(v) < 1e6 else f"{v:.4e}"
 
         lines = [
             f"fixtures            {self.n_fixtures}",

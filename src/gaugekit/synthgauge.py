@@ -13,8 +13,9 @@ report a bad document as SchemaError naming its path.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -39,6 +40,7 @@ from .scale_model import DEFAULT_UNIT_LEXICON
 MIN_ARC_SPAN = math.pi / 2
 MAX_ARC_SPAN = 0.95 * TAU
 MARKER_BOX = (20.0, 10.0)
+_MARKER_HALF = np.array(MARKER_BOX) / 2
 FRAME_MARGIN = 12.0
 # Overall scale and per-axis translation bounds of sample_affine.
 AFFINE_SCALE_RANGE = (0.85, 1.15)
@@ -142,9 +144,18 @@ def _format_value(value: float) -> str:
 def _marker_boxes(centers: np.ndarray) -> np.ndarray:
     """MARKER_BOX-sized (K, 4) boxes around the rows of `centers` (K, 2)."""
     boxes = np.empty((len(centers), 4))
-    boxes[:, :2] = centers - np.array(MARKER_BOX) / 2
+    boxes[:, :2] = centers - _MARKER_HALF
     boxes[:, 2:] = MARKER_BOX
     return boxes
+
+
+@functools.lru_cache(maxsize=16)
+def _needle_steps(n: int) -> np.ndarray:
+    """The (n, 1) column of needle fractions from 0.08 to 1 of the way from
+    the center to the tip, built once per n, read-only."""
+    steps = np.linspace(0.08, 1.0, n)[:, None]
+    steps.setflags(write=False)
+    return steps
 
 
 def generate_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
@@ -186,14 +197,16 @@ def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
     ell = spec.ellipse
     n = spec.n_major_notches
     fractions = np.arange(n) / (n - 1)
-    angles = spec.arc_start + spec.direction * spec.arc_span * fractions
-    notch_positions = ell.point_at(angles)
+    # The notch angles with the needle's appended: one point_at for all.
+    angles = np.empty(n + 1)
+    angles[:n] = spec.arc_start + spec.direction * spec.arc_span * fractions
+    angles[n] = spec.angle_of_value(spec.needle_value)
+    rim = ell.point_at(angles)
+    notch_positions, tip = rim[:n], rim[n]
     classes = (KeypointClass.START, *[KeypointClass.INTERMEDIATE] * (n - 2), KeypointClass.END)
 
-    tip = ell.point_at(spec.angle_of_value(spec.needle_value))
     center = ell.center
-    lam = np.linspace(0.08, 1.0, spec.n_needle_points)[:, None]
-    needle = center + lam * (tip - center)
+    needle = center + _needle_steps(spec.n_needle_points) * (tip - center)
 
     scales = [(spec.range_min, spec.range_max, spec.marker_radius_factor)]
     if spec.second_scale is not None:
@@ -206,7 +219,7 @@ def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
         for value in (low + (high - low) * fractions).tolist()
     ]
     if spec.unit:
-        anchors.append((center + np.array([0.0, 0.45 * ell.b]))[None])
+        anchors.append([[ell.cx, ell.cy + 0.45 * ell.b]])
         texts.append(spec.unit)
 
     truth = GroundTruth(spec.needle_value, spec.range_min, spec.range_max, spec.unit)
@@ -215,7 +228,7 @@ def _build_scene(spec: SceneSpec) -> tuple[GaugeFixture, GroundTruth]:
         keypoints=notch_positions,
         keypoint_classes=classes,
         needle_points=needle,
-        ocr_boxes=_marker_boxes(np.vstack(anchors)),
+        ocr_boxes=_marker_boxes(np.concatenate(anchors)),
         ocr_texts=texts,
         ground_truth=truth,
     )
@@ -265,16 +278,18 @@ def _fit_to_frame(pts: np.ndarray, crop: tuple[int, int]) -> Optional[AffineTran
     """
     if not pts.size:
         return None
-    size = np.array(crop, dtype=float)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    if np.all(lo >= FRAME_MARGIN) and np.all(hi <= size - FRAME_MARGIN):
+    # Per axis in Python floats: on two-element arrays numpy's call overhead
+    # outweighs the arithmetic.
+    axes = list(zip(pts.min(axis=0).tolist(), pts.max(axis=0).tolist(), map(float, crop)))
+    if all(lo >= FRAME_MARGIN and hi <= size - FRAME_MARGIN for lo, hi, size in axes):
         return None
-    extent = hi - lo
-    avail = size - 2 * FRAME_MARGIN
-    ratios = np.where(extent > 0, avail / np.maximum(extent, 1e-12), np.inf)
-    scale = min(1.0, float(ratios.min()))
-    mid = (lo + hi) / 2
-    return AffineTransform(scale * np.eye(2), size / 2 - scale * mid)
+    ratios = [
+        (size - 2 * FRAME_MARGIN) / max(hi - lo, 1e-12) if hi - lo > 0 else math.inf
+        for lo, hi, size in axes
+    ]
+    scale = min(1.0, min(ratios))
+    shift = [size / 2 - scale * ((lo + hi) / 2) for lo, hi, size in axes]
+    return AffineTransform(scale * np.eye(2), shift)
 
 
 def perturb_scene(
@@ -291,33 +306,34 @@ def perturb_scene(
     """
     rng = np.random.default_rng(spec.seed)
     w, h = fixture.crop_size
-    keypoints = fixture.keypoints
-    needle = fixture.needle_points
     boxes = fixture.ocr_boxes
     halves = boxes[:, 2:] / 2.0
-    centers = boxes[:, :2] + halves
+    # Keypoints, needle points and box centers as one (N + M + K, 2) array,
+    # each map applied once and the parts sliced back out at the end.
+    n_kp = len(fixture.keypoints)
+    n_pts = n_kp + len(fixture.needle_points)
+    points = np.concatenate([fixture.keypoints, fixture.needle_points, boxes[:, :2] + halves])
 
     view = spec.affine
     if spec.rotation != 0.0:
         turn = AffineTransform.rotation(spec.rotation, about=(w / 2, h / 2))
         view = turn if view is None else turn.compose(view)
     if view is not None:
-        keypoints, needle, centers = (view.apply(p) for p in (keypoints, needle, centers))
+        points = view.apply(points)
+        centers = points[n_pts:]  # between their box corners, so no extreme of the fit
         fit = _fit_to_frame(
-            np.vstack([keypoints, needle, centers - halves, centers + halves]), fixture.crop_size
+            np.concatenate([points, centers - halves, centers + halves]), fixture.crop_size
         )
         if fit is not None:
-            keypoints, needle, centers = (fit.apply(p) for p in (keypoints, needle, centers))
+            points = fit.apply(points)
 
-    if spec.keypoint_noise_sigma > 0 and keypoints.size:
-        keypoints = keypoints + rng.normal(0.0, spec.keypoint_noise_sigma, keypoints.shape)
+    if spec.keypoint_noise_sigma > 0 and n_kp:
+        points[:n_kp] += rng.normal(0.0, spec.keypoint_noise_sigma, (n_kp, 2))
 
-    limit = np.array([w, h]) - 1e-6
-    keypoints, needle, corners = (
-        np.clip(p, 0.0, limit) for p in (keypoints, needle, centers - halves)
-    )
+    points[n_pts:] -= halves  # box centers to corners
+    points = np.minimum(np.maximum(points, 0.0), np.array([w, h]) - 1e-6)
 
-    boxes = np.column_stack([corners, boxes[:, 2:]])
+    boxes = np.column_stack([points[n_pts:], boxes[:, 2:]])
     texts, confidences = list(fixture.ocr_texts), fixture.ocr_confidences
     if spec.ocr_dropout_rate > 0:  # random(0) draws nothing
         keep = rng.random(len(texts)) >= spec.ocr_dropout_rate
@@ -334,16 +350,17 @@ def perturb_scene(
         for _ in range(spec.n_outlier_ocr):
             positions.append((rng.uniform(margin, w - margin), rng.uniform(margin, h - margin)))
             length = int(rng.integers(3, 7))
-            digits = [str(rng.integers(1, 10))]
-            digits += [str(rng.integers(0, 10)) for _ in range(length - 1)]
-            texts.append("".join(digits))
+            # One draw of the trailing digits takes the values one draw each would.
+            digits = [int(rng.integers(1, 10)), *rng.integers(0, 10, size=length - 1).tolist()]
+            texts.append("".join(map(str, digits)))
         boxes = np.vstack([boxes, _marker_boxes(np.array(positions))])
         confidences = np.concatenate([confidences, np.ones(spec.n_outlier_ocr)])
 
-    return replace(
-        fixture,
-        keypoints=keypoints,
-        needle_points=needle,
+    return GaugeFixture(
+        crop_size=fixture.crop_size,
+        keypoints=points[:n_kp],
+        keypoint_classes=fixture.keypoint_classes,
+        needle_points=points[n_kp:n_pts],
         ocr_boxes=boxes,
         ocr_texts=texts,
         ocr_confidences=confidences,

@@ -1,8 +1,11 @@
 """End-to-end pipeline behaviour: closed-loop accuracy against generated
 ground truth, the failure taxonomy, and frame-change invariance."""
 
+import cProfile
+import enum
 import json
 import math
+import pstats
 import sys
 from dataclasses import replace
 
@@ -25,6 +28,7 @@ from gaugekit.fixtures import (
 )
 from gaugekit.geometry import Ellipse
 from gaugekit.pipeline import (
+    EvalSummary,
     PipelineConfig,
     RansacSettings,
     compute_relative_error,
@@ -227,6 +231,41 @@ def test_eval_summary_is_strict_json_at_the_float_limits():
     with pytest.raises(SchemaError) as err:
         parse_fixture(json.dumps(doc))
     assert str(err.value) == f"ground_truth: {message}"
+
+
+def test_eval_table_prints_a_saturated_mean_in_exponent_form():
+    # The ground truth of the CI step's narrow manifest: the mean saturates
+    # at the largest float, which the table prints in a dozen characters.
+    fixture, _ = generate_scene(make_scene_spec())
+    narrow = replace(fixture, ground_truth=GroundTruth(0.0, 0.0, 1e-307))
+    summary = evaluate_batch([narrow])
+    table = summary.to_table().splitlines()
+    assert "full RE mean        1.7977e+308%" in table
+    assert max(map(len, table)) < 40
+    doc = json.loads(serialize_summary(summary))
+    assert doc["full_re_mean_percent"] == float(format(sys.float_info.max, ".9g"))
+    # Below a million percent the table keeps its fixed-point form.
+    for mean, text in ((12.5, "12.5000%"), (999999.0, "999999.0000%"), (1e6, "1.0000e+06%")):
+        summary = EvalSummary(1, 1, mean, {})
+        assert f"full RE mean        {text}" in summary.to_table().splitlines()
+
+
+def test_a_read_hashes_no_enum_member_in_python():
+    # Enum's __hash__ is a Python function; the fixture enums hash by identity
+    # in C, so a read of a dual-scale scene (stage-keyed statuses, notch keys
+    # with their classes, both scale sides) makes no such call.
+    spec = sample_scene_spec(np.random.default_rng(4), dual_scale_probability=1.0)
+    fixture, truth = generate_scene(spec)
+    data = serialize_fixture(perturb_scene(fixture, truth, PerturbationSpec(n_outlier_ocr=2)))
+    profile = cProfile.Profile()
+    report = profile.runcall(read_gauge, parse_fixture(data))
+    profile.runcall(serialize_report, report)
+    assert {r.scale for r in report.readings} == set(ScaleSide)
+    calls = pstats.Stats(profile).stats
+    enum_hashes = [
+        key for key in calls if key[0] == enum.__file__ and key[2] == "__hash__"
+    ]
+    assert calls and not enum_hashes
 
 
 def test_evaluate_batch_clean_scenes():
