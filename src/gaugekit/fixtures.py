@@ -17,6 +17,7 @@ producers still parse.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -122,19 +123,37 @@ _ARRAY_FIELDS = {
     "ocr_boxes": ((4,), "(K, 4)", "ocr[{}].box"),
     "ocr_confidences": ((), "(K,)", None),
 }
+# The row lengths a row shape allows; the types of the rows of a plain 2-D
+# field and of its values, and of a fixture's keypoint classes.
+_ROW_LENGTHS = {row: frozenset(row) for row, _, _ in _ARRAY_FIELDS.values()}
+_ROW_TYPES = frozenset((list, tuple))
+_NUMBER_TYPES = frozenset((float, int))
+_CLASS_TYPES = frozenset((KeypointClass,))
 # The least x, y, width and height of a box: corners from 0, extents positive
 # (5e-324 is the least positive float).
 _BOX_LOW = np.array([0.0, 0.0, 5e-324, 5e-324])
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_bounds(size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The exclusive upper bounds of a crop of `size` as read-only float64
+    arrays, built once per size: (w, h) for points, (w, h, inf, inf) for
+    boxes. As floats, a size beyond int64 compares as the number it is;
+    every size is a whole float, so no comparison moves."""
+    w, h = size
+    boxes = np.array([float(w), float(h), math.inf, math.inf])
+    boxes.flags.writeable = False
+    return boxes[:2], boxes
 
 
 def _plain(values, row: tuple) -> bool:
     """Whether list or tuple `values` holds only Python ints and floats, in
     lists or tuples of the field's arity when `row` is not empty."""
     if row:
-        if not (set(map(type, values)) <= {list, tuple} and set(map(len, values)) == set(row)):
+        if not set(map(type, values)) <= _ROW_TYPES or set(map(len, values)) != _ROW_LENGTHS[row]:
             return False
         values = chain.from_iterable(values)
-    return set(map(type, values)) <= {float, int}
+    return set(map(type, values)) <= _NUMBER_TYPES
 
 
 def _number(value) -> float:
@@ -270,8 +289,9 @@ class GaugeFixture:
         # One mask per value rule, False for every non-finite value: points
         # inside the crop; box corners inside and extents positive;
         # confidences in [0, 1]. A finite test is made only where one fails.
-        inside, points_ok = _within(np.concatenate([keypoints, needle]), 0.0, size)
-        box_inside, boxes_ok = _within(boxes, _BOX_LOW, (*size, np.inf, np.inf))
+        point_high, box_high = _upper_bounds(size)
+        inside, points_ok = _within(np.concatenate([keypoints, needle]), 0.0, point_high)
+        box_inside, boxes_ok = _within(boxes, _BOX_LOW, box_high)
         in_unit = [0.0 <= c <= 1.0 for c in confidences.tolist()]
 
         if kp_fault or not points_ok:
@@ -282,10 +302,11 @@ class GaugeFixture:
         if len(classes) != len(keypoints):
             count = f"expected one per keypoint, {len(keypoints)}, got {len(classes)}"
             raise SchemaError("keypoint_classes", count)
-        for i, kind in enumerate(classes):
-            if not isinstance(kind, KeypointClass):
-                got = f"expected KeypointClass, got {type(kind).__name__}"
-                raise SchemaError(f"keypoint_classes[{i}]", got)
+        if not set(map(type, classes)) <= _CLASS_TYPES:  # an Enum with members has no subclass
+            for i, kind in enumerate(classes):
+                if not isinstance(kind, KeypointClass):
+                    got = f"expected KeypointClass, got {type(kind).__name__}"
+                    raise SchemaError(f"keypoint_classes[{i}]", got)
         for fault in (box_fault, conf_fault):  # a fault of a whole field comes before its items
             if fault is not None and fault.path in _ARRAY_FIELDS:
                 raise fault

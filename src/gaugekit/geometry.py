@@ -28,6 +28,18 @@ TANGENCY_EPS = 1e-12
 SEGMENT_SLACK = 1e-9
 
 
+# The reductions behind ndarray.sum, max and min, called without the Python
+# wrappers those methods pass through.
+_add, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+
+
+def _rows(points) -> np.ndarray:
+    """`points` as a float array of at least two dimensions; atleast_2d only
+    runs on a scalar or a single point."""
+    pts = np.asarray(points, dtype=float)
+    return pts if pts.ndim >= 2 else np.atleast_2d(pts)
+
+
 def is_number(value: Any, integer: bool = False) -> bool:
     """True for a Python or numpy int, or float unless `integer`; never for a bool or np.bool_."""
     types = (int, np.integer) if integer else (int, float, np.integer, np.floating)
@@ -296,24 +308,27 @@ def fit_ellipse_direct(points) -> Ellipse:
     Raises InsufficientPoints for fewer than 5 points and
     DegenerateConfiguration when the scatter admits no real ellipse.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _rows(points)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an (N, 2) array of points")
     n = pts.shape[0]
     if n < 5:
         raise InsufficientPoints(f"ellipse fit needs at least 5 points, got {n}")
 
-    # sum / n is numpy's mean to the bit (add.reduce, then one division).
-    mean = pts.sum(axis=0) / n
+    # add.reduce / n is numpy's mean to the bit (one sum, then one division).
+    mean = _add(pts, axis=0) / n
     centered = pts - mean
-    scale = math.sqrt(float((centered**2).sum(axis=1).sum() / n))
+    scale = math.sqrt(float(_add(_add(centered**2, axis=1)) / n))
     if scale == 0.0:
         raise DegenerateConfiguration("all points coincide")
-    normalized = centered / scale
-    x, y = normalized.T
 
-    # One scatter of the design rows [x^2, xy, y^2, x, y, 1]; S1, S2, S3 are its blocks.
-    design = np.array([x * x, x * y, y * y, x, y, np.ones(n)])
+    # One scatter of the design rows [x^2, xy, y^2, x, y, 1], filled in
+    # place with x and y normalized first; S1, S2, S3 are its blocks.
+    design = np.empty((6, n))
+    xy = np.divide(centered.T, scale, out=design[3:5])
+    np.multiply(xy[0], xy, out=design[:2])  # x * x, x * y
+    np.multiply(xy[1], xy[1], out=design[2])
+    design[5] = 1.0
     scatter = design @ design.T
     # The SVD rule alone judges collinearity. The scatter's [[Sxx, Sxy],
     # [Sxy, Syy]] block settles the verdict when lo >= 1e-8 * hi: the smaller
@@ -322,7 +337,7 @@ def fit_ellipse_direct(points) -> Ellipse:
     (sxx, sxy), (_, syy) = scatter[3:5, 3:5].tolist()
     lo, hi, _, _ = _sym_eig2(sxx, sxy, syy)
     if not lo >= 1e-8 * hi:
-        sing = np.linalg.svd(normalized, compute_uv=False)
+        sing = np.linalg.svd(np.ascontiguousarray(xy.T), compute_uv=False)
         if sing[1] < 1e-10 * sing[0]:
             raise DegenerateConfiguration("points are collinear")
     s1, s2, s3 = scatter[:3, :3], scatter[:3, 3:], scatter[3:, 3:]
@@ -334,17 +349,16 @@ def fit_ellipse_direct(points) -> Ellipse:
     m = m[::-1] * _CONSTRAINT_INVERSE  # rows m[2] / 2, -m[1], m[0] / 2
 
     evals, evecs = np.linalg.eig(m)
-    for i, value in enumerate(evals.tolist()):
+    real = evecs.real
+    for i, (value, quadratic) in enumerate(zip(evals.tolist(), real.T.tolist())):
         if abs(value.imag) > 1e-9 * (1.0 + abs(value.real)):
             continue
-        vec = np.real(evecs[:, i])
-        quadratic = vec.tolist()
         if 4.0 * quadratic[0] * quadratic[2] - quadratic[1] ** 2 > 0:
             break
     else:
         raise DegenerateConfiguration("eigensystem yields no valid ellipse")
 
-    cx, cy, a, b, theta = _conic_parameters(*quadratic, *(t @ vec).tolist())
+    cx, cy, a, b, theta = _conic_parameters(*quadratic, *(t @ real[:, i]).tolist())
     mx, my = mean.tolist()
     # Normalization was isotropic, so the geometric undo is a similarity;
     # Ellipse checks and folds the result as it would the normalized one.
@@ -374,12 +388,12 @@ def odr_fit_line(points) -> Line:
     when the covariance eigenvalue ratio exceeds ISOTROPY_RATIO and no
     direction is trustworthy.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _rows(points)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an (N, 2) array of points")
     if pts.shape[0] < 2:
         raise InsufficientPoints(f"line fit needs at least 2 points, got {pts.shape[0]}")
-    centroid = pts.sum(axis=0) / pts.shape[0]
+    centroid = _add(pts, axis=0) / pts.shape[0]
     centered = pts - centroid
     (sxx, sxy), (_, syy) = (centered.T @ centered).tolist()
     lo, hi, ux, uy = _sym_eig2(sxx, sxy, syy)
@@ -448,8 +462,8 @@ def needle_tip(line: Line, pixels) -> np.ndarray:
     NoIntersection when the line misses the circle.
     """
     point, direction = line.point, line.direction
-    params = (np.atleast_2d(np.asarray(pixels, dtype=float)) - point) @ direction
-    lo, hi = float(params.min()), float(params.max())
+    params = (_rows(pixels) - point) @ direction
+    lo, hi = float(_min(params)), float(_max(params))
     roots = line_circle_intersections(line)
     best = [t for t in roots if lo - SEGMENT_SLACK <= t <= hi + SEGMENT_SLACK]
     if len(best) != 1:

@@ -106,18 +106,26 @@ def _wrap_and_notch_status(
     fixture: GaugeFixture, transform: geometry.AffineTransform
 ) -> tuple[float, StageStatus]:
     # One vote per distinct (x, y, class): an exact repeat is the same notch.
-    rows = zip(fixture.keypoints.tolist(), fixture.keypoint_classes)
+    keypoints, kinds = fixture.keypoints, fixture.keypoint_classes
+    rows = zip(keypoints.tolist(), kinds)
     distinct = {(x, y, kind): i for i, ((x, y), kind) in enumerate(rows)}
-    points = transform.apply(fixture.keypoints[list(distinct.values())])
-    directed = points.any(axis=1)  # a notch at the ellipse center has no direction
-    angles = geometry.parametric_angle(points[directed]).tolist()
-    kinds = [kind for (_, _, kind), keep in zip(distinct, directed) if keep]
-    by_kind = {kind: [a for a, k in zip(angles, kinds) if k is kind] for kind in KeypointClass}
-
-    start, end = by_kind[KeypointClass.START], by_kind[KeypointClass.END]
-    wrap, certain = scale_model.wrap_around_angle(
-        start[0] if start else None, end[0] if end else None, by_kind[KeypointClass.INTERMEDIATE]
-    )
+    if len(distinct) < len(kinds):
+        keypoints, kinds = keypoints[list(distinct.values())], [kind for _, _, kind in distinct]
+    points = transform.apply(keypoints)
+    # A notch at the ellipse center has no direction.
+    directed = np.logical_or.reduce(points, axis=1)
+    if np.count_nonzero(directed) < len(kinds):
+        points, kinds = points[directed], [kind for kind, keep in zip(kinds, directed) if keep]
+    start = end = None  # a fixture holds at most one of each
+    intermediates = []
+    for angle, kind in zip(geometry.parametric_angle(points).tolist(), kinds):
+        if kind is KeypointClass.INTERMEDIATE:
+            intermediates.append(angle)
+        elif kind is KeypointClass.START:
+            start = angle
+        else:
+            end = angle
+    wrap, certain = scale_model.wrap_around_angle(start, end, intermediates)
     return wrap, StageStatus(None if certain else "ambiguous_orientation")
 
 
@@ -151,7 +159,6 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     statuses[Stage.ELLIPSE] = StageStatus()
 
     transform = geometry.circularize(ellipse)
-    inverse = transform.inverse()
 
     wrap, notch_status = _wrap_and_notch_status(fixture, transform)
     statuses[Stage.NOTCHES] = notch_status
@@ -173,7 +180,7 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     except IsotropicScatter:
         statuses[Stage.NEEDLE] = StageStatus("isotropic_needle")
         return finish()
-    needle_img = _back_map_line(needle_line, inverse)
+    needle_img = _back_map_line(needle_line, transform.inverse())
 
     try:
         tip = geometry.needle_tip(needle_line, needle_c)
@@ -188,12 +195,16 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     texts = fixture.ocr_texts
     values = [scale_model.parse_numeric_token(text) for text in texts]
     numeric = [i for i, value in enumerate(values) if value is not None]
-    boxes = fixture.ocr_boxes[numeric]
-    centers = transform.apply(boxes[:, :2] + boxes[:, 2:] / 2)
-    directed = centers.any(axis=1)  # a marker at the ellipse center has no direction
-    markers = [(texts[i], values[i]) for i, keep in zip(numeric, directed) if keep]
-    on_circle, radius = geometry.radial_project_to_circle(centers[directed])
-    rel_angles = geometry.normalize_angle(geometry.parametric_angle(on_circle) - wrap).tolist()
+    markers, rel_angles, outer = [], [], []
+    if numeric:
+        boxes = fixture.ocr_boxes[numeric]
+        centers = transform.apply(boxes[:, :2] + boxes[:, 2:] / 2)
+        # A marker at the ellipse center has no direction.
+        directed = np.logical_or.reduce(centers, axis=1)
+        markers = [(texts[i], values[i]) for i, keep in zip(numeric, directed) if keep]
+        on_circle, radius = geometry.radial_project_to_circle(centers[directed])
+        rel_angles = geometry.normalize_angle(geometry.parametric_angle(on_circle) - wrap).tolist()
+        outer = (radius >= 1.0).tolist()
     confidences = fixture.ocr_confidences.tolist()
     others = [i for i, value in enumerate(values) if value is None]
     unit = scale_model.extract_unit(
@@ -203,7 +214,6 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     readings: list[Reading] = []
     marker_uses: list[MarkerUse] = []
     no_consensus = False
-    outer = (radius >= 1.0).tolist()
     for side, outside in ((ScaleSide.OUTER, True), (ScaleSide.INNER, False)):
         on_side = [k for k, o in enumerate(outer) if o is outside]
         group = [markers[k] for k in on_side]

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientPoints, NoConsensus
-from .geometry import TAU, normalize_angle
+from .geometry import TAU, _add, _max, _min, normalize_angle
 
 DEFAULT_UNIT_LEXICON = (
     "bar",
@@ -211,13 +211,13 @@ def _median(values: list[float]) -> float:
 def _ols(angles: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Least-squares (slope, intercept) in the centred closed form; raises
     NoConsensus when every angle lies within SAME_ANGLE_EPS of the others,
-    or when the fit overflows (values near the float limit)."""
-    if float(angles.max() - angles.min()) <= SAME_ANGLE_EPS:
+    or when the fit overflows (values near the float limit). The caller
+    holds np.errstate(over="ignore", invalid="ignore") around it."""
+    if float(_max(angles) - _min(angles)) <= SAME_ANGLE_EPS:
         raise NoConsensus("all pairs lie at one angle")
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_mean, v_mean = float(angles.sum() / len(angles)), float(values.sum() / len(values))
-        da = angles - a_mean
-        slope = float(da @ (values - v_mean)) / float(da @ da)
+    a_mean, v_mean = float(_add(angles) / len(angles)), float(_add(values) / len(values))
+    da = angles - a_mean
+    slope = float(da @ (values - v_mean)) / float(da @ da)
     intercept = v_mean - slope * a_mean
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise NoConsensus("the least-squares fit overflows")
@@ -234,7 +234,8 @@ def least_squares_fit_linear(pairs) -> LinearScaleModel:
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if len(arr) < 2:
         raise InsufficientPoints(f"need at least 2 pairs, got {len(arr)}")
-    slope, intercept = _ols(arr[:, 0], arr[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, intercept = _ols(arr[:, 0], arr[:, 1])
     return LinearScaleModel(slope, intercept, tuple(range(len(arr))))
 
 
@@ -289,7 +290,7 @@ def ransac_fit_linear(pairs, threshold: float) -> LinearScaleModel:
             values[None, :] - (slopes[:, None] * angles[None, :] + intercepts[:, None])
         )
         support = residuals <= threshold
-        counts = np.where(valid, support.sum(axis=1), -1)
+        counts = np.where(valid, _add(support, axis=1), -1)
         best = int(counts.argmax())  # argmax keeps the first of tied pairs
         if counts[best] < 2:
             raise NoConsensus("no two-point model reached a consensus of two pairs")

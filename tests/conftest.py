@@ -57,7 +57,9 @@ def random_fixture(rng: np.random.Generator) -> GaugeFixture:
         kinds.append(KeypointClass.END)
     kinds.extend([KeypointClass.INTERMEDIATE] * int(rng.integers(0, 11)))
     order = rng.permutation(len(kinds)) if kinds else []
-    keypoints = [[rng.uniform(0, w - 1e-3), rng.uniform(0, h - 1e-3)] for _ in order]
+    # One draw of all rows takes the values the per-coordinate draws took, in
+    # the same order; the rows stay a list, as a parsed document gives them.
+    keypoints = rng.uniform(0.0, (w - 1e-3, h - 1e-3), (len(order), 2)).tolist()
     classes = tuple(kinds[int(k)] for k in order)
 
     n_needle = int(rng.integers(0, 40))

@@ -124,6 +124,13 @@ NEEDLE_FAULTS = [
         (lambda d: d.update(ground_truth={"reading": 1, "range_min": 0, "range_max": 5, "unit": 3}), "ground_truth: unit"),
         (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5], "text": 5}]), "ocr[0]: text"),
         (lambda d: d.update(ocr=[{"box": [1, 1, 5, 5], "text": "x", "confidence": -0.5}]), "ocr[0]: confidence"),
+        # A crop size beyond int64 bounds the boxes as floats: a NaN box value
+        # is the value fault it is, with no RuntimeWarning on the way.
+        pytest.param(
+            lambda d: d.update(crop_size=[448, 1e308], ocr=[{"box": [1, 2, 3, float("nan")], "text": "5"}]),
+            "ocr[0]: box values must be finite",
+            id="nan-box-beside-a-crop-size-beyond-int64",
+        ),
         # The types reject booleans and non-numbers; each error names its item.
         (lambda d: d["keypoints"][0].update(x=True), "keypoints[0]: x and y must be finite"),
         (lambda d: d["keypoints"][1].update(y="3"), "keypoints[1]: x and y must be finite"),

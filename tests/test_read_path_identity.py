@@ -2,9 +2,13 @@
 
 The references are kept inline: the tree walk that rounded a finished
 report document (`_round_tree` plus `json.dumps`), the direct ellipse fit
-with three scatter products and `mean`, and the `mean`-based centroid and
-least-squares fit. Every comparison is exact: equal bytes, equal floats, or
-the same exception with the same message.
+with three scatter products and `mean`, the `mean`-based centroid and
+least-squares fit, the RANSAC fit on ndarray methods with a second
+`errstate` inside its least-squares refit, and the read that indexed and
+masked every notch, voted through a dict over the `KeypointClass` enum and
+projected markers whether or not any OCR text was numeric. Every
+comparison is exact: equal bytes, equal floats, or the same exception with
+the same message.
 """
 
 import json
@@ -13,12 +17,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_fixture
-from gaugekit import geometry, scale_model
-from gaugekit.errors import DegenerateConfiguration, InsufficientPoints, NoConsensus
+from conftest import make_scene_spec, random_fixture
+from gaugekit import geometry, pipeline, scale_model
+from gaugekit.errors import (
+    DegenerateConfiguration,
+    InsufficientPoints,
+    IsotropicScatter,
+    NoConsensus,
+    NoIntersection,
+)
 from gaugekit.fixtures import (
     SCHEMA_VERSION,
+    GaugeFixture,
     GaugeReadingReport,
+    KeypointClass,
     MarkerUse,
     Reading,
     ScaleSide,
@@ -26,7 +38,7 @@ from gaugekit.fixtures import (
     StageStatus,
     serialize_report,
 )
-from gaugekit.pipeline import EvalSummary, read_gauge, serialize_summary
+from gaugekit.pipeline import EvalSummary, PipelineConfig, RansacSettings, read_gauge, serialize_summary
 from gaugekit.synthgauge import (
     PerturbationSpec,
     generate_scene,
@@ -325,3 +337,337 @@ def test_pair_indices_are_the_thinned_row_major_pairs_built_once(n):
             array[0] = 0
     again = scale_model._pair_indices(n)
     assert again[0] is i and again[1] is j
+
+
+# ---------------------------------------------------------------------------
+# RANSAC on the C reductions, in one errstate
+# ---------------------------------------------------------------------------
+
+
+def _reference_errstate_ols(angles, values):
+    if float(angles.max() - angles.min()) <= scale_model.SAME_ANGLE_EPS:
+        raise NoConsensus("all pairs lie at one angle")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_mean, v_mean = float(angles.sum() / len(angles)), float(values.sum() / len(values))
+        da = angles - a_mean
+        slope = float(da @ (values - v_mean)) / float(da @ da)
+    intercept = v_mean - slope * a_mean
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise NoConsensus("the least-squares fit overflows")
+    return slope, intercept
+
+
+def _reference_least_squares(pairs):
+    arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    if len(arr) < 2:
+        raise InsufficientPoints(f"need at least 2 pairs, got {len(arr)}")
+    slope, intercept = _reference_errstate_ols(arr[:, 0], arr[:, 1])
+    return scale_model.LinearScaleModel(slope, intercept, tuple(range(len(arr))))
+
+
+def _reference_ransac(pairs, threshold):
+    arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    n = len(arr)
+    if n < 2:
+        raise InsufficientPoints(f"need at least 2 pairs, got {n}")
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    angles, values = arr.T
+    i, j = scale_model._pair_indices(n)
+    angles_i, values_i = angles[i], values[i]
+    dx = angles[j] - angles_i
+    valid = np.abs(dx) > scale_model.SAME_ANGLE_EPS
+    with np.errstate(invalid="ignore", over="ignore"):
+        slopes = np.where(valid, (values[j] - values_i) / np.where(valid, dx, 1.0), 0.0)
+        intercepts = values_i - slopes * angles_i
+        residuals = np.abs(
+            values[None, :] - (slopes[:, None] * angles[None, :] + intercepts[:, None])
+        )
+        support = residuals <= threshold
+        counts = np.where(valid, support.sum(axis=1), -1)
+        best = int(counts.argmax())
+        if counts[best] < 2:
+            raise NoConsensus("no two-point model reached a consensus of two pairs")
+        consensus = support[best]
+        slope, intercept = _reference_errstate_ols(angles[consensus], values[consensus])
+        final = np.abs(values - (slope * angles + intercept)) <= threshold
+    if np.count_nonzero(final) >= 2:
+        inliers = final.nonzero()[0]
+    else:
+        slope, intercept = float(slopes[best]), float(intercepts[best])
+        inliers = consensus.nonzero()[0]
+    return scale_model.LinearScaleModel(slope, intercept, tuple(inliers.tolist()))
+
+
+def _fit_outcome(fit, *args):
+    """repr of a model's slope, intercept and inliers (NaN and the sign of
+    zero included), or the class and message of its error."""
+    try:
+        model = fit(*args)
+    except (InsufficientPoints, NoConsensus, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(model, tuple):
+        return repr(model)
+    return repr((model.slope, model.intercept, model.inliers))
+
+
+def _marker_pair_sets(rng):
+    """(pairs, threshold) over n = 2..40: scales with outliers, two-of-three
+    ties, angles within SAME_ANGLE_EPS, values near 1e308 and thresholds at
+    the 1e-9 floor."""
+    eps = scale_model.SAME_ANGLE_EPS
+    for n in range(2, 41):
+        for _ in range(40):
+            angles = np.sort(rng.uniform(0.0, 5.0, n))
+            values = rng.uniform(-50.0, 50.0) + rng.uniform(-80.0, 80.0) * angles
+            kind = int(rng.integers(0, 6))
+            if kind == 1:  # a few outliers, as misread digits give
+                hit = rng.random(n) < 0.3
+                values[hit] = rng.uniform(-1e4, 1e4, int(hit.sum()))
+            elif kind == 2 and n >= 3:  # two of three agree, each pair a tie of two
+                values[-1] = values[0] + 1e6
+            elif kind == 3 and n >= 2:  # markers within SAME_ANGLE_EPS of each other
+                angles[1:] = angles[0] + rng.choice([0.0, 0.5, 1.0, 1.5]) * eps
+                angles[n // 2 :] = angles[: n - n // 2] + rng.uniform(0.0, 2.0 * eps)
+            elif kind == 4:  # values near the float limit
+                values = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n) * 1.7e308
+            elif kind == 5:  # one value: the threshold sits at its floor
+                values[:] = values[0]
+            threshold = scale_model.default_inlier_threshold(values.tolist(), 0.02)
+            if rng.random() < 0.25:
+                threshold = scale_model.INLIER_THRESHOLD_FLOOR
+            yield np.column_stack([angles, values]), threshold
+    # Residuals of exactly the threshold, to the consensus and to the refit line.
+    angles = np.arange(7.0)
+    yield np.column_stack([angles, 10.0 * angles + [2.0, -2.0, 0.0, -2.0, 2.0, 0.0, 0.0]]), 2.0
+    # The refit fallback: bench fuzz seed 2, input 1641, a threshold at its floor.
+    yield np.array([[5.476936234039407, 42.0], [5.486460081014411, 50234.0], [5.48702426939637, 42.0]]), 1e-9
+
+
+def test_ransac_and_ols_are_bit_identical_to_the_ndarray_method_code():
+    outcomes = {}
+    for pairs, threshold in _marker_pair_sets(np.random.default_rng(2424)):
+        expected = _fit_outcome(_reference_ransac, pairs, threshold)
+        assert _fit_outcome(scale_model.ransac_fit_linear, pairs, threshold) == expected, pairs.tolist()
+        assert _fit_outcome(scale_model.least_squares_fit_linear, pairs) == _fit_outcome(
+            _reference_least_squares, pairs
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # as both callers hold it
+            ols = _fit_outcome(scale_model._ols, pairs[:, 0], pairs[:, 1])
+        assert ols == _fit_outcome(_reference_errstate_ols, pairs[:, 0], pairs[:, 1])
+        kind = expected[1] if isinstance(expected, tuple) else "ok"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # The sweep reaches fits and each way a fit can fail.
+    assert outcomes["ok"] > 1000
+    assert {
+        "no two-point model reached a consensus of two pairs",
+        "the least-squares fit overflows",
+    } <= set(outcomes)
+
+
+# ---------------------------------------------------------------------------
+# The read: no marker geometry without a numeric marker, a lean notch vote
+# ---------------------------------------------------------------------------
+
+
+def _reference_notch_vote(fixture, transform):
+    rows = zip(fixture.keypoints.tolist(), fixture.keypoint_classes)
+    distinct = {(x, y, kind): i for i, ((x, y), kind) in enumerate(rows)}
+    points = transform.apply(fixture.keypoints[list(distinct.values())])
+    directed = points.any(axis=1)
+    angles = geometry.parametric_angle(points[directed]).tolist()
+    kinds = [kind for (_, _, kind), keep in zip(distinct, directed) if keep]
+    by_kind = {kind: [a for a, k in zip(angles, kinds) if k is kind] for kind in KeypointClass}
+    start, end = by_kind[KeypointClass.START], by_kind[KeypointClass.END]
+    wrap, certain = scale_model.wrap_around_angle(
+        start[0] if start else None, end[0] if end else None, by_kind[KeypointClass.INTERMEDIATE]
+    )
+    return wrap, StageStatus(None if certain else "ambiguous_orientation")
+
+
+def _reference_read(fixture, cfg):
+    statuses = {}
+    try:
+        ellipse = geometry.fit_ellipse_direct(fixture.keypoints)
+    except InsufficientPoints:
+        statuses[Stage.ELLIPSE] = StageStatus("insufficient_notches")
+        return GaugeReadingReport(stage_statuses=statuses)
+    except DegenerateConfiguration:
+        statuses[Stage.ELLIPSE] = StageStatus("degenerate_ellipse")
+        return GaugeReadingReport(stage_statuses=statuses)
+    statuses[Stage.ELLIPSE] = StageStatus()
+    transform = geometry.circularize(ellipse)
+    inverse = transform.inverse()
+    wrap, statuses[Stage.NOTCHES] = _reference_notch_vote(fixture, transform)
+
+    def finish(**kwargs):
+        return GaugeReadingReport(
+            stage_statuses=statuses, fitted_ellipse=ellipse, wrap_angle=wrap, **kwargs
+        )
+
+    needle_c = transform.apply(fixture.needle_points)
+    try:
+        needle_line = geometry.odr_fit_line(needle_c)
+    except InsufficientPoints:
+        statuses[Stage.NEEDLE] = StageStatus("insufficient_needle_points")
+        return finish()
+    except IsotropicScatter:
+        statuses[Stage.NEEDLE] = StageStatus("isotropic_needle")
+        return finish()
+    needle_img = pipeline._back_map_line(needle_line, inverse)
+    try:
+        tip = geometry.needle_tip(needle_line, needle_c)
+    except NoIntersection:
+        statuses[Stage.NEEDLE] = StageStatus("no_intersection")
+        return finish(needle_line=needle_img)
+    needle_rel = float(geometry.normalize_angle(geometry.parametric_angle(tip) - wrap))
+    statuses[Stage.NEEDLE] = StageStatus()
+
+    texts = fixture.ocr_texts
+    values = [scale_model.parse_numeric_token(text) for text in texts]
+    numeric = [i for i, value in enumerate(values) if value is not None]
+    boxes = fixture.ocr_boxes[numeric]
+    centers = transform.apply(boxes[:, :2] + boxes[:, 2:] / 2)
+    directed = centers.any(axis=1)
+    markers = [(texts[i], values[i]) for i, keep in zip(numeric, directed) if keep]
+    on_circle, radius = geometry.radial_project_to_circle(centers[directed])
+    rel_angles = geometry.normalize_angle(geometry.parametric_angle(on_circle) - wrap).tolist()
+    confidences = fixture.ocr_confidences.tolist()
+    others = [i for i, value in enumerate(values) if value is None]
+    unit = scale_model.extract_unit(
+        [texts[i] for i in others], [confidences[i] for i in others], cfg.unit_lexicon
+    )
+    readings, marker_uses, no_consensus = [], [], False
+    outer = (radius >= 1.0).tolist()
+    for side, outside in ((ScaleSide.OUTER, True), (ScaleSide.INNER, False)):
+        on_side = [k for k, o in enumerate(outer) if o is outside]
+        group = [markers[k] for k in on_side]
+        angles = [rel_angles[k] for k in on_side]
+        values = [value for _, value in group]
+        inliers = set()
+        if len(group) >= 2:
+            pairs = np.array(list(zip(angles, values)))
+            threshold = scale_model.default_inlier_threshold(values, cfg.ransac.threshold_fraction)
+            try:
+                if cfg.ransac.enabled:
+                    model = _reference_ransac(pairs, threshold)
+                else:
+                    model = _reference_least_squares(pairs)
+                reading = model.value_at(needle_rel)
+                if not math.isfinite(reading):
+                    raise NoConsensus("the reading overflows")
+            except NoConsensus:
+                no_consensus = True
+            else:
+                inliers = set(model.inliers)
+                readings.append(Reading(side, reading))
+        marker_uses.extend(
+            MarkerUse(side, a, value, k in inliers, text)
+            for k, (a, (text, value)) in enumerate(zip(angles, group))
+        )
+    statuses[Stage.OCR] = StageStatus(
+        None if readings else ("no_consensus" if no_consensus else "insufficient_markers")
+    )
+    return finish(
+        needle_line=needle_img,
+        needle_relative_angle=needle_rel,
+        markers_used=tuple(marker_uses),
+        readings=tuple(readings),
+        unit=unit,
+    )
+
+
+def _assert_same_read(fixture, cfg):
+    expected = serialize_report(_reference_read(fixture, cfg))
+    assert serialize_report(read_gauge(fixture, cfg)) == expected
+    return json.loads(expected)
+
+
+_CONFIGS = (PipelineConfig(), PipelineConfig(ransac=RansacSettings(enabled=False)))
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=["ransac", "least-squares"])
+def test_read_gauge_gives_the_reference_bytes_on_scenes_and_fuzz(cfg):
+    rng = np.random.default_rng(2425)
+    docs = [_assert_same_read(f, cfg) for f in _scene_fixtures(120)]
+    docs += [_assert_same_read(random_fixture(rng), cfg) for _ in range(400)]
+    # Reads that reach the markers with 0, 1, 2 and more numeric texts.
+    marker_counts = {len(doc["markers"]) for doc in docs if doc["needle_relative_angle"] is not None}
+    assert {0, 1, 2, 3} <= marker_counts
+    assert sum(bool(doc["readings"]) for doc in docs) > 100
+
+
+def _scene_with(numeric: int, unit: bool = True, notches=None, extra_ocr=()):
+    """The canonical scene with its first `numeric` markers, its unit text
+    if `unit`, `extra_ocr` (box, text) items and, if given, other notches."""
+    fixture, _ = generate_scene(make_scene_spec())
+    texts = fixture.ocr_texts
+    is_marker = [scale_model.parse_numeric_token(t) is not None for t in texts]
+    keep = [i for i, marker in enumerate(is_marker) if marker][:numeric]
+    keep += [i for i, marker in enumerate(is_marker) if unit and not marker]
+    keypoints, classes = notches or (fixture.keypoints, fixture.keypoint_classes)
+    return GaugeFixture(
+        keypoints=keypoints,
+        keypoint_classes=classes,
+        needle_points=fixture.needle_points,
+        ocr_boxes=fixture.ocr_boxes[keep].tolist() + [box for box, _ in extra_ocr],
+        ocr_texts=[texts[i] for i in keep] + [text for _, text in extra_ocr],
+    )
+
+
+@pytest.mark.parametrize("numeric", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("unit", [True, False])
+def test_read_gauge_gives_the_reference_bytes_for_each_marker_count(numeric, unit):
+    fixture = _scene_with(numeric, unit, extra_ocr=[([5, 5, 20, 10], "serial")])
+    for cfg in _CONFIGS:
+        doc = _assert_same_read(fixture, cfg)
+        assert len(doc["markers"]) == numeric
+        ocr = {"status": "ok"} if numeric >= 2 else {"status": "failed", "reason": "insufficient_markers"}
+        assert doc["stage_statuses"]["ocr"] == ocr
+        assert doc["unit"] == ("bar" if unit else None)
+
+
+_START, _END, _MIDDLE = KeypointClass.START, KeypointClass.END, KeypointClass.INTERMEDIATE
+
+
+def test_read_gauge_gives_the_reference_bytes_with_repeated_notches():
+    fixture, _ = generate_scene(make_scene_spec())
+    points, classes = fixture.keypoints.tolist(), list(fixture.keypoint_classes)
+    middle = [k for k, kind in enumerate(classes) if kind is _MIDDLE]
+    ends = [k for k, kind in enumerate(classes) if kind is not _MIDDLE]
+    for repeat in ([middle[0]], [middle[2], middle[2], middle[-1]], middle, ends, ends + middle):
+        # An exact repeat of an intermediate is the same notch; an intermediate
+        # on the start or end notch's position is another notch and votes.
+        notches = (points + [points[k] for k in repeat], classes + [_MIDDLE] * len(repeat))
+        for numeric in (0, 2):
+            _assert_same_read(_scene_with(numeric, notches=notches), PipelineConfig())
+    # Start 0, end 180 and intermediates at 60, 240 and 300 degrees: counted
+    # once, a repeat at 60 leaves the vote 1 against 2; counted twice, it
+    # would make it ambiguous.
+    layout = [(_START, 0), (_END, 180), (_MIDDLE, 60), (_MIDDLE, 60), (_MIDDLE, 240), (_MIDDLE, 300)]
+    t = [math.radians(degrees) for _, degrees in layout]
+    notches = ([[224.0 + 100.0 * math.cos(a), 224.0 + 100.0 * math.sin(a)] for a in t], [k for k, _ in layout])
+    for numeric in (0, 2):
+        doc = _assert_same_read(_scene_with(numeric, notches=notches), PipelineConfig())
+        assert doc["stage_statuses"]["notches"] == {"status": "ok"}
+
+
+def test_read_gauge_gives_the_reference_bytes_with_notches_and_markers_at_the_centre(monkeypatch):
+    """A notch or a marker at the fitted centre has no direction and is left
+    out. The fit is pinned to an ellipse whose circularizing map sends
+    (224, 224) to exactly (0, 0)."""
+    pinned = geometry.Ellipse(224.0, 224.0, 128.0, 64.0)
+    monkeypatch.setattr(geometry, "fit_ellipse_direct", lambda points: pinned)
+    fixture, _ = generate_scene(make_scene_spec())
+    points, classes = fixture.keypoints.tolist(), list(fixture.keypoint_classes)
+    assert classes[0] is _START
+    centre, centre_box = [224.0, 224.0], ([220.0, 222.0, 8.0, 4.0], "7")
+    for notches in (
+        (points + [centre], classes + [_MIDDLE]),
+        (points + [centre, centre], classes + [_MIDDLE, _MIDDLE]),
+        ([centre] + points[1:], classes),  # the start notch at the centre
+    ):
+        for numeric, extra in ((0, [centre_box]), (1, [centre_box]), (2, [centre_box]), (3, [])):
+            fixture = _scene_with(numeric, notches=notches, extra_ocr=extra)
+            doc = _assert_same_read(fixture, PipelineConfig())
+            assert len(doc["markers"]) == numeric  # the centre marker is left out
