@@ -7,7 +7,8 @@ and confidences, and optional ground truth. All coordinates live in the
 crop frame (origin top-left, y down) and must fall inside [0, crop_size)
 per axis. GaugeFixture validates every value on construction, in one place,
 so a fixture built in code obeys the same rules as a parsed one and names
-the same first fault; parse_fixture checks only the document's shape.
+the same first fault; parse_fixture reads only the document's shape and
+its ground truth, before any value.
 
 Documents carry a top-level "schema": 1 field, the JSON integer 1 (not
 true, 1.0 or "1"). Unknown fields are ignored so fixtures written by newer
@@ -567,57 +568,6 @@ def dump_json(doc: Any) -> bytes:
 
 
 _KEYPOINT_CLASSES = {kind.value: kind for kind in KeypointClass}
-# Stands in for what parse_fixture rejects itself; GaugeFixture takes it nowhere.
-_REJECTED = object()
-
-
-def _fixture_arguments(root: dict) -> tuple[dict, Optional[SchemaError], Optional[str]]:
-    """GaugeFixture's arguments from fixture document `root`, values
-    unchecked, with parse_fixture's own first fault and the path under which
-    GaugeFixture rejects _REJECTED (None and None when there is no fault).
-
-    That fault is the first entry that is not an object with the keys its
-    column needs, or else a ground truth GroundTruth rejects. _REJECTED ends
-    the entry's column; for the ground truth, which comes right after the
-    OCR items in the fault order, it ends the OCR column.
-    """
-    points, classes, boxes, texts, confidences = [], [], [], [], []
-    args = dict(
-        keypoints=points,
-        keypoint_classes=classes,
-        ocr_boxes=boxes,
-        ocr_texts=texts,
-        ocr_confidences=confidences,
-        **present_entries(root, "crop_size", "needle_points"),
-    )
-    try:
-        for i, entry in enumerate(as_list(root.get("keypoints", []), "keypoints")):
-            if type(entry) is not dict or "x" not in entry or "y" not in entry:
-                as_object(entry, f"keypoints[{i}]")
-                raise SchemaError(f"keypoints[{i}]", "missing x or y")
-            kind = entry.get("class")
-            if not (isinstance(kind, str) and kind in _KEYPOINT_CLASSES):
-                known = f"expected one of start/intermediate/end, got {kind!r}"
-                raise SchemaError(f"keypoints[{i}].class", known)
-            points.append([entry["x"], entry["y"]])
-            classes.append(_KEYPOINT_CLASSES[kind])
-    except SchemaError as fault:
-        points.append(_REJECTED)
-        return args, fault, f"keypoints[{len(points) - 1}]"
-    try:
-        for i, entry in enumerate(as_list(root.get("ocr", []), "ocr")):
-            if type(entry) is not dict:
-                as_object(entry, f"ocr[{i}]")
-            boxes.append(entry.get("box"))
-            texts.append(entry.get("text", ""))
-            confidences.append(entry.get("confidence", 1.0))
-        args["ground_truth"] = _parse_ground_truth(root.get("ground_truth"))
-    except SchemaError as fault:
-        boxes.append(_REJECTED)
-        texts.append("")
-        confidences.append(1.0)
-        return args, fault, f"ocr[{len(boxes) - 1}].box"
-    return args, None, None
 
 
 def parse_fixture(data: bytes | str) -> GaugeFixture:
@@ -625,20 +575,41 @@ def parse_fixture(data: bytes | str) -> GaugeFixture:
 
     Raises SchemaError naming the offending path: "$" for malformed UTF-8
     or JSON, the field for a wrong shape or a value the data model rejects.
+    The document's shape is read first, where each fault is met (schema
+    version, arrays, entry objects and their keys, keypoint class), then
+    the ground truth; GaugeFixture then names the first value fault.
     """
-    doc = load_json(data)
-    root = as_object(doc, "$")
+    root = as_object(load_json(data), "$")
     version = root.get("schema")
     if not (is_number(version, integer=True) and version == SCHEMA_VERSION):
         raise SchemaError("schema", f"expected schema version {SCHEMA_VERSION}")
-
-    # GaugeFixture validates the document's values. It names a fault that
-    # comes before parse's own, or rejects the _REJECTED standing in for it.
-    args, fault, rejected = _fixture_arguments(root)
-    try:
-        return GaugeFixture(**args)
-    except SchemaError as exc:
-        raise (fault if exc.path == rejected else exc) from None
+    points, classes = [], []
+    for i, entry in enumerate(as_list(root.get("keypoints", []), "keypoints")):
+        if type(entry) is not dict or "x" not in entry or "y" not in entry:
+            as_object(entry, f"keypoints[{i}]")
+            raise SchemaError(f"keypoints[{i}]", "missing x or y")
+        kind = entry.get("class")
+        if not (isinstance(kind, str) and kind in _KEYPOINT_CLASSES):
+            known = f"expected one of start/intermediate/end, got {kind!r}"
+            raise SchemaError(f"keypoints[{i}].class", known)
+        points.append([entry["x"], entry["y"]])
+        classes.append(_KEYPOINT_CLASSES[kind])
+    boxes, texts, confidences = [], [], []
+    for i, entry in enumerate(as_list(root.get("ocr", []), "ocr")):
+        if type(entry) is not dict:
+            as_object(entry, f"ocr[{i}]")
+        boxes.append(entry.get("box"))
+        texts.append(entry.get("text", ""))
+        confidences.append(entry.get("confidence", 1.0))
+    return GaugeFixture(
+        keypoints=points,
+        keypoint_classes=classes,
+        ocr_boxes=boxes,
+        ocr_texts=texts,
+        ocr_confidences=confidences,
+        ground_truth=_parse_ground_truth(root.get("ground_truth")),
+        **present_entries(root, "crop_size", "needle_points"),
+    )
 
 
 def _parse_ground_truth(doc) -> Optional[GroundTruth]:

@@ -260,12 +260,6 @@ def _sym_eig2(sxx: float, sxy: float, syy: float) -> tuple[float, float, float, 
     return (sxx / hi) * syy - (sxy / hi) * sxy, hi, vx / norm, vy / norm
 
 
-def _conic_to_geometric(A, B, C, D, E, F) -> Ellipse:
-    """Geometric form of the conic A x^2 + B xy + C y^2 + D x + E y + F = 0;
-    DegenerateConfiguration unless it is a real ellipse."""
-    return Ellipse(*_conic_parameters(*[float(v) for v in (A, B, C, D, E, F)]))
-
-
 def _conic_parameters(A, B, C, D, E, F) -> tuple[float, float, float, float, float]:
     """(cx, cy, a, b, theta) of the real ellipse that the conic with float
     coefficients A..F describes, a >= b > 0 and theta not yet folded into
@@ -321,6 +315,8 @@ def fit_ellipse_direct(points) -> Ellipse:
     scale = math.sqrt(float(_add(_add(centered**2, axis=1)) / n))
     if scale == 0.0:
         raise DegenerateConfiguration("all points coincide")
+    if not scale < math.inf:
+        raise DegenerateConfiguration("the points' spread is beyond the float range")
 
     # One scatter of the design rows [x^2, xy, y^2, x, y, 1], filled in
     # place with x and y normalized first; S1, S2, S3 are its blocks.
@@ -370,12 +366,17 @@ def circularize(ellipse: Ellipse) -> AffineTransform:
 
     Translate the center to the origin, rotate the major axis onto x, then
     scale the axes by (1/a, 1/b). Points at parametric angle t land exactly
-    at (cos t, sin t), so parametric angles survive the map.
+    at (cos t, sin t), so parametric angles survive the map. Raises
+    DegenerateConfiguration when the axes are so short that the map
+    overflows.
     """
     c, s = math.cos(ellipse.theta), math.sin(ellipse.theta)
     rot = np.array([[c, s], [-s, c]])
     linear = np.diag([1.0 / ellipse.a, 1.0 / ellipse.b]) @ rot
-    return AffineTransform(linear, -linear @ ellipse.center)
+    try:
+        return AffineTransform(linear, -linear @ ellipse.center)
+    except ValueError:
+        raise DegenerateConfiguration("the ellipse's circle frame is beyond the float range") from None
 
 
 def odr_fit_line(points) -> Line:
@@ -385,8 +386,8 @@ def odr_fit_line(points) -> Line:
     the centered scatter: the eigenvector of the larger eigenvalue of the
     2x2 scatter matrix, taken in closed form by _sym_eig2. Raises
     InsufficientPoints (<2 points, or all coincident) or IsotropicScatter
-    when the covariance eigenvalue ratio exceeds ISOTROPY_RATIO and no
-    direction is trustworthy.
+    when the covariance eigenvalue ratio exceeds ISOTROPY_RATIO, or is NaN
+    for a scatter beyond the float range, and no direction is trustworthy.
     """
     pts = _rows(points)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -400,7 +401,7 @@ def odr_fit_line(points) -> Line:
     if hi == 0.0:
         raise InsufficientPoints("line fit needs two distinct points; all coincide")
     ratio = max(lo, 0.0) / hi
-    if ratio > ISOTROPY_RATIO:
+    if not ratio <= ISOTROPY_RATIO:
         raise IsotropicScatter(ratio)
     return Line(centroid[0], centroid[1], ux, uy)
 
@@ -410,15 +411,16 @@ def line_circle_intersections(line: Line) -> list[float]:
 
     Solving |p + t d|^2 = 1 for unit d gives t^2 + 2 t (p.d) + (p.p - 1) = 0.
     A discriminant within TANGENCY_EPS of zero returns the single tangency
-    root; a discriminant below -TANGENCY_EPS raises NoIntersection. Two
-    roots come in ascending order.
+    root; a discriminant below -TANGENCY_EPS, or NaN for a point whose
+    square overflows, raises NoIntersection. Two roots come in ascending
+    order.
     """
     p = line.point
     d = line.direction
     b = float(p @ d)
     c = float(p @ p) - 1.0
     disc = b * b - c
-    if disc < -TANGENCY_EPS:
+    if not disc >= -TANGENCY_EPS:
         raise NoIntersection("line misses the unit circle")
     if disc <= TANGENCY_EPS:
         return [-b]
@@ -459,7 +461,8 @@ def needle_tip(line: Line, pixels) -> np.ndarray:
     [lo, hi] (SEGMENT_SLACK either side), it wins. Otherwise the root
     nearest an end of that extent wins (the needle tip sits near the
     scale); an exact tie goes to the smaller parametric angle. Raises
-    NoIntersection when the line misses the circle.
+    NoIntersection when the line misses the circle, or when its point lies
+    so far out that the tip rounds to the centre.
     """
     point, direction = line.point, line.direction
     params = (_rows(pixels) - point) @ direction
@@ -470,4 +473,6 @@ def needle_tip(line: Line, pixels) -> np.ndarray:
         ends = [min(abs(t - lo), abs(t - hi)) for t in roots]
         best = [t for t, e in zip(roots, ends) if e == min(ends)]
     tips = [point + t * direction for t in best]
+    if not all(map(np.count_nonzero, tips)):
+        raise NoIntersection("the tip rounds to the centre")
     return tips[0] if len(tips) == 1 else min(tips, key=parametric_angle)

@@ -49,8 +49,10 @@ class RansacSettings:
 
     def __post_init__(self):
         message = "threshold_fraction must be a finite number > 0"
-        if geometry.finite_float(self.threshold_fraction, message) <= 0:
+        threshold = geometry.finite_float(self.threshold_fraction, message)
+        if threshold <= 0:
             raise ValueError(message)
+        object.__setattr__(self, "threshold_fraction", threshold)
         if not isinstance(self.enabled, bool):
             raise ValueError("enabled must be true or false")
 
@@ -65,8 +67,10 @@ class PipelineConfig:
 
     def __post_init__(self):
         message = "failure_error_threshold_percent must be a finite number >= 0"
-        if geometry.finite_float(self.failure_error_threshold_percent, message) < 0:
+        percent = geometry.finite_float(self.failure_error_threshold_percent, message)
+        if percent < 0:
             raise ValueError(message)
+        object.__setattr__(self, "failure_error_threshold_percent", percent)
         if self.unit_lexicon_path is None:
             lexicon = scale_model.DEFAULT_UNIT_LEXICON
         elif isinstance(self.unit_lexicon_path, (str, os.PathLike)):
@@ -130,10 +134,16 @@ def _wrap_and_notch_status(
 
 
 def _back_map_line(line: geometry.Line, inverse: geometry.AffineTransform) -> geometry.Line:
+    """`line` in the image frame, its direction the difference of two mapped
+    points; where that difference rounds away beside a far point, the
+    direction mapped alone by the linear part."""
     point = line.point
     px, py = inverse.apply(point).tolist()
     qx, qy = inverse.apply(point + line.direction).tolist()
-    return geometry.Line(px, py, qx - px, qy - py)
+    try:
+        return geometry.Line(px, py, qx - px, qy - py)
+    except ValueError:
+        return geometry.Line(px, py, *(inverse.linear @ line.direction).tolist())
 
 
 def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -> GaugeReadingReport:
@@ -144,12 +154,21 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     marker projection and per-scale robust model fit, then evaluation at the
     needle angle. Each stage's outcome lands in the report; the first fatal
     failure ends the run with everything computed so far.
+
+    Far from the dial a step can overflow. Each step judges its own values
+    beyond the floats, so numpy's overflow and invalid warnings are
+    silenced once, for the whole read.
     """
-    cfg = config or _DEFAULT_CONFIG
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _read(fixture, config or _DEFAULT_CONFIG)
+
+
+def _read(fixture: GaugeFixture, cfg: PipelineConfig) -> GaugeReadingReport:
     statuses: dict[Stage, StageStatus] = {}
 
     try:
         ellipse = geometry.fit_ellipse_direct(fixture.keypoints)
+        transform = geometry.circularize(ellipse)
     except InsufficientPoints:
         statuses[Stage.ELLIPSE] = StageStatus("insufficient_notches")
         return GaugeReadingReport(stage_statuses=statuses)
@@ -157,8 +176,6 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
         statuses[Stage.ELLIPSE] = StageStatus("degenerate_ellipse")
         return GaugeReadingReport(stage_statuses=statuses)
     statuses[Stage.ELLIPSE] = StageStatus()
-
-    transform = geometry.circularize(ellipse)
 
     wrap, notch_status = _wrap_and_notch_status(fixture, transform)
     statuses[Stage.NOTCHES] = notch_status
@@ -199,8 +216,9 @@ def read_gauge(fixture: GaugeFixture, config: Optional[PipelineConfig] = None) -
     if numeric:
         boxes = fixture.ocr_boxes[numeric]
         centers = transform.apply(boxes[:, :2] + boxes[:, 2:] / 2)
-        # A marker at the ellipse center has no direction.
+        # A marker at the ellipse center, or beyond the floats, has no direction.
         directed = np.logical_or.reduce(centers, axis=1)
+        directed &= np.logical_and.reduce(np.isfinite(centers), axis=1)
         markers = [(texts[i], values[i]) for i, keep in zip(numeric, directed) if keep]
         on_circle, radius = geometry.radial_project_to_circle(centers[directed])
         rel_angles = geometry.normalize_angle(geometry.parametric_angle(on_circle) - wrap).tolist()

@@ -77,6 +77,23 @@ def test_parse_rejects_out_of_range_coordinate():
     assert "needle_points[0]" in err.value.path
 
 
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        ({"ocr": [{"box": [10, 10, 20, 10], "text": "5"}, None]}, "ocr[1]: expected an object, got NoneType"),
+        ({"ground_truth": {"range_min": 0, "range_max": 1}}, "ground_truth.reading: missing required field"),
+    ],
+)
+def test_parse_names_shape_and_ground_truth_faults_before_value_faults(later, message):
+    # The document's shape and its ground truth are read before any value:
+    # their faults come ahead of the bool y of an earlier keypoint.
+    doc = {**json.loads(json.dumps(MINIMAL)), **later}
+    doc["keypoints"][1]["y"] = True
+    with pytest.raises(SchemaError) as err:
+        parse_fixture(json.dumps(doc))
+    assert str(err.value) == message
+
+
 # One needle fault each, with the error that names it: parse_fixture and
 # direct GaugeFixture construction report it alike.
 NEEDLE_FAULTS = [
@@ -594,10 +611,11 @@ def _finite_number(v) -> bool:
 
 def _walk_first_fault(doc) -> str:
     """The first fault of a fixture document, checked entry by entry in the
-    order README documents, without numpy: each keypoint and each OCR item as
-    parsed, then keypoint bounds, the needle rows, OCR box bounds and
-    duplicate start or end keypoints. The corpus keeps the schema version,
-    crop_size and ground truth valid."""
+    order README documents, without numpy: the document's shape first (each
+    keypoint entry, then each OCR entry being an object), then each keypoint
+    value and each OCR item, keypoint bounds, the needle rows, OCR box bounds
+    and duplicate start or end keypoints. The corpus keeps the schema
+    version, crop_size and ground truth valid."""
     w, h = 448, 448
 
     def outside(path, x, y):
@@ -612,12 +630,14 @@ def _walk_first_fault(doc) -> str:
             return f"{path}: missing x or y"
         if e.get("class") not in ("start", "intermediate", "end"):
             return f"{path}.class: expected one of start/intermediate/end, got {e.get('class')!r}"
+    for i, e in enumerate(doc["ocr"]):
+        if not isinstance(e, dict):
+            return f"ocr[{i}]: expected an object, got {type(e).__name__}"
+    for i, e in enumerate(doc["keypoints"]):
         if not (_finite_number(e["x"]) and _finite_number(e["y"])):
-            return f"{path}: x and y must be finite"
+            return f"keypoints[{i}]: x and y must be finite"
     for i, e in enumerate(doc["ocr"]):
         path = f"ocr[{i}]"
-        if not isinstance(e, dict):
-            return f"{path}: expected an object, got {type(e).__name__}"
         box = e.get("box")
         if not isinstance(box, list):
             return f"{path}.box: expected an array, got {type(box).__name__}"

@@ -206,10 +206,10 @@ def test_conic_to_geometric_matches_linalg():
             expected = _linalg_conic_to_geometric(*coef)
         except DegenerateConfiguration:
             with pytest.raises(DegenerateConfiguration):
-                geometry._conic_to_geometric(*coef)
+                Ellipse(*geometry._conic_parameters(*map(float, coef)))
             raised += 1
             continue
-        got = geometry._conic_to_geometric(*coef)
+        got = Ellipse(*geometry._conic_parameters(*map(float, coef)))
         assert abs(got.cx - expected.cx) <= 1e-9 * expected.a
         assert abs(got.cy - expected.cy) <= 1e-9 * expected.a
         assert got.a == pytest.approx(expected.a, rel=1e-9)

@@ -184,6 +184,76 @@ def test_huge_marker_numbers_give_a_finite_report():
         assert not any(marker.inlier for marker in report.markers_used)
 
 
+def _far_dial(cx, cy, a, b, needle, ocr=(), crop=(1e308, 1e308)) -> bytes:
+    """A fixture document with a crop of 1e308 unless given: nine notches on
+    the ellipse (cx, cy, a, b, theta 0) and the given needle pixels and OCR
+    items."""
+    kinds = ["start"] + ["intermediate"] * 7 + ["end"]
+    ts = [0.75 * math.pi + k * 0.1875 * math.pi for k in range(9)]
+    keypoints = [
+        {"x": cx + a * math.cos(t), "y": cy + b * math.sin(t), "class": kind}
+        for t, kind in zip(ts, kinds)
+    ]
+    doc = {"schema": 1, "crop_size": list(crop), "keypoints": keypoints, "needle_points": needle}
+    return json.dumps({**doc, "ocr": list(ocr)}).encode()
+
+
+def _ray(start, step, count=10):
+    """`count` needle pixels from `start` in steps of `step`."""
+    return [[start[0] + k * step[0], start[1] + k * step[1]] for k in range(count)]
+
+
+_SMALL_DIAL_MARKERS = [
+    {"box": [0.49 + 0.45 * math.cos(t), 0.49 + 0.34 * math.sin(t), 0.02, 0.02], "text": str(k)}
+    for k, t in enumerate(0.75 * math.pi + j * 0.375 * math.pi for j in range(5))
+]
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        # Needle pixels near 1e200: their scatter overflows, so no direction is known.
+        (_far_dial(224, 224, 190, 140, _ray((1e200, 1e200), (1e199, 5e198))), "isotropic_needle"),
+        # Notches near 1e150, needle near 1e300: the back-mapped direction
+        # cancels against the point, and the line misses the dial.
+        (_far_dial(2e150, 2e150, 1e150, 8e149, _ray((1e300, 1e300), (1e299, 5e298))), "no_intersection"),
+        # Notches near 1e155: the squares of their spread overflow.
+        (_far_dial(2e155, 2e155, 1e155, 8e154, _ray((2e155, 2e155), (5e153, -3e153))), "degenerate_ellipse"),
+        # A needle at 1e20 on the line through the centre: its tip rounds to the centre.
+        (_far_dial(224, 224, 190, 140, _ray((1e20, 224.0), (1e18, 0.0))), "no_intersection"),
+        # A needle near 1e162 with a small spread: the line's point squared overflows.
+        (_far_dial(224, 224, 190, 140, _ray((1e162, 1e162), (1e150, 2e150))), "no_intersection"),
+        # A dial 1e-160 px wide in the default crop: its circle frame overflows.
+        (_far_dial(2e-160, 2e-160, 1e-160, 8e-161, _ray((100, 100), (10, 5)), crop=(448, 448)),
+         "degenerate_ellipse"),
+        # A dial under a pixel wide and a needle pixel near 9e307: it
+        # overflows in the circle frame, so no direction is known.
+        (_far_dial(0.5, 0.5, 0.4, 0.3, [[0.5, 0.6], [0.6, 0.7], [9e307, 9e307]]), "isotropic_needle"),
+        # A dial under a pixel wide and a marker near 9e307: its centre
+        # overflows in the circle frame and is dropped; the rest read.
+        (
+            _far_dial(
+                0.5, 0.5, 0.4, 0.3, _ray((0.5, 0.5), (0.02, -0.02)),
+                _SMALL_DIAL_MARKERS + [{"box": [9e307, 9e307, 1.0, 1.0], "text": "7"}],
+            ),
+            None,
+        ),
+    ],
+    ids=[
+        "needle-far", "direction-cancels", "notches-1e155", "tip-at-centre", "point-squared",
+        "tiny-dial", "needle-beyond-floats", "far-marker",
+    ],
+)
+def test_far_coordinates_give_a_reading_or_a_reason(data, reason):
+    # Under pyproject's error::RuntimeWarning filter: no exception and no warning.
+    report = read_gauge(parse_fixture(data))
+    assert report.failure_reason == reason
+    assert bool(report.readings) == (reason is None)
+    json.loads(serialize_report(report), parse_constant=lambda constant: pytest.fail(constant))
+    if reason is None:
+        assert len(report.markers_used) == 5
+
+
 def test_missing_start_notch_uses_gap_fallback():
     fixture, truth = generate_scene(make_scene_spec())
     demoted = tuple(
@@ -425,6 +495,22 @@ def test_config_rejects_bad_values(doc, path_part):
     with pytest.raises(SchemaError) as err:
         PipelineConfig.from_json(doc)
     assert path_part in str(err.value)
+
+
+def test_config_stores_its_reals_as_python_floats():
+    # A numpy scalar is stored as the float a JSON config of its value
+    # gives, so the inlier threshold does not come out as a float32.
+    fraction = np.float32(0.02)
+    ransac = RansacSettings(threshold_fraction=fraction)
+    from_json = PipelineConfig.from_json({"ransac": {"threshold_fraction": float(fraction)}}).ransac
+    assert type(ransac.threshold_fraction) is float
+    values = [0, 5, 10, 15, 20]
+    threshold = scale_model.default_inlier_threshold(values, ransac.threshold_fraction)
+    assert type(threshold) is float
+    assert threshold == scale_model.default_inlier_threshold(values, from_json.threshold_fraction)
+    config = PipelineConfig(failure_error_threshold_percent=np.float16(5))
+    assert type(config.failure_error_threshold_percent) is float
+    assert config.failure_error_threshold_percent == 5.0
 
 
 def test_config_file_errors(tmp_path):

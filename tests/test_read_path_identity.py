@@ -221,7 +221,7 @@ def _reference_fit_ellipse(points) -> geometry.Ellipse:
     if quad is None:
         raise DegenerateConfiguration("eigensystem yields no valid ellipse")
     lin = t @ quad
-    geom = geometry._conic_to_geometric(quad[0], quad[1], quad[2], lin[0], lin[1], lin[2])
+    geom = geometry.Ellipse(*geometry._conic_parameters(*map(float, (*quad, *lin))))
     return geometry.Ellipse(
         geom.cx * scale + mean[0], geom.cy * scale + mean[1], geom.a * scale, geom.b * scale, geom.theta
     )
