@@ -532,10 +532,15 @@ def present_entries(obj: dict, *keys: str) -> dict:
     return {key: obj[key] for key in keys if key in obj}
 
 
+@functools.cache
+def _init_field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
 def present_fields(cls, doc: Any, path: str) -> dict:
     """The entries of JSON object `doc` that name an init field of dataclass
     `cls`; SchemaError under `path` unless `doc` is an object."""
-    return present_entries(as_object(doc, path), *(f.name for f in fields(cls) if f.init))
+    return present_entries(as_object(doc, path), *_init_field_names(cls))
 
 
 def load_json(data: bytes | str) -> Any:
@@ -567,7 +572,12 @@ def dump_json(doc: Any) -> bytes:
     return _ENCODER.encode(doc).encode("utf-8")
 
 
+# Each enum's members and their wire names, both ways, so that no read or
+# write goes through Enum's value property.
 _KEYPOINT_CLASSES = {kind.value: kind for kind in KeypointClass}
+_KEYPOINT_NAMES = {kind: kind.value for kind in KeypointClass}
+_STAGE_NAMES = {stage: stage.value for stage in Stage}
+_SCALE_NAMES = {side: side.value for side in ScaleSide}
 
 
 def parse_fixture(data: bytes | str) -> GaugeFixture:
@@ -633,7 +643,7 @@ def _fixture_jsonable(f: GaugeFixture) -> dict:
         "schema": SCHEMA_VERSION,
         "crop_size": [f.crop_size[0], f.crop_size[1]],
         "keypoints": [
-            {"x": x, "y": y, "class": kind.value}
+            {"x": x, "y": y, "class": _KEYPOINT_NAMES[kind]}
             for (x, y), kind in zip(f.keypoints.tolist(), f.keypoint_classes)
         ],
         "needle_points": f.needle_points.tolist(),
@@ -667,7 +677,9 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
     digits, so identical reports serialize to identical bytes.
     """
     statuses = {
-        stage.value: {"status": "ok"} if status.ok else {"status": "failed", "reason": status.reason}
+        _STAGE_NAMES[stage]: (
+            {"status": "ok"} if status.ok else {"status": "failed", "reason": status.reason}
+        )
         for stage, status in report.stage_statuses.items()
     }
 
@@ -693,7 +705,7 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
         "needle_relative_angle": _round9(report.needle_relative_angle),
         "markers": [
             {
-                "scale": m.scale.value,
+                "scale": _SCALE_NAMES[m.scale],
                 "angle": _round9(m.angle),
                 "value": _round9(m.value),
                 "inlier": m.inlier,
@@ -701,7 +713,9 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
             }
             for m in report.markers_used
         ],
-        "readings": [{"scale": r.scale.value, "value": _round9(r.value)} for r in report.readings],
+        "readings": [
+            {"scale": _SCALE_NAMES[r.scale], "value": _round9(r.value)} for r in report.readings
+        ],
         "unit": report.unit,
     }
     return dump_json(doc)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateConfiguration, InsufficientPoints, IsotropicScatter, NoIntersection
 
@@ -106,8 +107,15 @@ class Ellipse:
     theta: float = 0.0
 
     def __post_init__(self):
-        values = (self.cx, self.cy, self.a, self.b, self.theta)
-        cx, cy, a, b, theta = [finite_float(v, "ellipse parameters must be finite") for v in values]
+        cx, cy, a, b, theta = self.cx, self.cy, self.a, self.b, self.theta
+        # Python floats, the common case, take one finiteness test: zero
+        # times each sums to 0.0 unless one is NaN or infinite.
+        if not (
+            type(cx) is type(cy) is type(a) is type(b) is type(theta) is float
+            and math.isfinite(0.0 * cx + 0.0 * cy + 0.0 * a + 0.0 * b + 0.0 * theta)
+        ):
+            message = "ellipse parameters must be finite"
+            cx, cy, a, b, theta = [finite_float(v, message) for v in (cx, cy, a, b, theta)]
         if a < b:
             a, b = b, a
             theta += math.pi / 2
@@ -157,8 +165,14 @@ class Line:
     dy: float
 
     def __post_init__(self):
-        message = "line point and direction must be finite"
-        px, py, dx, dy = [finite_float(v, message) for v in (self.px, self.py, self.dx, self.dy)]
+        px, py, dx, dy = self.px, self.py, self.dx, self.dy
+        # As Ellipse's: one finiteness test when every value is a Python float.
+        if not (
+            type(px) is type(py) is type(dx) is type(dy) is float
+            and math.isfinite(0.0 * px + 0.0 * py + 0.0 * dx + 0.0 * dy)
+        ):
+            message = "line point and direction must be finite"
+            px, py, dx, dy = [finite_float(v, message) for v in (px, py, dx, dy)]
         norm = math.hypot(dx, dy)
         if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("line direction must be nonzero and finite")
@@ -195,8 +209,13 @@ class AffineTransform:
             ((a, b), (c, d)), (tx, ty) = linear, translation
         except (TypeError, ValueError):
             raise ValueError("expected a 2x2 linear part and a 2-vector translation") from None
-        a, b, c, d = [finite_float(v, "affine linear part must be finite") for v in (a, b, c, d)]
-        tx, ty = [finite_float(v, "affine translation must be finite") for v in (tx, ty)]
+        # As Ellipse's: one finiteness test when every value is a Python float.
+        if not (
+            type(a) is type(b) is type(c) is type(d) is type(tx) is type(ty) is float
+            and math.isfinite(0.0 * a + 0.0 * b + 0.0 * c + 0.0 * d + 0.0 * tx + 0.0 * ty)
+        ):
+            a, b, c, d = [finite_float(v, "affine linear part must be finite") for v in (a, b, c, d)]
+            tx, ty = [finite_float(v, "affine translation must be finite") for v in (tx, ty)]
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             raise ValueError("affine transform must be invertible")
@@ -299,6 +318,12 @@ def fit_ellipse_direct(points) -> Ellipse:
     reduced eigensystem 3x3 and guarantees an ellipse (never a hyperbola)
     when one exists.
 
+    The 3x3 solve and eigensystem call the LAPACK gufuncs behind
+    np.linalg.solve and np.linalg.eig directly: the wrappers' shape, type
+    and finiteness checks cost more than the LAPACK work on 3x3 inputs, and
+    the one check that matters here is made once, on the reduced matrix (a
+    singular S3 makes the solve return NaN, which that matrix carries).
+
     Raises InsufficientPoints for fewer than 5 points and
     DegenerateConfiguration when the scatter admits no real ellipse.
     """
@@ -337,14 +362,14 @@ def fit_ellipse_direct(points) -> Ellipse:
         if sing[1] < 1e-10 * sing[0]:
             raise DegenerateConfiguration("points are collinear")
     s1, s2, s3 = scatter[:3, :3], scatter[:3, 3:], scatter[3:, 3:]
-    try:
-        t = -np.linalg.solve(s3, s2.T)
-    except np.linalg.LinAlgError:
-        raise DegenerateConfiguration("points are collinear or otherwise rank-deficient") from None
-    m = s1 + s2 @ t
-    m = m[::-1] * _CONSTRAINT_INVERSE  # rows m[2] / 2, -m[1], m[0] / 2
-
-    evals, evecs = np.linalg.eig(m)
+    with np.errstate(invalid="ignore"):
+        t = -_umath_linalg.solve(s3, s2.T, signature="dd->d")
+        m = s1 + s2 @ t
+        m = m[::-1] * _CONSTRAINT_INVERSE  # rows m[2] / 2, -m[1], m[0] / 2
+        # Zero times each entry sums to 0.0 unless one is NaN or infinite.
+        if not math.isfinite(sum([0.0 * v for v in m.ravel().tolist()])):
+            raise DegenerateConfiguration("points are collinear or otherwise rank-deficient")
+        evals, evecs = _umath_linalg.eig(m, signature="d->DD")
     real = evecs.real
     for i, (value, quadratic) in enumerate(zip(evals.tolist(), real.T.tolist())):
         if abs(value.imag) > 1e-9 * (1.0 + abs(value.real)):

@@ -1,6 +1,7 @@
 """Geometry tests: fit recovery against analytic samplers, an exhaustive
 angle-sweep oracle for the line fit, and frame-change invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from gaugekit.geometry import (
     Ellipse,
     Line,
     circularize,
+    finite_float,
     fit_ellipse_direct,
     line_circle_intersections,
     normalize_angle,
@@ -444,3 +446,92 @@ def test_value_types_take_only_finite_real_numbers():
     assert AffineTransform([[2, 0], [0, 1]], (np.int64(1), 0.5)) == AffineTransform(
         np.diag([2.0, 1.0]), np.array([1.0, 0.5])
     )
+
+
+# Each probe in each field of each value type. Python floats take one
+# finiteness test per object; every other value goes through finite_float
+# one field at a time, so each probe must meet the per-field verdict.
+_PROBES = {
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "nan": math.nan,
+    "float64-inf": np.float64("inf"),
+    "True": True,
+    "bool_-True": np.bool_(True),
+    "str-1": "1",
+    "None": None,
+    "int-1e400": 10**400,
+    "int64-3": np.int64(3),
+    "float32-2.5": np.float32(2.5),
+    "int-7": 7,
+}
+# Per type: valid floats for its fields, the message of each field's check
+# and a builder from the field values.
+_VALUE_TYPES = {
+    "Ellipse": (
+        (1.5, 2.5, 30.0, 20.0, 0.5),
+        ("ellipse parameters must be finite",) * 5,
+        lambda v: Ellipse(*v),
+    ),
+    "Line": (
+        (1.5, 2.5, 0.6, 0.8),
+        ("line point and direction must be finite",) * 4,
+        lambda v: Line(*v),
+    ),
+    "AffineTransform": (
+        (2.0, 0.5, 0.25, 1.5, 3.0, -4.0),
+        ("affine linear part must be finite",) * 4 + ("affine translation must be finite",) * 2,
+        lambda v: AffineTransform([v[:2], v[2:4]], v[4:]),
+    ),
+}
+
+
+def _value_fields(obj) -> list:
+    if isinstance(obj, AffineTransform):
+        return [*obj.linear.ravel().tolist(), *obj.translation.tolist()]
+    return [getattr(obj, name) for name in obj.__dataclass_fields__]
+
+
+def _assert_per_field_verdict(kind: str, values: list):
+    """The value type built from `values` accepts or rejects them as
+    finite_float on each field in turn does, with that first message, and
+    stores what it accepts as the Python floats of those fields."""
+    _, messages, build = _VALUE_TYPES[kind]
+    try:
+        floats = [finite_float(v, message) for v, message in zip(values, messages)]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            build(values)
+        assert str(raised.value) == str(exc)
+        return
+    built = build(values)
+    fields = _value_fields(built)
+    assert fields == _value_fields(build(floats))
+    assert all(type(value) is float for value in fields)
+
+
+@pytest.mark.parametrize("probe", _PROBES)
+@pytest.mark.parametrize(
+    "kind, position",
+    [(kind, k) for kind, (base, _, _) in _VALUE_TYPES.items() for k in range(len(base))],
+)
+def test_value_types_check_each_probe_in_each_field(kind, position, probe):
+    values = list(_VALUE_TYPES[kind][0])
+    values[position] = _PROBES[probe]
+    _assert_per_field_verdict(kind, values)
+    accepted = probe in ("int64-3", "float32-2.5", "int-7")
+    try:
+        _VALUE_TYPES[kind][2](values)
+    except ValueError:
+        assert not accepted
+    else:
+        assert accepted
+
+
+def test_value_types_name_the_first_of_two_faults():
+    for kind, (base, _, _) in _VALUE_TYPES.items():
+        for i, j in itertools.combinations(range(len(base)), 2):
+            for first, second in itertools.product(_PROBES.values(), repeat=2):
+                values = list(base)
+                values[i], values[j] = first, second
+                _assert_per_field_verdict(kind, values)

@@ -4,13 +4,20 @@ eigh for the symmetric eigenproblem, the SVD for the needle line, inv for
 the affine inverse, solve/eigh/det for the conic's geometric form, and
 lstsq for the scale fit. Inputs are seeded; every check states its
 tolerance, and a reference that raises must be matched by the same class.
+The ellipse fit's 3x3 solve and eigensystem, which call numpy's LAPACK
+gufuncs without the numpy.linalg wrappers, are checked bit for bit against
+the reference fit through those wrappers.
 """
 
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+from conftest import make_scene_spec
 from gaugekit import geometry, scale_model
 from gaugekit.errors import DegenerateConfiguration, InsufficientPoints, IsotropicScatter
 from gaugekit.geometry import (
@@ -20,6 +27,9 @@ from gaugekit.geometry import (
     fit_ellipse_direct,
     odr_fit_line,
 )
+from gaugekit.pipeline import read_gauge
+from gaugekit.synthgauge import generate_scene
+from test_read_path_identity import _ellipse_point_sets, _outcome, _reference_fit_ellipse
 
 # Absolute eigenvalue and direction tolerances, relative to the largest
 # eigenvalue: a few ulps of the matrix entries.
@@ -330,3 +340,52 @@ def test_fit_ellipse_consults_the_svd_wherever_the_scatter_leaves_collinearity_i
         collinear += is_collinear
     # The sweep crosses both the 1e-8 bar and the rule itself.
     assert 100 < below < 1400 and 100 < collinear < below and skipped > 100
+
+
+# ---------------------------------------------------------------------------
+# The ellipse fit's LAPACK gufuncs without the numpy.linalg wrappers
+# ---------------------------------------------------------------------------
+
+
+def test_fit_ellipse_calls_lapack_without_the_linalg_wrappers(monkeypatch):
+    """With np.linalg.solve and np.linalg.eig made to raise, every outcome
+    of the fit, fits and failures alike, equals the reference fit's through
+    those wrappers, bit for bit."""
+    point_sets = list(_ellipse_point_sets(np.random.default_rng(2626)))
+    expected = [_outcome(_reference_fit_ellipse, points) for points in point_sets]
+
+    def wrapper_called(*args, **kwargs):
+        raise AssertionError("the fit went through a numpy.linalg wrapper")
+
+    monkeypatch.setattr(np.linalg, "solve", wrapper_called)
+    monkeypatch.setattr(np.linalg, "eig", wrapper_called)
+    for points, outcome in zip(point_sets, expected):
+        assert _outcome(fit_ellipse_direct, points) == outcome, points.tolist()
+    assert sum(isinstance(outcome[0], float) for outcome in expected) > 1500
+
+
+def test_a_singular_solve_is_a_degenerate_fit_without_a_warning(monkeypatch):
+    """The gufunc's singular outcome, NaN with the invalid flag raised, ends
+    the fit in DegenerateConfiguration; no RuntimeWarning escapes the fit,
+    and read_gauge reports a degenerate ellipse."""
+    solve = _umath_linalg.solve
+
+    def singular_solve(a, b, signature):
+        return solve(np.zeros_like(a), b, signature=signature)
+
+    # Outside an errstate the singular solve warns; inside, it is all NaN.
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        singular_solve(np.eye(3), np.eye(3), "dd->d")
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(singular_solve(np.eye(3), np.eye(3), "dd->d")).all()
+
+    fixture, _ = generate_scene(make_scene_spec())
+    assert fit_ellipse_direct(fixture.keypoints).b > 0
+    stub = types.SimpleNamespace(solve=singular_solve, eig=_umath_linalg.eig)
+    monkeypatch.setattr(geometry, "_umath_linalg", stub)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateConfiguration, match="rank-deficient"):
+            fit_ellipse_direct(fixture.keypoints)
+        report = read_gauge(fixture)
+    assert report.failure_reason == "degenerate_ellipse"

@@ -3,12 +3,14 @@ search over every two-point minimal model."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gaugekit.errors import InsufficientPoints, NoConsensus
 from gaugekit.scale_model import (
+    _NUMBER_RE,
     DEFAULT_UNIT_LEXICON,
     SAME_ANGLE_EPS,
     LinearScaleModel,
@@ -91,20 +93,37 @@ def test_wrap_from_gaps():
 # ---------------------------------------------------------------------------
 
 
+def _regex_numeric_token(text):
+    """parse_numeric_token through its regex alone, without the digits-only path."""
+    cleaned = text.strip().replace("−", "-")
+    if not _NUMBER_RE.fullmatch(cleaned):
+        return None
+    value = float(cleaned)
+    return value if math.isfinite(value) else None
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
         ("160", 160.0),
+        ("0012", 12.0),
+        ("٣٠", 30.0),  # Arabic-Indic digits are Unicode decimal digits
         ("-0.4", -0.4),
         ("−0.4", -0.4),  # typographic minus
+        ("−5", -5.0),
         (" 25 ", 25.0),
+        (" 12 ", 12.0),
         ("+3.5", 3.5),
         (".5", 0.5),
+        ("+.5", 0.5),
         ("2.", 2.0),
         ("psi", None),
         ("2bar", None),
         ("1,000", None),
+        ("1_000", None),
         ("1e3", None),
+        ("1e5", None),
+        ("²", None),  # a digit, but not a decimal one
         ("", None),
         ("-", None),
         ("1.2.3", None),
@@ -113,6 +132,23 @@ def test_wrap_from_gaps():
 )
 def test_parse_numeric_token(text, expected):
     assert parse_numeric_token(text) == expected
+    assert _regex_numeric_token(text) == expected
+
+
+def test_isdecimal_is_the_regex_digit_class():
+    """The digits-only path accepts a character exactly when \\d matches it,
+    over every code point, and reads each such digit as the regex path does."""
+    digit = re.compile(r"\d")
+    decimals = []
+    for code in range(0x110000):
+        char = chr(code)
+        assert char.isdecimal() == bool(digit.fullmatch(char)), hex(code)
+        if char.isdecimal():
+            decimals.append(char)
+    assert len(decimals) > 600
+    for char in decimals:
+        token = "1" + char + char
+        assert parse_numeric_token(token) == _regex_numeric_token(token) is not None
 
 
 def _unit(*items):
