@@ -532,15 +532,10 @@ def present_entries(obj: dict, *keys: str) -> dict:
     return {key: obj[key] for key in keys if key in obj}
 
 
-@functools.cache
-def _init_field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.init)
-
-
 def present_fields(cls, doc: Any, path: str) -> dict:
     """The entries of JSON object `doc` that name an init field of dataclass
     `cls`; SchemaError under `path` unless `doc` is an object."""
-    return present_entries(as_object(doc, path), *_init_field_names(cls))
+    return present_entries(as_object(doc, path), *(f.name for f in fields(cls) if f.init))
 
 
 def load_json(data: bytes | str) -> Any:
@@ -572,12 +567,7 @@ def dump_json(doc: Any) -> bytes:
     return _ENCODER.encode(doc).encode("utf-8")
 
 
-# Each enum's members and their wire names, both ways, so that no read or
-# write goes through Enum's value property.
 _KEYPOINT_CLASSES = {kind.value: kind for kind in KeypointClass}
-_KEYPOINT_NAMES = {kind: kind.value for kind in KeypointClass}
-_STAGE_NAMES = {stage: stage.value for stage in Stage}
-_SCALE_NAMES = {side: side.value for side in ScaleSide}
 
 
 def parse_fixture(data: bytes | str) -> GaugeFixture:
@@ -643,7 +633,7 @@ def _fixture_jsonable(f: GaugeFixture) -> dict:
         "schema": SCHEMA_VERSION,
         "crop_size": [f.crop_size[0], f.crop_size[1]],
         "keypoints": [
-            {"x": x, "y": y, "class": _KEYPOINT_NAMES[kind]}
+            {"x": x, "y": y, "class": kind.value}
             for (x, y), kind in zip(f.keypoints.tolist(), f.keypoint_classes)
         ],
         "needle_points": f.needle_points.tolist(),
@@ -677,9 +667,7 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
     digits, so identical reports serialize to identical bytes.
     """
     statuses = {
-        _STAGE_NAMES[stage]: (
-            {"status": "ok"} if status.ok else {"status": "failed", "reason": status.reason}
-        )
+        stage.value: {"status": "ok"} if status.ok else {"status": "failed", "reason": status.reason}
         for stage, status in report.stage_statuses.items()
     }
 
@@ -705,7 +693,7 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
         "needle_relative_angle": _round9(report.needle_relative_angle),
         "markers": [
             {
-                "scale": _SCALE_NAMES[m.scale],
+                "scale": m.scale.value,
                 "angle": _round9(m.angle),
                 "value": _round9(m.value),
                 "inlier": m.inlier,
@@ -713,9 +701,7 @@ def serialize_report(report: GaugeReadingReport) -> bytes:
             }
             for m in report.markers_used
         ],
-        "readings": [
-            {"scale": _SCALE_NAMES[r.scale], "value": _round9(r.value)} for r in report.readings
-        ],
+        "readings": [{"scale": r.scale.value, "value": _round9(r.value)} for r in report.readings],
         "unit": report.unit,
     }
     return dump_json(doc)

@@ -65,6 +65,22 @@ def finite_float(value, message: str) -> float:
     return value
 
 
+def _finite_floats(values: tuple, messages: tuple[str, ...]) -> tuple:
+    """`values` each through finite_float with its message in `messages`.
+
+    Python floats, the common case, take one finiteness test instead: their
+    sum is finite unless one is NaN or infinite (a sum that overflows goes
+    the per-value way, which decides alike).
+    """
+    for value in values:
+        if type(value) is not float:
+            break
+    else:
+        if math.isfinite(sum(values)):
+            return values
+    return tuple(map(finite_float, values, messages))
+
+
 def positive_int_size(size) -> tuple[int, int]:
     """(width, height) as ints; ValueError unless `size` is two positive integers.
 
@@ -107,15 +123,9 @@ class Ellipse:
     theta: float = 0.0
 
     def __post_init__(self):
-        cx, cy, a, b, theta = self.cx, self.cy, self.a, self.b, self.theta
-        # Python floats, the common case, take one finiteness test: zero
-        # times each sums to 0.0 unless one is NaN or infinite.
-        if not (
-            type(cx) is type(cy) is type(a) is type(b) is type(theta) is float
-            and math.isfinite(0.0 * cx + 0.0 * cy + 0.0 * a + 0.0 * b + 0.0 * theta)
-        ):
-            message = "ellipse parameters must be finite"
-            cx, cy, a, b, theta = [finite_float(v, message) for v in (cx, cy, a, b, theta)]
+        cx, cy, a, b, theta = _finite_floats(
+            (self.cx, self.cy, self.a, self.b, self.theta), ("ellipse parameters must be finite",) * 5
+        )
         if a < b:
             a, b = b, a
             theta += math.pi / 2
@@ -165,14 +175,9 @@ class Line:
     dy: float
 
     def __post_init__(self):
-        px, py, dx, dy = self.px, self.py, self.dx, self.dy
-        # As Ellipse's: one finiteness test when every value is a Python float.
-        if not (
-            type(px) is type(py) is type(dx) is type(dy) is float
-            and math.isfinite(0.0 * px + 0.0 * py + 0.0 * dx + 0.0 * dy)
-        ):
-            message = "line point and direction must be finite"
-            px, py, dx, dy = [finite_float(v, message) for v in (px, py, dx, dy)]
+        px, py, dx, dy = _finite_floats(
+            (self.px, self.py, self.dx, self.dy), ("line point and direction must be finite",) * 4
+        )
         norm = math.hypot(dx, dy)
         if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("line direction must be nonzero and finite")
@@ -209,13 +214,10 @@ class AffineTransform:
             ((a, b), (c, d)), (tx, ty) = linear, translation
         except (TypeError, ValueError):
             raise ValueError("expected a 2x2 linear part and a 2-vector translation") from None
-        # As Ellipse's: one finiteness test when every value is a Python float.
-        if not (
-            type(a) is type(b) is type(c) is type(d) is type(tx) is type(ty) is float
-            and math.isfinite(0.0 * a + 0.0 * b + 0.0 * c + 0.0 * d + 0.0 * tx + 0.0 * ty)
-        ):
-            a, b, c, d = [finite_float(v, "affine linear part must be finite") for v in (a, b, c, d)]
-            tx, ty = [finite_float(v, "affine translation must be finite") for v in (tx, ty)]
+        a, b, c, d, tx, ty = _finite_floats(
+            (a, b, c, d, tx, ty),
+            ("affine linear part must be finite",) * 4 + ("affine translation must be finite",) * 2,
+        )
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             raise ValueError("affine transform must be invertible")

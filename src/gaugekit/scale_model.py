@@ -60,12 +60,6 @@ def parse_numeric_token(text: str) -> Optional[float]:
     the typographic minus and whitespace padding are normalized away.
     Mixed alphanumerics, separators and exponents are rejected.
     """
-    # Digits alone, the common marker, skip the regex: isdecimal accepts
-    # exactly the Unicode Nd characters that \d matches, and float reads
-    # them alike.
-    if text.isdecimal():
-        value = float(text)
-        return value if math.isfinite(value) else None
     cleaned = text.strip().replace("−", "-")
     if not _NUMBER_RE.fullmatch(cleaned):
         return None

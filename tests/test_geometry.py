@@ -535,3 +535,17 @@ def test_value_types_name_the_first_of_two_faults():
                 values = list(base)
                 values[i], values[j] = first, second
                 _assert_per_field_verdict(kind, values)
+
+
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_value_types_accept_finite_floats_whose_sum_overflows(big):
+    """Floats whose sum overflows fall to the per-field check, which accepts them."""
+    cases = {
+        "Ellipse": (big, big, 1e308, 1e308, 0.5),
+        "Line": (big, big, 0.6, 0.8),
+        "AffineTransform": (big, 0.5, 0.25, 1.5, big, big),
+    }
+    for kind, values in cases.items():
+        assert not math.isfinite(sum(values))
+        _assert_per_field_verdict(kind, list(values))
+        _VALUE_TYPES[kind][2](values)

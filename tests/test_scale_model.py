@@ -3,14 +3,12 @@ search over every two-point minimal model."""
 
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
 
 from gaugekit.errors import InsufficientPoints, NoConsensus
 from gaugekit.scale_model import (
-    _NUMBER_RE,
     DEFAULT_UNIT_LEXICON,
     SAME_ANGLE_EPS,
     LinearScaleModel,
@@ -93,15 +91,6 @@ def test_wrap_from_gaps():
 # ---------------------------------------------------------------------------
 
 
-def _regex_numeric_token(text):
-    """parse_numeric_token through its regex alone, without the digits-only path."""
-    cleaned = text.strip().replace("−", "-")
-    if not _NUMBER_RE.fullmatch(cleaned):
-        return None
-    value = float(cleaned)
-    return value if math.isfinite(value) else None
-
-
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -132,23 +121,6 @@ def _regex_numeric_token(text):
 )
 def test_parse_numeric_token(text, expected):
     assert parse_numeric_token(text) == expected
-    assert _regex_numeric_token(text) == expected
-
-
-def test_isdecimal_is_the_regex_digit_class():
-    """The digits-only path accepts a character exactly when \\d matches it,
-    over every code point, and reads each such digit as the regex path does."""
-    digit = re.compile(r"\d")
-    decimals = []
-    for code in range(0x110000):
-        char = chr(code)
-        assert char.isdecimal() == bool(digit.fullmatch(char)), hex(code)
-        if char.isdecimal():
-            decimals.append(char)
-    assert len(decimals) > 600
-    for char in decimals:
-        token = "1" + char + char
-        assert parse_numeric_token(token) == _regex_numeric_token(token) is not None
 
 
 def _unit(*items):
