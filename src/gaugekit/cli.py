@@ -15,7 +15,6 @@ from .errors import GaugeKitError, SchemaError
 from .fixtures import SCHEMA_VERSION, as_list, as_object, dump_json, load_json, parse_fixture
 from .fixtures import serialize_fixture, serialize_report
 from .pipeline import PipelineConfig, evaluate_batch, read_gauge, serialize_summary
-from .synthgauge import generate_scene, parse_perturbation_spec, parse_scene_spec, perturb_scene
 
 EXIT_OK = 0
 EXIT_READING_FAILURE = 1
@@ -120,6 +119,9 @@ def _scene_pairs(path) -> list[tuple[str, dict, dict | None]]:
 
 
 def _cmd_generate(args) -> int:
+    # Imported here so that `read` and `eval` never load the generator.
+    from .synthgauge import generate_scene, parse_perturbation_spec, parse_scene_spec, perturb_scene
+
     # Build every fixture before writing any file, so a bad entry leaves
     # no partial output behind.
     fixtures = []

@@ -44,9 +44,10 @@ _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)")
 
 
 def load_unit_lexicon(path) -> tuple[str, ...]:
-    """Read a unit lexicon file: one unit per line, UTF-8, '#' comments."""
+    """Read a unit lexicon file: one unit per line, UTF-8 (a leading BOM is
+    ignored), '#' comments."""
     units = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         entry = line.split("#", 1)[0].strip()
         if entry:
             units.append(entry)

@@ -201,6 +201,14 @@ def test_relative_unit_lexicon_path_is_beside_the_config(tmp_path):
         assert json.loads(proc.stdout)["unit"] == "kn"
 
 
+def test_unit_lexicon_with_a_bom_keeps_its_first_unit(tmp_path, scene_file):
+    (tmp_path / "units.txt").write_bytes("bar\npsi\n".encode("utf-8-sig"))
+    (tmp_path / "cfg.json").write_text('{"unit_lexicon_path": "units.txt"}', encoding="utf-8")
+    proc = run_cli("read", str(scene_file), "--config", str(tmp_path / "cfg.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["unit"] == "bar"
+
+
 def _write_generation_manifest(tmp_path, n=4, perturb=True):
     scenes = []
     for k in range(n):

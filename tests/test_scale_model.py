@@ -155,6 +155,16 @@ def test_load_unit_lexicon(tmp_path):
     assert load_unit_lexicon(path) == ("bar", "kPa", "psi")
 
 
+def test_load_unit_lexicon_ignores_a_leading_bom(tmp_path):
+    # Windows Notepad saves UTF-8 with a byte order mark; the first unit
+    # must not come back as "\ufeffbar".
+    path = tmp_path / "units.txt"
+    path.write_bytes("bar\r\npsi\r\n".encode("utf-8-sig"))
+    lexicon = load_unit_lexicon(path)
+    assert lexicon == ("bar", "psi")
+    assert extract_unit(["bar"], [0.9], lexicon) == "bar"
+
+
 # ---------------------------------------------------------------------------
 # RANSAC with a brute-force oracle
 # ---------------------------------------------------------------------------
