@@ -14,7 +14,6 @@ from pathlib import Path
 from .errors import GaugeKitError, SchemaError
 from .fixtures import SCHEMA_VERSION, as_list, as_object, dump_json, load_json, parse_fixture
 from .fixtures import serialize_fixture, serialize_report
-from .pipeline import PipelineConfig, evaluate_batch, read_gauge, serialize_summary
 
 EXIT_OK = 0
 EXIT_READING_FAILURE = 1
@@ -60,7 +59,9 @@ def _manifest_paths(path) -> list[str]:
     return paths
 
 
-def _cmd_read(args, cfg: PipelineConfig) -> int:
+def _cmd_read(args, cfg) -> int:
+    from .pipeline import read_gauge
+
     any_reading_failure = False
     for path in args.paths:
         report = read_gauge(_read(path, _fixture), cfg)
@@ -80,7 +81,9 @@ def _cmd_read(args, cfg: PipelineConfig) -> int:
     return EXIT_READING_FAILURE if any_reading_failure else EXIT_OK
 
 
-def _cmd_eval(args, cfg: PipelineConfig) -> int:
+def _cmd_eval(args, cfg) -> int:
+    from .pipeline import evaluate_batch, serialize_summary
+
     folder = Path(args.manifest).parent
     paths = _read(args.manifest, _manifest_paths)
     fixtures = [_read(folder / rel, _fixture) for rel in paths]
@@ -187,6 +190,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             return _cmd_generate(args)
+        # Imported here and in the read and eval commands, so that
+        # `generate` never loads the pipeline.
+        from .pipeline import PipelineConfig
+
         cfg = PipelineConfig()
         if args.config is not None:
             cfg = _read(args.config, PipelineConfig.from_file)

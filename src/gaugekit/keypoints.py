@@ -3,7 +3,9 @@
 Notch detectors hand over per-pixel probability maps; decoding collects the
 pixels above 0.5 (strictly) and runs flat-kernel mean-shift on their indices
 to one sub-pixel mode per notch. Windows, discs of the bandwidth, are read
-as row segments from prefix sums kept only for rows that hold support. The
+as row segments from prefix sums built from the support pixels and kept
+only for the rows and columns that hold support, offset-major: one array
+row per window row offset, so every numpy pass runs along the modes. The
 first shift reads every seed pixel's window through one disc stencil built
 once per call. The values several seeds share after it become anchors: a
 window read once, and a reach within which every point has the same pixel
@@ -92,16 +94,18 @@ def extract_keypoints_meanshift(heatmap: Heatmap, bandwidth: float) -> list[np.n
     Converged modes closer than bandwidth/2 merge. Returns (x, y) modes
     sorted lexicographically; empty when nothing clears the threshold.
 
-    Cost and memory follow the support: prefix sums cover only rows that
-    hold support (`_support_prefix`). Iteration 1 shifts the seeds through
-    one disc stencil (`_stencil_sums`). Each later iteration shifts each
-    distinct moving mode once: a mode strictly within an anchor's reach
-    (`_Anchors`) takes the anchor's shift, and the others have their windows
-    read as row segments in blocks of _BLOCK modes (`_window_sums`). The
-    anchors cost O(anchors x bandwidth) once and O(log anchors) per mode
-    looked up, so an iteration stays O(distinct modes x bandwidth), not
-    O(support^2). The merge groups the distinct converged values in
-    O(values) (`_greedy_groups`) and takes each group's mean over its modes.
+    Cost and memory follow the support: prefix sums, built from the
+    support pixels, cover only the support's rows x the support's columns
+    (`_support_prefix`), and windows are read offset-major, each numpy pass
+    along the modes. Iteration 1 shifts the seeds through one disc stencil
+    (`_stencil_sums`). Each later iteration shifts each distinct moving
+    mode once: a mode strictly within an anchor's reach (`_Anchors`) takes
+    the anchor's shift, and the others have their windows read as row
+    segments in blocks of _BLOCK modes (`_window_sums`). The anchors cost
+    O(anchors x bandwidth) once and O(log anchors) per mode looked up, so an
+    iteration stays O(distinct modes x bandwidth), not O(support^2). The
+    merge groups the distinct converged values in O(values)
+    (`_greedy_groups`) and takes each group's mean over its modes.
     """
     message = f"bandwidth must be a positive number, got {bandwidth!r}"
     bandwidth = finite_float(bandwidth, message)
@@ -111,7 +115,7 @@ def extract_keypoints_meanshift(heatmap: Heatmap, bandwidth: float) -> list[np.n
     rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
     if rows.size == 0:
         return []
-    prefix = _support_prefix(mask)
+    prefix = _support_prefix(rows, cols, mask.shape)
     # Iteration 1 is the seed shift. After it, a mode that did not move is a
     # fixed point (same window, same mean), so only the moving ones are
     # recomputed, and those that coincide only once (`_distinct`).
@@ -273,8 +277,8 @@ def _reach(points, bandwidth, prefix, cols):
     crossing rounded past a pixel leaves that pixel, within ulps of the rim,
     among them. Cost: O(len(points) x bandwidth).
     """
-    table, row_of = prefix
-    height, width = len(row_of) - 1, table.shape[1] - 1
+    table, row_of, col_of = prefix
+    height, width = len(row_of) - 1, len(col_of) - 1
     counts = table[..., 0]
     # start[r]: where stored row r's pixels begin in the row-major `cols`.
     start = np.cumsum(counts[:, -1]) - counts[:, -1]
@@ -285,9 +289,9 @@ def _reach(points, bandwidth, prefix, cols):
     dy2 = (y - ys) ** 2
     half = np.sqrt(np.maximum(bandwidth * bandwidth - dy2, 0.0))
     row = row_of[np.minimum(ys, height).astype(np.intp)]
-    lo = counts[row, np.maximum(np.ceil(x - half), 0.0).astype(np.intp)]
-    hi = counts[row, np.minimum(np.ceil(x + half), width).astype(np.intp)]
-    end = counts[row, width]
+    lo = counts[row, col_of[np.maximum(np.ceil(x - half), 0.0).astype(np.intp)]]
+    hi = counts[row, col_of[np.minimum(np.ceil(x + half), width).astype(np.intp)]]
+    end = counts[row, -1]
     index = start[row][..., None] + np.stack((lo - 1, lo, hi - 1, hi), axis=-1)
     held = np.stack((lo > 0, lo < end, hi > 0, hi < end), axis=-1)
     offset = np.take(cols, index, mode="clip") - x[..., None]
@@ -316,12 +320,13 @@ def _stencil_sums(cols, rows, bandwidth, prefix):
     holds the columns within half(|dy|) of it, half(d) being the largest
     integer dx with dx**2 + d**2 <= bandwidth**2, decided once per call by
     `_window_sums`' own float test (squares of small integers are exact).
-    Rows off the map read the shared zero row of `_support_prefix`, so no
-    bound or rounding step remains, and seeds, distinct by construction,
-    need no dedupe. Cost: O(len(cols) x bandwidth), in blocks of _BLOCK.
+    Rows off the map read the shared zero row of `_support_prefix` and
+    columns off it the prefix at its edge, so no bound or rounding step
+    remains, and seeds, distinct by construction, need no dedupe. Cost:
+    O(len(cols) x bandwidth), in blocks of _BLOCK.
     """
-    table, row_of = prefix
-    height, width = len(row_of) - 1, table.shape[1] - 1
+    table, row_of, col_of = prefix
+    height, width = len(row_of) - 1, len(col_of) - 1
     # No offset beyond `bandwidth` passes (b < n rounds b * b below n * n),
     # and by monotone rounding a row's passing columns are a prefix of dx,
     # the rows holding any a prefix of dy.
@@ -330,41 +335,52 @@ def _stencil_sums(cols, rows, bandwidth, prefix):
     half = (dx**2 + dy[:, None] ** 2 <= bandwidth * bandwidth).sum(axis=1) - 1
     half = half[half >= 0]
     reach = len(half) - 1
-    half = np.concatenate((half[:0:-1], half))
-    offsets = np.arange(-reach, reach + 1)
+    half = np.concatenate((half[:0:-1], half))[:, None]
+    offsets = np.arange(-reach, reach + 1)[:, None]
     # row_base[y + reach]: where row y's prefix starts in `flat`, the zero
-    # row's for a row off the map.
+    # row's for a row off the map. col_at[k + widest]: col_of at column k,
+    # clamped to the map.
     zero = np.full(reach, row_of[-1])
-    row_base = np.concatenate((zero, row_of[:-1], zero)) * (width + 1)
+    row_base = np.concatenate((zero, row_of[:-1], zero)) * table.shape[1]
+    widest = half[reach, 0]
+    col_at = np.concatenate((np.zeros(widest, np.intp), col_of, np.full(widest, col_of[-1])))
+    left, right = widest - half, widest + half + 1
     flat = table.reshape(-1, 2)
     counts = np.empty(len(cols), dtype=np.int64)
     sums = np.empty((len(cols), 2), dtype=np.int64)
     for i in range(0, len(cols), _BLOCK):
-        x, y = cols[i : i + _BLOCK, None], rows[i : i + _BLOCK, None]
+        # (row offset, seed) arrays: every pass runs along the seeds.
+        x, y = cols[i : i + _BLOCK], rows[i : i + _BLOCK]
         base = row_base[y + (offsets + reach)]
-        lo = np.maximum(x - half, 0)
-        hi = np.minimum(x + half + 1, width)
-        segments = np.take(flat, base + hi, axis=0) - np.take(flat, base + lo, axis=0)
-        row_counts = segments[..., 0]
-        counts[i : i + _BLOCK] = row_counts.sum(axis=1)
-        sums[i : i + _BLOCK, 0] = segments[..., 1].sum(axis=1)
-        sums[i : i + _BLOCK, 1] = (row_counts * (y + offsets)).sum(axis=1)
+        segments = np.take(flat, base + col_at[x + right], axis=0)
+        segments -= np.take(flat, base + col_at[x + left], axis=0)
+        totals = np.add.reduce(segments, axis=0)
+        counts[i : i + _BLOCK] = totals[:, 0]
+        sums[i : i + _BLOCK, 0] = totals[:, 1]
+        np.add.reduce(segments[..., 0] * (y + offsets), axis=0, out=sums[i : i + _BLOCK, 1])
     return counts, sums
 
 
-def _support_prefix(mask: np.ndarray):
-    """table[row_of[y], k] = (count, column-index sum) of the mask's pixels in
-    row y left of column k, stored only for rows that hold support; the
-    others and row_of's extra entry (rows off the map) share one zero row."""
-    height, width = mask.shape
-    support_rows = np.flatnonzero(mask.any(axis=1))
-    compact = mask[support_rows]
-    table = np.zeros((len(support_rows) + 1, width + 1, 2), dtype=np.int64)
-    np.cumsum(compact, axis=1, out=table[:-1, 1:, 0])
-    np.cumsum(compact * np.arange(width), axis=1, out=table[:-1, 1:, 1])
-    row_of = np.full(height + 1, len(support_rows), dtype=np.intp)
-    row_of[support_rows] = np.arange(len(support_rows))
-    return table, row_of
+def _support_prefix(rows, cols, shape):
+    """table[row_of[y], col_of[k]] = (count, column-index sum) of the support
+    pixels (cols[i], rows[i]) in row y left of column k, built from that
+    list alone. Only rows and columns that hold support are stored: col_of[k]
+    counts the support columns left of column k, and the other rows and
+    row_of's extra entry (rows off the map) share one zero row. Cost and
+    memory: O(support rows x support columns + height + width)."""
+    height, width = shape
+    held_rows = np.flatnonzero(np.bincount(rows, minlength=height))
+    row_of = np.full(height + 1, len(held_rows), dtype=np.intp)
+    row_of[held_rows] = np.arange(len(held_rows))
+    col_of = np.zeros(width + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=width) > 0, out=col_of[1:])
+    table = np.zeros((len(held_rows) + 1, col_of[-1] + 1, 2), dtype=np.int64)
+    at = 2 * (row_of[rows] * table.shape[1] + col_of[cols] + 1)
+    flat = table.reshape(-1)
+    flat[at] = 1
+    flat[at + 1] = cols
+    np.add.accumulate(table, axis=1, out=table)
+    return table, row_of, col_of
 
 
 def _window_sums(modes, bandwidth, prefix):
@@ -382,13 +398,14 @@ def _window_sums(modes, bandwidth, prefix):
     is count * y. Integer sums are exact, so the means equal those of the
     all-pairs window bit for bit. Cost: O(len(modes) x bandwidth).
     """
-    table, row_of = prefix
-    height, width = len(row_of) - 1, table.shape[1] - 1
+    table, row_of, col_of = prefix
+    height, width = len(row_of) - 1, len(col_of) - 1
     bw2 = bandwidth * bandwidth
     n_rows = int(min(2.0 * bandwidth + 3.0, height))
-    mx, my = modes[:, :1], modes[:, 1:]
+    # (row offset, mode) arrays: every pass runs along the modes.
+    mx, my = modes.T
     # Clamping the first row to 0 loses no row of the map: n_rows <= height.
-    ys = np.maximum(np.floor(my - bandwidth), 0.0) + np.arange(n_rows)
+    ys = np.maximum(np.floor(my - bandwidth), 0.0) + np.arange(n_rows)[:, None]
     dy2 = (my - ys) ** 2
     half = np.sqrt(np.maximum(bw2 - dy2, 0.0))
 
@@ -405,11 +422,11 @@ def _window_sums(modes, bandwidth, prefix):
     lo = np.minimum(np.maximum(lo, 0.0), width)
     hi = np.minimum(np.maximum(hi + 1.0, lo), width)
     row = np.minimum(ys, height).astype(np.intp)
-    flat, base = table.reshape(-1, 2), row_of[row] * (width + 1)
-    segments = np.take(flat, base + hi.astype(np.intp), axis=0)
-    segments -= np.take(flat, base + lo.astype(np.intp), axis=0)
-    counts = segments[..., 0]
+    flat, base = table.reshape(-1, 2), row_of[row] * table.shape[1]
+    segments = np.take(flat, base + col_of[hi.astype(np.intp)], axis=0)
+    segments -= np.take(flat, base + col_of[lo.astype(np.intp)], axis=0)
+    totals = np.add.reduce(segments, axis=0)
     sums = np.empty((len(modes), 2), dtype=np.int64)
-    np.add.reduce(segments[..., 1], axis=1, out=sums[:, 0])
-    np.add.reduce(counts * row, axis=1, out=sums[:, 1])
-    return np.add.reduce(counts, axis=1), sums
+    sums[:, 0] = totals[:, 1]
+    np.add.reduce(segments[..., 0] * row, axis=0, out=sums[:, 1])
+    return totals[:, 0], sums

@@ -191,6 +191,11 @@ def all_pairs_meanshift(heatmap: Heatmap, bandwidth: float):
     return results, converged
 
 
+def support_prefix(mask: np.ndarray):
+    """`_support_prefix` of a boolean map's pixels, listed row-major."""
+    return keypoints._support_prefix(*np.nonzero(mask), mask.shape)
+
+
 def random_map(rng: np.random.Generator, kind: str) -> np.ndarray:
     h, w = (int(n) for n in rng.integers(1, 21, size=2))
     if kind == "noise":
@@ -303,6 +308,84 @@ def test_row_segment_decoder_matches_all_pairs_at_iteration_cap():
     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
+def prefix_maps():
+    """Boolean maps for `_support_prefix`, by name: the edge cases of its
+    row and column lookups, then random maps of every kind."""
+    rng = np.random.default_rng(28)
+    gaps = rng.uniform(size=(12, 15)) < 0.5
+    gaps[[0, 4, 5, 11], :] = False
+    gaps[:, [0, 6, 7, 14]] = False
+    single = np.zeros((9, 7), dtype=bool)
+    single[4, 3] = True
+    edges = rng.uniform(size=(10, 13)) < 0.1
+    edges[3, 0] = edges[6, 12] = edges[9, 5] = True
+    maps = {
+        "empty rows and columns": gaps,
+        "single pixel": single,
+        "full": np.ones((6, 8), dtype=bool),
+        "1 x N": rng.uniform(size=(1, 17)) < 0.5,
+        "N x 1": rng.uniform(size=(17, 1)) < 0.5,
+        "column 0, column W - 1, last row": edges,
+    }
+    for k in range(40):
+        maps[f"random {k}"] = random_map(rng, MAP_KINDS[k % 4]) > DETECTION_THRESHOLD
+    return {name: mask for name, mask in maps.items() if mask.any()}
+
+
+def test_support_prefix_equals_the_dense_row_prefix():
+    maps = prefix_maps()
+    assert len(maps) > 30 and "single pixel" in maps and "1 x N" in maps and "N x 1" in maps
+    for name, mask in maps.items():
+        height, width = mask.shape
+        dense = np.zeros((height + 1, width + 1, 2), dtype=np.int64)
+        np.cumsum(mask, axis=1, out=dense[:-1, 1:, 0])
+        np.cumsum(mask * np.arange(width), axis=1, out=dense[:-1, 1:, 1])
+        table, row_of, col_of = support_prefix(mask)
+        # Every row, the one off the map included, at every column bound.
+        assert table[row_of[:, None], col_of].tolist() == dense.tolist(), name
+        rows, cols = np.nonzero(mask)
+        assert table.shape == (len(set(rows)) + 1, len(set(cols)) + 1, 2), name
+
+
+def test_support_prefix_of_a_wide_map_holds_only_support_rows_and_columns():
+    heatmap = render_gaussian_heatmap((4096, 48), [(90.0, 20.0), (3900.5, 31.0)], sigma=2.0)
+    mask = heatmap.values > DETECTION_THRESHOLD
+    rows, cols = np.nonzero(mask)
+    table, _, _ = support_prefix(mask)
+    assert table.size <= (len(set(rows)) + 1) * (len(set(cols)) + 1) * 2 < 400
+    expected, _ = all_pairs_meanshift(heatmap, 3.0)
+    got = extract_keypoints_meanshift(heatmap, 3.0)
+    assert len(got) == 2 and np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+WIDE_BANDWIDTHS = (0.5, 1.0, 2.5, math.sqrt(13.0), 6.0, 40.0, 2000.0)
+
+
+def test_wide_sparse_map_matches_all_pairs_bit_for_bit():
+    # Scattered pixels and three blobs across 600 columns: most columns hold
+    # no support, and many windows span several stretches without any.
+    rng = np.random.default_rng(281)
+    values = render_gaussian_heatmap((600, 24), [(40.0, 6.0), (310.5, 12.0), (555.0, 20.0)], 2.0).values
+    values = np.maximum(values, rng.uniform(size=values.shape) < 0.01)
+    heatmap = Heatmap(values)
+    for bandwidth in WIDE_BANDWIDTHS:
+        expected, _ = all_pairs_meanshift(heatmap, bandwidth)
+        got = extract_keypoints_meanshift(heatmap, bandwidth)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), bandwidth
+
+
+def test_wide_map_with_blobs_on_both_side_edges_matches_all_pairs_bit_for_bit():
+    centres = [(0.0, 5.0), (0.0, 17.0), (299.5, 11.0), (150.0, 0.0), (299.5, 23.5)]
+    for sigma in (1.0, 2.5):
+        heatmap = render_gaussian_heatmap((300, 24), centres, sigma)
+        mask = heatmap.values > DETECTION_THRESHOLD
+        assert mask[:, 0].any() and mask[:, -1].any()
+        for bandwidth in WIDE_BANDWIDTHS:
+            expected, _ = all_pairs_meanshift(heatmap, bandwidth)
+            got = extract_keypoints_meanshift(heatmap, bandwidth)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (sigma, bandwidth)
+
+
 @pytest.mark.parametrize(
     "mode, bandwidth, pixel",
     [((14.2, 5.6), math.sqrt(130.0), (14, 17)), ((0.7, 9.4), 8.5, (2, 1))],
@@ -316,7 +399,7 @@ def test_window_keeps_a_rim_pixel_its_row_estimate_misses(mode, bandwidth, pixel
     mask = np.zeros((18, 16), dtype=bool)
     mask[pixel[1], pixel[0]] = True
     counts, sums = keypoints._window_sums(
-        np.array([mode]), bandwidth, keypoints._support_prefix(mask)
+        np.array([mode]), bandwidth, support_prefix(mask)
     )
     assert counts.tolist() == [1] and sums.tolist() == [list(pixel)]
 
@@ -331,7 +414,7 @@ def test_seed_stencil_sums_match_window_sums(kind):
     for _ in range(60):
         values = random_map(rng, kind)
         height, width = values.shape
-        prefix = keypoints._support_prefix(values > DETECTION_THRESHOLD)
+        prefix = support_prefix(values > DETECTION_THRESHOLD)
         rows, cols = np.divmod(np.arange(values.size), width)
         seeds = np.column_stack([cols, rows]).astype(float)
         whole = int(rng.integers(1, 9))
@@ -351,7 +434,7 @@ def test_seed_stencil_sums_match_window_sums(kind):
 
 def test_seed_stencil_sums_match_window_sums_over_several_blocks():
     values = np.random.default_rng(19).uniform(size=(40, 44))
-    prefix = keypoints._support_prefix(values > DETECTION_THRESHOLD)
+    prefix = support_prefix(values > DETECTION_THRESHOLD)
     rows, cols = np.divmod(np.arange(values.size), values.shape[1])
     assert keypoints._BLOCK < values.size
     for bandwidth in (0.5, math.sqrt(13.0), 6.0, 100.0):
@@ -473,7 +556,7 @@ def test_reach_holds_the_window_just_inside_and_not_just_outside(kind):
         height, width = values.shape
         rows, cols = np.nonzero(mask)
         support = np.column_stack([cols, rows]).astype(float)
-        prefix = keypoints._support_prefix(mask)
+        prefix = support_prefix(mask)
         bandwidth = float(rng.choice([rng.uniform(1.0, 8.0), rng.integers(1, 6) + 0.5]))
         points = rng.uniform(size=(12, 2)) * [width - 1, height - 1]
         reach = keypoints._reach(points, bandwidth, prefix, cols)

@@ -3,6 +3,7 @@ package imported its modules eagerly, and a process loads only the
 submodules its entry point uses."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 import gaugekit
 from conftest import make_scene_spec
 from gaugekit.fixtures import serialize_fixture
-from gaugekit.synthgauge import generate_scene
+from gaugekit.synthgauge import generate_scene, scene_spec_to_jsonable
 
 # Every submodule and name `gaugekit` exported when it imported all its
 # modules eagerly.
@@ -113,17 +114,31 @@ def test_cli_read_loads_neither_the_generator_nor_the_decoder(tmp_path):
     fixture, _ = generate_scene(make_scene_spec())
     path = tmp_path / "scene.json"
     path.write_bytes(serialize_fixture(fixture))
-    # `python -m gaugekit read <scene>`, run as -m runs it.
-    loaded = loaded_by(
+    loaded = loaded_by(run_module_code("read", str(path)))
+    assert {"gaugekit.cli", "gaugekit.pipeline", "gaugekit.scale_model"} <= loaded
+    assert not loaded & {"gaugekit.synthgauge", "gaugekit.keypoints"}
+
+
+def run_module_code(*argv):
+    """Code that runs `python -m gaugekit <argv>` as -m runs it and expects
+    exit 0."""
+    return (
         "import runpy\n"
-        f"sys.argv = ['gaugekit', 'read', {str(path)!r}]\n"
+        f"sys.argv = ['gaugekit', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('gaugekit', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as stop:\n"
         "    assert stop.code == 0, stop.code"
     )
-    assert {"gaugekit.cli", "gaugekit.pipeline", "gaugekit.scale_model"} <= loaded
-    assert not loaded & {"gaugekit.synthgauge", "gaugekit.keypoints"}
+
+
+def test_cli_generate_loads_neither_the_pipeline_nor_the_decoder(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scene_spec_to_jsonable(make_scene_spec())), encoding="utf-8")
+    loaded = loaded_by(run_module_code("generate", str(spec), "--out-dir", str(tmp_path / "out")))
+    assert (tmp_path / "out" / "scene_000.json").is_file()
+    assert {"gaugekit.cli", "gaugekit.synthgauge", "gaugekit.fixtures"} <= loaded
+    assert not loaded & {"gaugekit.pipeline", "gaugekit.keypoints"}
 
 
 def test_heatmap_decoding_loads_only_geometry_and_keypoints():
